@@ -37,9 +37,15 @@ import (
 const defaultChecks = "BenchmarkBatchedTable2:speedup," +
 	"BenchmarkBatchedTable2:batched_ns_per_op:0.60," +
 	"BenchmarkBatchedTable2:batched_allocs_per_op," +
+	// Bytes allocated per op track the engines' memory footprint (caches
+	// and directories sized to what the trace touches). They repeat to
+	// within 1%, so a 10% bound catches footprint growth that the
+	// allocation count alone would miss.
+	"BenchmarkBatchedTable2:batched_bytes_per_op:0.10," +
 	"BenchmarkBatchedBus:speedup," +
 	"BenchmarkBatchedBus:batched_ns_per_op:0.60," +
 	"BenchmarkBatchedBus:batched_allocs_per_op," +
+	"BenchmarkBatchedBus:batched_bytes_per_op:0.10," +
 	"BenchmarkProbeOverhead/nil-probe:allocs_per_op," +
 	"BenchmarkShardedTable2:speedup:0.60," +
 	"BenchmarkShardedTable2:sequential_ns_per_op:0.60," +

@@ -59,6 +59,13 @@ func main() {
 		"workers":           *workers,
 		"trace_cache_bytes": *traceCacheBytes,
 	}
+	// Catch SIGTERM before anything can observe the daemon (/healthz, the
+	// -addr-file): a signal that arrives during start-up waits in the
+	// channel and is drained like any other, instead of killing the
+	// process without a drain or a sealed manifest.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	run, err := telemetry.StartRun(telemetry.RunConfig{
 		Tool:        name,
 		Addr:        *addr,
@@ -100,8 +107,6 @@ func main() {
 		"queue", *queueCap, "cache_dir", *cacheDir,
 		"endpoints", "/v1/runs /metrics /status /healthz /debug/pprof")
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	slog.Info("draining", "signal", got.String(), "timeout", *drainTimeout)
 

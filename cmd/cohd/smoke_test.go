@@ -30,11 +30,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Skip("builds and boots the cohd binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "cohd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building cohd: %v\n%s", err, out)
-	}
+	bin := buildCohd(t, dir)
 
 	addrFile := filepath.Join(dir, "addr")
 	cmd := exec.Command(bin,
@@ -229,6 +225,71 @@ func TestServeSmoke(t *testing.T) {
 		cmd.Process.Kill()
 		t.Fatalf("cohd did not drain after SIGTERM\n%s", logs.String())
 	}
+}
+
+// TestServeSmokeEarlySIGTERM signals cohd the moment its -addr-file
+// appears — the earliest a script can know the daemon is up — and expects
+// the same clean drain as a late SIGTERM: exit 0 and a written manifest.
+func TestServeSmokeEarlySIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots the cohd binary")
+	}
+	dir := t.TempDir()
+	bin := buildCohd(t, dir)
+	addrFile := filepath.Join(dir, "addr")
+	manifests := filepath.Join(dir, "results")
+	cmd := exec.Command(bin,
+		"-addr", "127.0.0.1:0",
+		"-addr-file", addrFile,
+		"-cache-dir", "",
+		"-manifest-dir", manifests,
+	)
+	var logs bytes.Buffer
+	cmd.Stderr = &logs
+	cmd.Stdout = &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+
+	// Spin rather than sleep: the signal must land within microseconds of
+	// the file appearing to hit the daemon's start-up path.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if _, err := os.Stat(addrFile); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cohd never wrote its address file\n%s", logs.String())
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exit := make(chan error, 1)
+	go func() { exit <- cmd.Wait() }()
+	select {
+	case err := <-exit:
+		if err != nil {
+			t.Fatalf("cohd exit after early SIGTERM: %v\n%s", err, logs.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("cohd did not exit after early SIGTERM\n%s", logs.String())
+	}
+	written, err := filepath.Glob(filepath.Join(manifests, "manifest_cohd_*.json"))
+	if err != nil || len(written) != 1 {
+		t.Fatalf("manifests after early SIGTERM = %v (%v), want one\n%s", written, err, logs.String())
+	}
+}
+
+// buildCohd builds the cohd binary into dir and returns its path.
+func buildCohd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "cohd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building cohd: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // waitForAddr polls for the daemon's -addr-file and returns the base URL.

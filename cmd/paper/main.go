@@ -26,7 +26,6 @@ import (
 	"migratory/internal/sim"
 	"migratory/internal/snoop"
 	"migratory/internal/telemetry"
-	"migratory/internal/workload"
 )
 
 // run is the command's telemetry session; check funnels failures through
@@ -62,13 +61,22 @@ func main() {
 			opts.Nodes, opts.Seed, lengthDesc(opts.Length))
 	}
 
+	// Every section below replays the same prepared apps: one generation
+	// and placement pass per app, after the header so the report's first
+	// line does not wait on it.
+	apps := traced
+	if apps == nil {
+		apps, err = sim.PrepareApps(opts)
+		check(err)
+	}
+
 	section("Table 2 — message counts by cache size (16-byte blocks)")
-	sw2, err := sweep(traced, opts, sim.Table2Apps, sim.Table2)
+	sw2, err := sim.Table2Apps(apps, opts)
 	check(err)
 	code(sw2.Render().String())
 
 	section("Table 3 — message counts by block size (infinite caches)")
-	sw3, err := sweep(traced, opts, sim.Table3Apps, sim.Table3)
+	sw3, err := sim.Table3Apps(apps, opts)
 	check(err)
 	code(sw3.Render().String())
 
@@ -81,13 +89,12 @@ func main() {
 	// when -shards accelerates the untimed sweeps above.
 	execOpts := opts
 	execOpts.Shards = 1
-	var rows []sim.ExecRow
-	if traced != nil {
-		rows, err = sim.ExecutionTimeApps(traced, execOpts, core.Basic, 0)
-	} else {
-		execOpts.Apps = sim.ExecApps
-		rows, err = sim.ExecutionTime(execOpts, core.Basic, 0)
+	execApps := traced
+	if execApps == nil {
+		execApps, err = appsNamed(apps, sim.ExecApps, opts)
+		check(err)
 	}
+	rows, err := sim.ExecutionTimeApps(execApps, execOpts, core.Basic, 0)
 	check(err)
 	code(sim.RenderExec(rows, core.Basic).String())
 
@@ -95,32 +102,16 @@ func main() {
 	protocols := []snoop.Protocol{
 		snoop.MESI, snoop.Adaptive, snoop.AdaptiveMigrateFirst, snoop.Symmetry, snoop.UpdateOnce,
 	}
-	var bus *sim.BusSweep
-	if traced != nil {
-		bus, err = sim.RunBusApps(traced, opts, nil, protocols)
-	} else {
-		bus, err = sim.RunBus(opts, nil, protocols)
-	}
+	bus, err := sim.RunBusApps(apps, opts, nil, protocols)
 	check(err)
 	code(bus.Render().String())
 
 	section("Extension — on-line detection vs off-line ground truth")
 	var acc []sim.Accuracy
-	if traced != nil {
-		acc, err = sim.ClassifierAccuracyApp(traced[0], opts, 0)
+	for _, app := range apps {
+		appAcc, err := sim.ClassifierAccuracyApp(app, opts, 0)
 		check(err)
-	} else {
-		names := opts.Apps
-		if len(names) == 0 {
-			for _, p := range workload.Profiles() {
-				names = append(names, p.Name)
-			}
-		}
-		for _, name := range names {
-			rows, err := sim.ClassifierAccuracy(name, opts, 0)
-			check(err)
-			acc = append(acc, rows...)
-		}
+		acc = append(acc, appAcc...)
 	}
 	code(sim.RenderAccuracy(acc).String())
 
@@ -141,15 +132,34 @@ func main() {
 	run.Close(nil)
 }
 
-// sweep dispatches a table to its prepared-apps variant when a trace file
-// was given.
-func sweep(traced []*sim.App, opts sim.Options,
-	withApps func([]*sim.App, sim.Options) (*sim.Sweep, error),
-	generate func(sim.Options) (*sim.Sweep, error)) (*sim.Sweep, error) {
-	if traced != nil {
-		return withApps(traced, opts)
+// appsNamed returns the apps called names, in that order, reusing the
+// prepared ones and preparing any that -apps left out.
+func appsNamed(prepared []*sim.App, names []string, opts sim.Options) ([]*sim.App, error) {
+	byName := make(map[string]*sim.App, len(prepared))
+	for _, app := range prepared {
+		byName[app.Name] = app
 	}
-	return generate(opts)
+	var missing []string
+	for _, name := range names {
+		if byName[name] == nil {
+			missing = append(missing, name)
+		}
+	}
+	if len(missing) > 0 {
+		opts.Apps = missing
+		extra, err := sim.PrepareApps(opts)
+		if err != nil {
+			return nil, err
+		}
+		for _, app := range extra {
+			byName[app.Name] = app
+		}
+	}
+	out := make([]*sim.App, len(names))
+	for i, name := range names {
+		out[i] = byName[name]
+	}
+	return out, nil
 }
 
 func lengthDesc(n int) string {

@@ -109,20 +109,43 @@ func (c Config) Validate() error {
 // payload is dereferenced only on a hit. Profiles of the sweep hot loop
 // show the tag scan as the single largest per-access cost, which makes its
 // memory footprint worth this layout.
+//
+// Both arrays are split into chunks of chunkSets consecutive sets, each
+// allocated on the first Insert into one of its sets. A trace's shared
+// footprint is often far smaller than the configured capacity (the paper's
+// 1 MB caches over a few-hundred-KB footprint), so a cache costs memory in
+// proportion to the sets it actually fills, not to its size. A set in an
+// unallocated chunk is empty: Lookup, Peek and Invalidate miss there.
 type Cache struct {
 	cfg        Config
-	tags       []tagEntry // nil for infinite caches; len == sets*assoc
-	lines      []Line     // parallel to tags
+	chunks     []setChunk // nil for infinite caches
+	chunkLen   int        // ways per chunk: min(sets, chunkSets) * assoc
 	assoc      int
 	setMask    memory.BlockID
-	shardShift uint // log2(Shards); global set index >> shardShift & setMask = local set
+	shardShift uint                   // log2(Shards); global set index >> shardShift & setMask = local set
 	infinite   *memory.BlockMap[Line] // used when cfg.SizeBytes == 0
 	clock      uint64
+	victim     Line // the last line Insert evicted
 
 	// Stats.
 	hits      uint64
 	misses    uint64
 	evictions uint64
+}
+
+// chunkSetBits sets the allocation granule of a finite cache: 64 sets, so
+// a 4-way, 16-byte-block chunk models 4 KB of data in 12 KB of tags and
+// lines, against 3 MB for a whole 1 MB cache.
+const (
+	chunkSetBits = 6
+	chunkSets    = 1 << chunkSetBits
+)
+
+// setChunk holds chunkSets consecutive sets; tags and lines are nil until
+// the chunk's first Insert.
+type setChunk struct {
+	tags  []tagEntry // len == chunkLen once allocated
+	lines []Line     // parallel to tags
 }
 
 // tagEntry is the scanned portion of one way. used doubles as the validity
@@ -152,8 +175,8 @@ func New(cfg Config) *Cache {
 		nsets /= cfg.Shards
 		c.shardShift = uint(bits.TrailingZeros(uint(cfg.Shards)))
 	}
-	c.tags = make([]tagEntry, nsets*cfg.Assoc)
-	c.lines = make([]Line, nsets*cfg.Assoc)
+	c.chunks = make([]setChunk, (nsets+chunkSets-1)/chunkSets)
+	c.chunkLen = min(nsets, chunkSets) * cfg.Assoc
 	c.assoc = cfg.Assoc
 	c.setMask = memory.BlockID(nsets - 1)
 	return c
@@ -165,9 +188,26 @@ func (c *Cache) Config() Config { return c.cfg }
 // Infinite reports whether the cache has unbounded capacity.
 func (c *Cache) Infinite() bool { return c.infinite != nil }
 
-// setBase returns the index of block b's set's first way in tags/lines.
-func (c *Cache) setBase(b memory.BlockID) int {
-	return int((b>>c.shardShift)&c.setMask) * c.assoc
+// locate returns the chunk holding block b's set and the index of the
+// set's first way within that chunk.
+func (c *Cache) locate(b memory.BlockID) (*setChunk, int) {
+	set := int((b >> c.shardShift) & c.setMask)
+	return &c.chunks[set>>chunkSetBits], (set & (chunkSets - 1)) * c.assoc
+}
+
+// find returns the way index of block b within its set's chunk, or -1 if
+// the block is not cached (an unallocated chunk holds nothing).
+func (c *Cache) find(ch *setChunk, base int, b memory.BlockID) int {
+	if ch.tags == nil {
+		return -1
+	}
+	tags := ch.tags[base : base+c.assoc]
+	for i := range tags {
+		if tags[i].block == b && tags[i].used != 0 {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup returns the line holding block b, touching LRU state, or nil if
@@ -183,14 +223,11 @@ func (c *Cache) Lookup(b memory.BlockID) *Line {
 		c.misses++
 		return nil
 	}
-	base := c.setBase(b)
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i].block == b && tags[i].used != 0 {
-			tags[i].used = c.clock
-			c.hits++
-			return &c.lines[base+i]
-		}
+	ch, base := c.locate(b)
+	if i := c.find(ch, base, b); i >= 0 {
+		ch.tags[i].used = c.clock
+		c.hits++
+		return &ch.lines[i]
 	}
 	c.misses++
 	return nil
@@ -203,21 +240,22 @@ func (c *Cache) Peek(b memory.BlockID) *Line {
 	if c.infinite != nil {
 		return c.infinite.Get(b)
 	}
-	base := c.setBase(b)
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i].block == b && tags[i].used != 0 {
-			return &c.lines[base+i]
-		}
+	ch, base := c.locate(b)
+	if i := c.find(ch, base, b); i >= 0 {
+		return &ch.lines[i]
 	}
 	return nil
 }
 
 // Insert adds block b with the given state, evicting the LRU line of the
 // set if necessary. It returns a pointer to the inserted line and, if an
-// eviction occurred, a copy of the victim. Inserting a block that is
-// already present panics: protocol engines must Lookup first.
-func (c *Cache) Insert(b memory.BlockID, st State) (*Line, *Line) {
+// eviction occurred, a pointer to a copy of the victim. The copy lives in
+// the cache and stays valid until the next Insert, so an eviction
+// allocates nothing. (A victim returned by value costs more: Go spills a
+// five-field struct through memory on every call, evicting or not.)
+// Inserting a block that is already present panics: protocol engines must
+// Lookup first.
+func (c *Cache) Insert(b memory.BlockID, st State) (line, victim *Line) {
 	c.clock++
 	if c.infinite != nil {
 		l, created := c.infinite.GetOrCreate(b)
@@ -227,9 +265,13 @@ func (c *Cache) Insert(b memory.BlockID, st State) (*Line, *Line) {
 		*l = Line{Block: b, State: st}
 		return l, nil
 	}
-	base := c.setBase(b)
-	tags := c.tags[base : base+c.assoc]
-	free, victim := -1, -1
+	ch, base := c.locate(b)
+	if ch.tags == nil {
+		ch.tags = make([]tagEntry, c.chunkLen)
+		ch.lines = make([]Line, c.chunkLen)
+	}
+	tags := ch.tags[base : base+c.assoc]
+	free, lru := -1, -1
 	for i := range tags {
 		if tags[i].used == 0 {
 			if free < 0 {
@@ -240,21 +282,20 @@ func (c *Cache) Insert(b memory.BlockID, st State) (*Line, *Line) {
 		if tags[i].block == b {
 			panic(fmt.Sprintf("cache: Insert of present block %d", b))
 		}
-		if victim < 0 || tags[i].used < tags[victim].used {
-			victim = i
+		if lru < 0 || tags[i].used < tags[lru].used {
+			lru = i
 		}
 	}
-	var evicted *Line
 	target := free
 	if target < 0 {
-		ev := c.lines[base+victim] // copy before overwrite
-		evicted = &ev
+		target = lru
+		c.victim = ch.lines[base+target]
+		victim = &c.victim
 		c.evictions++
-		target = victim
 	}
 	tags[target] = tagEntry{block: b, used: c.clock}
-	c.lines[base+target] = Line{Block: b, State: st}
-	return &c.lines[base+target], evicted
+	ch.lines[base+target] = Line{Block: b, State: st}
+	return &ch.lines[base+target], victim
 }
 
 // Invalidate removes block b if present, returning whether it was present.
@@ -264,13 +305,10 @@ func (c *Cache) Invalidate(b memory.BlockID) bool {
 	if c.infinite != nil {
 		return c.infinite.Delete(b)
 	}
-	base := c.setBase(b)
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i].block == b && tags[i].used != 0 {
-			tags[i].used = 0
-			return true
-		}
+	ch, base := c.locate(b)
+	if i := c.find(ch, base, b); i >= 0 {
+		ch.tags[i].used = 0
+		return true
 	}
 	return false
 }
@@ -281,9 +319,11 @@ func (c *Cache) Len() int {
 		return c.infinite.Len()
 	}
 	n := 0
-	for i := range c.tags {
-		if c.tags[i].used != 0 {
-			n++
+	for ci := range c.chunks {
+		for _, t := range c.chunks[ci].tags {
+			if t.used != 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -298,9 +338,11 @@ func (c *Cache) Blocks() []memory.BlockID {
 		})
 		return out
 	}
-	for i := range c.tags {
-		if c.tags[i].used != 0 {
-			out = append(out, c.tags[i].block)
+	for ci := range c.chunks {
+		for _, t := range c.chunks[ci].tags {
+			if t.used != 0 {
+				out = append(out, t.block)
+			}
 		}
 	}
 	return out

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"migratory/internal/memory"
@@ -124,4 +126,115 @@ func lenRef(r *refCache) int {
 		n += len(s)
 	}
 	return n
+}
+
+// TestChunkedAgainstReferenceModel replays random operations on the
+// lazily chunked layout against the reference model across associativity,
+// set-shard count and set count — from sets smaller than one chunk to many
+// chunks — and compares Len and Blocks at the end. Half the seeds confine
+// inserts to the low sets, so probes of the rest land in chunks that were
+// never allocated.
+func TestChunkedAgainstReferenceModel(t *testing.T) {
+	for _, assoc := range []int{1, 2, 4, 8} {
+		for _, shards := range []int{1, 2, 8} {
+			for _, sets := range []int{8, 32, 64, 1024} { // sets per shard
+				for seed := int64(0); seed < 4; seed++ {
+					checkChunked(t, assoc, shards, sets, seed)
+				}
+			}
+		}
+	}
+}
+
+func checkChunked(t *testing.T, assoc, shards, sets int, seed int64) {
+	t.Helper()
+	idx := int(seed) % shards
+	c := New(Config{SizeBytes: sets * shards * assoc * 16, BlockSize: 16, Assoc: assoc, Shards: shards, ShardIndex: idx})
+	ref := newRef(sets*shards, assoc)
+	span := 2 * sets * assoc // enough distinct blocks to force evictions
+	if seed%2 == 1 {
+		span = sets / 2 // only the low half of the sets
+	}
+	// block maps a draw to the k-th block routed to this shard.
+	block := func(k int) memory.BlockID { return memory.BlockID(k*shards + idx) }
+	rng := rand.New(rand.NewSource(seed))
+	for op := 0; op < 3000; op++ {
+		b := block(rng.Intn(span))
+		switch rng.Intn(3) {
+		case 0:
+			hit := c.Lookup(b) != nil
+			if hit != ref.lookup(b) {
+				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: lookup(%d) = %v", assoc, shards, sets, seed, op, b, hit)
+			}
+			if !hit {
+				l, victim := c.Insert(b, 0)
+				refVictim, refEvicted := ref.insert(b)
+				if l.Block != b || (victim != nil) != refEvicted || (victim != nil && victim.Block != refVictim) {
+					t.Fatalf("assoc %d shards %d sets %d seed %d op %d: insert(%d) = %d, victim %+v, ref %d/%v",
+						assoc, shards, sets, seed, op, b, l.Block, victim, refVictim, refEvicted)
+				}
+			}
+		case 1:
+			if got, want := c.Invalidate(b), ref.invalidate(b); got != want {
+				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: invalidate(%d) = %v, ref %v", assoc, shards, sets, seed, op, b, got, want)
+			}
+		case 2: // probe anywhere in the shard, allocated chunk or not
+			b = block(rng.Intn(4 * sets * assoc))
+			if got, want := c.Peek(b) != nil, ref.present(b); got != want {
+				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: peek(%d) = %v, ref %v", assoc, shards, sets, seed, op, b, got, want)
+			}
+		}
+	}
+	var want []memory.BlockID
+	for _, s := range ref.sets {
+		want = append(want, s...)
+	}
+	got := c.Blocks()
+	slices.Sort(got)
+	slices.Sort(want)
+	if c.Len() != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("assoc %d shards %d sets %d seed %d: Len %d Blocks %v, ref %v", assoc, shards, sets, seed, c.Len(), got, want)
+	}
+}
+
+func (r *refCache) present(b memory.BlockID) bool {
+	return slices.Contains(r.sets[r.set(b)], b)
+}
+
+// TestEvictingInsertAllocatesNothing pins the cache-held victim copy:
+// once a set's chunk exists, replacing its LRU line costs no heap
+// allocation.
+func TestEvictingInsertAllocatesNothing(t *testing.T) {
+	const sets = 256
+	c := New(Config{SizeBytes: sets * 4 * 16, BlockSize: 16, Assoc: 4})
+	b := memory.BlockID(7)
+	for i := 0; i < 4; i++ { // fill set 7
+		c.Insert(b, 0)
+		b += sets
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, victim := c.Insert(b, 0); victim == nil {
+			t.Fatal("insert into a full set did not evict")
+		}
+		b += sets
+	})
+	if allocs != 0 {
+		t.Fatalf("evicting Insert allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestNewAllocatesLazily guards the footprint win: a 1 MB cache of
+// 16-byte blocks (64 K ways, 3 MB of tags and lines if allocated eagerly)
+// costs only its chunk directory until something is inserted.
+func TestNewAllocatesLazily(t *testing.T) {
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		New(Config{SizeBytes: 1 << 20, BlockSize: 16, Assoc: 4})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= 64<<10 {
+		t.Fatalf("New(1 MB, 16 B) allocates %d bytes before its first insert, want < 64 KB", per)
+	}
 }

@@ -19,7 +19,11 @@ type BlockMap[V any] struct {
 }
 
 const (
-	blockChunkBits = 12
+	// blockChunkBits sets the allocation granule: 1024 entries (33 KB of
+	// infinite-cache lines). Every infinite-cache node and directory pays
+	// for whole chunks, and the generated workloads touch a few thousand
+	// blocks each, so a smaller granule tracks their footprint closely.
+	blockChunkBits = 10
 	blockChunkSize = 1 << blockChunkBits
 	blockChunkMask = blockChunkSize - 1
 	// blockDenseLimit bounds the chunk directory (64M block IDs ≈ a 1 GB

@@ -51,14 +51,50 @@ func (r RoundRobin) Home(p memory.PageID) memory.NodeID {
 func (r RoundRobin) Name() string { return "round-robin" }
 
 // Static is a fixed page->node table with a fallback for unmapped pages.
+//
+// The directory engines ask for a home on every directory miss, so Home
+// answers pages below the highest mapped one (up to denseLimit) from a
+// flat slice that already folds in the fallback; only pages beyond it
+// consult the map.
 type Static struct {
 	name     string
 	table    map[memory.PageID]memory.NodeID
+	dense    []memory.NodeID // dense[p] == Home(p) for p < len(dense)
 	fallback RoundRobin
+}
+
+// denseLimit bounds Static's flat table (1 MB of NodeIDs, a 4 GB address
+// space at 4 KB pages); mapped pages at or beyond it stay map-only, so one
+// wild page ID cannot allocate an enormous slice.
+const denseLimit = memory.PageID(1) << 20
+
+// newStatic builds a Static over table, precomputing its dense prefix.
+func newStatic(name string, table map[memory.PageID]memory.NodeID, nodes int) *Static {
+	s := &Static{name: name, table: table, fallback: NewRoundRobin(nodes)}
+	var n memory.PageID
+	for p := range table {
+		if p < denseLimit && p >= n {
+			n = p + 1
+		}
+	}
+	s.dense = make([]memory.NodeID, n)
+	for p := range s.dense {
+		s.dense[p] = s.lookup(memory.PageID(p))
+	}
+	return s
 }
 
 // Home implements Policy.
 func (s *Static) Home(p memory.PageID) memory.NodeID {
+	if p < memory.PageID(len(s.dense)) {
+		return s.dense[p]
+	}
+	return s.lookup(p)
+}
+
+// lookup is Home without the dense table: the mapped node, else the
+// round-robin fallback.
+func (s *Static) lookup(p memory.PageID) memory.NodeID {
 	if n, ok := s.table[p]; ok {
 		return n
 	}
@@ -95,7 +131,7 @@ func FirstTouchSource(src trace.Reader, geom memory.Geometry, nodes int) (*Stati
 	if err != nil {
 		return nil, err
 	}
-	return &Static{name: "first-touch", table: table, fallback: NewRoundRobin(nodes)}, nil
+	return newStatic("first-touch", table, nodes), nil
 }
 
 // UsageBased builds the paper's "good static placement": each page is
@@ -139,7 +175,7 @@ func UsageBasedSource(src trace.Reader, geom memory.Geometry, nodes int) (*Stati
 		}
 		table[p] = best
 	}
-	return &Static{name: "usage-based", table: table, fallback: NewRoundRobin(nodes)}, nil
+	return newStatic("usage-based", table, nodes), nil
 }
 
 // LocalFraction reports the fraction of accesses in the trace whose page is

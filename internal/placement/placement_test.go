@@ -133,3 +133,42 @@ func TestUsageBasedBeatsRoundRobin(t *testing.T) {
 		t.Fatalf("usage-based (%v) not better than round robin (%v)", fu, fr)
 	}
 }
+
+// TestStaticDenseMatchesMap checks the flat Home table against the map
+// path it caches: inside the dense range, just beyond it, at the dense
+// limit, and for huge page IDs both mapped and unmapped.
+func TestStaticDenseMatchesMap(t *testing.T) {
+	huge := memory.PageID(1) << 40
+	table := map[memory.PageID]memory.NodeID{
+		0: 5, 3: 1, 7: 9, 200: 2, // dense prefix [0, 201)
+		denseLimit + 3: 4, // mapped, but past the dense bound
+		huge:           11,
+	}
+	s := newStatic("test", table, 16)
+	if len(s.dense) != 201 {
+		t.Fatalf("dense table covers %d pages, want 201", len(s.dense))
+	}
+	var pages []memory.PageID
+	for p := memory.PageID(0); p < 400; p++ {
+		pages = append(pages, p)
+	}
+	pages = append(pages, denseLimit-1, denseLimit, denseLimit+3, huge-1, huge, huge+1, ^memory.PageID(0))
+	for _, p := range pages {
+		if got, want := s.Home(p), s.lookup(p); got != want {
+			t.Fatalf("Home(%d) = %d, map path %d", p, got, want)
+		}
+	}
+	for p, n := range table {
+		if got := s.Home(p); got != n {
+			t.Fatalf("Home(%d) = %d, mapped to %d", p, got, n)
+		}
+	}
+	if got := s.Home(201); got != memory.NodeID(201%16) {
+		t.Fatalf("unmapped page 201 homed at %d, want round-robin %d", got, 201%16)
+	}
+
+	// A table whose only page is past the bound builds no dense table.
+	if s := newStatic("test", map[memory.PageID]memory.NodeID{huge: 3}, 16); len(s.dense) != 0 || s.Home(huge) != 3 {
+		t.Fatalf("huge-only table: dense len %d, Home = %d", len(s.dense), s.Home(huge))
+	}
+}

@@ -43,7 +43,7 @@ func ExecutionTime(opts Options, policy core.Policy, cacheBytes int) ([]ExecRow,
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	apps, err := prepareApps(opts)
+	apps, err := PrepareApps(opts)
 	if err != nil {
 		return nil, err
 	}

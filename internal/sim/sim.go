@@ -186,11 +186,13 @@ func PrepareApp(name string, opts Options) (*App, error) {
 	return NewApp(name, accs, opts.Nodes), nil
 }
 
-// prepareApps prepares every application in opts.Apps, fanning the
-// generation and placement work out across opts.Parallelism workers. The
-// returned apps are immutable and shared read-only by every simulation
-// cell of a sweep.
-func prepareApps(opts Options) ([]*App, error) {
+// PrepareApps prepares every application in opts.Apps (nil = all five),
+// in that order, fanning the generation and placement work out across
+// opts.Parallelism workers. The returned apps are immutable and shared
+// read-only by every simulation cell, so one preparation can serve any
+// number of sweeps through their *Apps variants.
+func PrepareApps(opts Options) ([]*App, error) {
+	opts = opts.withDefaults()
 	apps := make([]*App, len(opts.Apps))
 	err := runIndexed(opts.ctx(), len(apps), opts.workers(), func(i int) error {
 		app, err := PrepareApp(opts.Apps[i], opts)
@@ -355,7 +357,7 @@ func directorySweep(opts Options, apps []*App, cacheSizes, blockSizes []int, gro
 	}
 	if apps == nil {
 		var err error
-		if apps, err = prepareApps(opts); err != nil {
+		if apps, err = PrepareApps(opts); err != nil {
 			return nil, err
 		}
 	}
@@ -503,7 +505,7 @@ var BusCacheSizes = []int{64 << 10, 1 << 20}
 // out across opts.Parallelism workers.
 func RunBus(opts Options, cacheSizes []int, protocols []snoop.Protocol) (*BusSweep, error) {
 	opts = opts.withDefaults()
-	apps, err := prepareApps(opts)
+	apps, err := PrepareApps(opts)
 	if err != nil {
 		return nil, err
 	}
