@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle race vet vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke
+.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke
 
 # Seconds of fuzzing per target in `make fuzz` (kept short for CI).
 FUZZTIME ?= 10s
@@ -16,6 +16,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a nested module, so ./... above never compiles it; it calls
+# internal names (trace.DemuxParallel, sim.Options, sim.RunDirectoryCell,
+# RunStats.DemuxStallNs, trace.WriterOptions.Version) that a deletion can
+# break while the root module stays green.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # Regenerates every experiment benchmark once (with allocation stats); the
 # parallel-sweep benchmarks also refresh results/bench_sweep.json.
@@ -81,7 +88,7 @@ cover:
 	$(GO) tool cover -func=$(COVER_DIR)/coverage.out > $(COVER_DIR)/coverage.txt
 	@tail -n 1 $(COVER_DIR)/coverage.txt
 
-ci: build vet test-shuffle race
+ci: build vet vet-perfbench test-shuffle race
 
 # Profile the Table 2 sweep hot loop: run migsim under the CPU and heap
 # profilers and print the top CPU consumers. Open the .pprof files with

@@ -588,47 +588,6 @@ const (
 // aborts the run within a few thousand accesses with ctx.Err().
 func Run(ctx context.Context, cfg RunConfig) (*RunResult, error) { return sim.Run(ctx, cfg) }
 
-// RunDirectory builds a directory-based system and streams src through it.
-// A nil ctx behaves like context.Background(); a cancelled one aborts the
-// run within a few thousand accesses with ctx.Err().
-//
-// Deprecated: Use Run with EngineDirectory — it adds validation, workload
-// and trace-file opening, placement, sharding, and cacheable results. For
-// a caller-managed source, set RunConfig's in-process override fields via
-// the sim package, or keep using this wrapper; it remains supported.
-func RunDirectory(ctx context.Context, src TraceSource, cfg DirectoryConfig) (*DirectorySystem, error) {
-	sys, err := directory.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.RunSource(ctx, src); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// RunBus builds a snooping bus system and streams src through it, with the
-// same context semantics as RunDirectory.
-//
-// Deprecated: Use Run with EngineBus (see RunDirectory's note).
-func RunBus(ctx context.Context, src TraceSource, cfg BusConfig) (*BusSystem, error) {
-	sys, err := snoop.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.RunSource(ctx, src); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// RunTimedSource executes a streamed trace under the timing model.
-//
-// Deprecated: Use Run with EngineTiming (see RunDirectory's note).
-func RunTimedSource(ctx context.Context, src TraceSource, cfg TimingConfig) (TimingResult, error) {
-	return timing.RunSource(ctx, src, cfg)
-}
-
 // AnalyzeTraceSource computes summary statistics in one streaming pass.
 func AnalyzeTraceSource(src TraceReader, geom Geometry) (TraceStats, error) {
 	return trace.AnalyzeSource(src, geom)

@@ -53,13 +53,6 @@ const defaultChecks = "BenchmarkBatchedTable2:speedup," +
 	"BenchmarkPrefetchMTR:prefetch_ns_per_op:0.60," +
 	"BenchmarkParallelDecodeMTR:speedup:0.60," +
 	"BenchmarkParallelDecodeMTR:indexed2_ns_per_op:0.60," +
-	"BenchmarkShardedTable2NoProducer:speedup:0.60," +
-	"BenchmarkShardedTable2NoProducer:noproducer_ns_per_op:0.60," +
-	// Structural guard, not a tolerance check: the no-producer path never
-	// charges producer stall (baseline 0, and zero baselines must stay 0),
-	// so any stall reappearing means the segment demux regressed to a
-	// serial producer.
-	"BenchmarkShardedTable2NoProducer:noproducer_stall_ns_per_op," +
 	"BenchmarkTelemetryOverhead:off_ns_per_op:0.60," +
 	"BenchmarkTelemetryOverhead:off_allocs_per_op," +
 	"BenchmarkTelemetryOverhead:overhead_ratio:0.35," +

@@ -91,8 +91,9 @@
 // Orthogonal to the per-event probes, a RunStats counter block gives live,
 // near-zero-cost visibility into a running simulation: engines push
 // accesses, batches, classifier transitions, and migrations at batch
-// granularity (one update per 4096 accesses), the set-sharded demux stage
-// accounts per-shard queue depth and producer stall time, and the sweep
+// granularity (one update per 4096 accesses), the set-sharded demux
+// producer accounts per-shard queue depth and the time it spends blocked
+// on a full shard queue, and the sweep
 // drivers track cell progress for ETA estimation. Attach one through
 // ExperimentOptions.Stats, DirectoryConfig.Stats, or BusConfig.Stats —
 // when left nil the hot path pays a single pointer test per batch. A
@@ -117,9 +118,10 @@
 // NewTraceWriter now emits an indexed v3 by default: the stream is cut
 // into independently decodable segments and a footer index lets
 // OpenIndexedTraceFile / NewIndexedTraceSource decode segments on several
-// workers (RunConfig.Decoders, the shared -decoders flag) while
-// reassembling the exact sequential stream — and sharded runs route
-// segments straight into per-shard queues with no serial producer at all.
+// workers (RunConfig.Decoders, the shared -decoders flag, fixed when the
+// file is opened) while reassembling the exact sequential stream. Sharded
+// runs read that stream like any other: one demux producer routes it into
+// per-shard queues while the decode workers run ahead.
 // Opening a v1/v2 trace through the indexed path reports ErrTraceNoIndex.
 // A process-wide decoded-segment cache (NewTraceSegmentCache, threaded via
 // RunConfig.Cache or OpenIndexedTraceFileCache, sized by the shared
@@ -129,10 +131,10 @@
 // LRU eviction, and observable through TraceCacheStats (Stats, /metrics,
 // run manifests). Like Decoders it cannot change a result: cached replay
 // is bit-identical and plays no part in RunConfig.Digest.
-// Run streams whichever source the config names and honors cancellation; the
-// deprecated per-engine wrappers RunDirectory, RunBus, and RunTimedSource
-// remain for callers managing their own sources, and AnalyzeTraceSource
-// and ClassifyBlocksSource are the analysis twins.
+// Run streams whichever source the config names and honors cancellation;
+// callers managing their own sources build an engine (NewDirectorySystem,
+// NewBusSystem) and call its RunSource, and AnalyzeTraceSource and
+// ClassifyBlocksSource are the analysis twins.
 // ExperimentOptions.Context threads a context through every sweep driver
 // and ExperimentOptions.Stream makes the sweeps regenerate workloads
 // lazily per cell, keeping sweep memory constant in the trace length.

@@ -190,47 +190,74 @@ func FuzzMTRDecode(f *testing.F) {
 // demux stage partitions an arbitrary trace by the routing function and,
 // within every shard, preserves the accesses' original relative order —
 // equivalently, each shard receives exactly the subsequence of the trace
-// that routes to it, with Steps carrying the global indices.
+// that routes to it, with Steps carrying the global indices. The trace is
+// fed both from a slice and from a v3 image with tiny segments, whose
+// indexed source decodes ahead of the demux on two workers.
 func FuzzShardDemux(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		accs := decodeAccesses(data, 16, 250)
-		for _, shards := range []int{1, 2, 4} {
-			route := func(a trace.Access) int { return int(a.Addr/16) % shards }
-
-			// Expected per-shard subsequences, from a sequential pass.
-			want := make([][]trace.Access, shards)
-			for _, a := range accs {
-				s := route(a)
-				want[s] = append(want[s], a)
-			}
-
-			got := make([][]trace.Access, shards)
-			steps := make([][]uint64, shards)
-			err := trace.Demux(nil, trace.NewSliceSource(accs), shards, true, route,
-				func(shard int, b trace.ShardBatch) error {
-					got[shard] = append(got[shard], b.Accs...)
-					steps[shard] = append(steps[shard], b.Steps...)
-					return nil
-				})
-			if err != nil {
+		var buf bytes.Buffer
+		w := trace.NewWriterOptions(&buf, trace.Header{BlockSize: 16, PageSize: 4096, Nodes: 16},
+			trace.WriterOptions{SegmentBytes: 64})
+		for _, a := range accs {
+			if err := w.Write(a); err != nil {
 				t.Fatal(err)
 			}
-			for s := 0; s < shards; s++ {
-				if len(got[s]) != len(want[s]) {
-					t.Fatalf("x%d shard %d: %d accesses, want %d", shards, s, len(got[s]), len(want[s]))
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		sources := map[string]func() (trace.Source, error){
+			"slice": func() (trace.Source, error) { return trace.NewSliceSource(accs), nil },
+			"indexed": func() (trace.Source, error) {
+				return trace.NewIndexedSource(bytes.NewReader(img), int64(len(img)), 2)
+			},
+		}
+		for name, open := range sources {
+			for _, shards := range []int{1, 2, 4} {
+				route := func(a trace.Access) int { return int(a.Addr/16) % shards }
+
+				// Expected per-shard subsequences, from a sequential pass.
+				want := make([][]trace.Access, shards)
+				for _, a := range accs {
+					s := route(a)
+					want[s] = append(want[s], a)
 				}
-				prev := -1
-				for i := range want[s] {
-					if got[s][i] != want[s][i] {
-						t.Fatalf("x%d shard %d: access %d is %v, want %v (order not preserved)",
-							shards, s, i, got[s][i], want[s][i])
+
+				src, err := open()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got := make([][]trace.Access, shards)
+				steps := make([][]uint64, shards)
+				err = trace.DemuxParallel(nil, src, 0, shards, true, nil, route,
+					func(shard int, b trace.ShardBatch) error {
+						got[shard] = append(got[shard], b.Accs...)
+						steps[shard] = append(steps[shard], b.Steps...)
+						return nil
+					})
+				src.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for s := 0; s < shards; s++ {
+					if len(got[s]) != len(want[s]) {
+						t.Fatalf("%s x%d shard %d: %d accesses, want %d", name, shards, s, len(got[s]), len(want[s]))
 					}
-					st := int(steps[s][i])
-					if st <= prev || st >= len(accs) || accs[st] != got[s][i] {
-						t.Fatalf("x%d shard %d: bad global step %d at position %d", shards, s, st, i)
+					prev := -1
+					for i := range want[s] {
+						if got[s][i] != want[s][i] {
+							t.Fatalf("%s x%d shard %d: access %d is %v, want %v (order not preserved)",
+								name, shards, s, i, got[s][i], want[s][i])
+						}
+						st := int(steps[s][i])
+						if st <= prev || st >= len(accs) || accs[st] != got[s][i] {
+							t.Fatalf("%s x%d shard %d: bad global step %d at position %d", name, shards, s, st, i)
+						}
+						prev = st
 					}
-					prev = st
 				}
 			}
 		}

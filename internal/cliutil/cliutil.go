@@ -164,7 +164,6 @@ func (f *Flags) Options(ctx context.Context) sim.Options {
 		Stream:      *f.Stream,
 		Parallelism: *f.Parallelism,
 		Shards:      *f.Shards,
-		Decoders:    *f.Decoders,
 		Cache:       f.Cache(),
 	}
 	if *f.Apps != "" {
@@ -194,11 +193,11 @@ func (f *Flags) TraceApps() ([]*sim.App, error) {
 // fixed-record format) as a sim.App: the usage-based placement comes from
 // one streaming profiling pass, and each Open re-reads the file from the
 // start. Indexed (v3) files open as an IndexedFileSource with decoders
-// decode workers — in sharded runs the segments feed the shards directly
-// (trace.DemuxParallel); older versions fall back to sequential decode
-// ahead of the simulation on a prefetch goroutine. Either way decode
-// overlaps the engine's work, and the composition is explicit in
-// trace.OpenFileParallelCache rather than depending on the shard count.
+// decode workers; older versions fall back to sequential decode ahead of
+// the simulation on a prefetch goroutine. Either way decode overlaps the
+// engine's work (sharded runs included: the demux producer reads the same
+// stream), and the composition is explicit in trace.OpenFileParallelCache
+// rather than depending on the shard count.
 // cache, when non-nil, lets every opened source (the profiling pass
 // included) share decoded segments instead of re-decoding per cell.
 func TraceApp(path string, nodes, decoders int, cache *trace.SegmentCache) (*sim.App, error) {

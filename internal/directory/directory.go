@@ -15,9 +15,7 @@ package directory
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"migratory/internal/cache"
 	"migratory/internal/core"
@@ -97,12 +95,6 @@ type Config struct {
 	// per DefaultBatchSize chunk, never per access, so nil costs a single
 	// pointer test per batch.
 	Stats *telemetry.RunStats
-	// Decoders is the trace-decode worker count for sharded runs fed by an
-	// indexed (MTR3) source: segments are decoded and routed concurrently
-	// by this many goroutines instead of one producer (trace.DemuxParallel).
-	// 0 means the source's configured width; 1 forces the single-producer
-	// path. Results are bit-identical either way.
-	Decoders int
 
 	// shards/shardIndex mark this System as one slice of a set-sharded
 	// run: its caches hold only the sets routed to shardIndex. Set by
@@ -377,12 +369,6 @@ func (s *System) home(b memory.BlockID) memory.NodeID {
 	return s.cfg.Placement.Home(s.cfg.Geometry.PageOfBlock(b))
 }
 
-// cancelCheckInterval is how many accesses run between context checks in
-// RunSource — one check per trace.DefaultBatchSize chunk. Coarse enough
-// that the check is free against the per-access simulation cost, fine
-// enough that cancellation lands within microseconds.
-const cancelCheckInterval = trace.DefaultBatchSize
-
 // Run feeds every access of the trace through the system.
 func (s *System) Run(accesses []trace.Access) error {
 	return s.RunSource(nil, trace.NewSliceSource(accesses))
@@ -390,56 +376,12 @@ func (s *System) Run(accesses []trace.Access) error {
 
 // RunSource feeds every access of a streamed trace through the system,
 // holding O(1) trace memory. Accesses are pulled in DefaultBatchSize chunks
-// (through the source's own NextBatch when it has one), so the per-access
-// path pays no interface call and no cancellation check. A nil ctx is
-// treated as context.Background(); on cancellation RunSource returns
-// ctx.Err() within cancelCheckInterval accesses, so callers can test
-// errors.Is(err, context.Canceled).
+// by trace.EachBatch, so the per-access path pays no interface call and no
+// cancellation check. A nil ctx is treated as context.Background(); on
+// cancellation RunSource returns ctx.Err() within one chunk, so callers
+// can test errors.Is(err, context.Canceled).
 func (s *System) RunSource(ctx context.Context, src trace.Source) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Fast path: slice-backed sources chunk the underlying slice directly
-	// instead of copying through a batch buffer.
-	if ss, ok := src.(*trace.SliceSource); ok {
-		rest := ss.Rest()
-		for off := 0; ; off += cancelCheckInterval {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if off >= len(rest) {
-				return nil
-			}
-			end := off + cancelCheckInterval
-			if end > len(rest) {
-				end = len(rest)
-			}
-			if err := s.runBatch(rest[off:end], off); err != nil {
-				return err
-			}
-		}
-	}
-	buf := trace.GetBatch()
-	defer trace.PutBatch(buf)
-	off := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, err := trace.FillBatch(src, buf)
-		if n > 0 {
-			if berr := s.runBatch(buf[:n], off); berr != nil {
-				return berr
-			}
-			off += n
-		}
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("directory: trace source at access %d: %w", off, err)
-		}
-	}
+	return trace.EachBatch(ctx, src, "directory", s.runBatch)
 }
 
 // runBatch feeds one chunk of accesses through the system; the context

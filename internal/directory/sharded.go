@@ -91,16 +91,15 @@ func (sh *Sharded) Run(accesses []trace.Access) error {
 // end up bit-identical to a sequential run of the same configuration.
 // Events are stamped with global access indices only when a probe is
 // attached, so probe-less sharded runs move 1/3 less data per access.
-// When src is an indexed (MTR3) source and cfg.Decoders allows it, the
-// decode itself runs in parallel too (trace.DemuxParallel); otherwise a
-// single producer feeds the shards.
+// One producer (trace.DemuxParallel) feeds the shards; an indexed (MTR3)
+// source decodes ahead of it on its own workers.
 func (sh *Sharded) RunSource(ctx context.Context, src trace.Source) error {
 	if len(sh.shards) == 1 {
 		return sh.shards[0].RunSource(ctx, src)
 	}
 	geom := sh.cfg.Geometry
 	mask := sh.routeMask()
-	return trace.DemuxParallel(ctx, src, sh.cfg.Decoders, len(sh.shards), sh.probed, sh.cfg.Stats,
+	return trace.DemuxParallel(ctx, src, 0, len(sh.shards), sh.probed, sh.cfg.Stats,
 		func(a trace.Access) int { return int(uint64(geom.Block(a.Addr)) & mask) },
 		func(i int, b trace.ShardBatch) error { return sh.shards[i].runShardBatch(b) })
 }

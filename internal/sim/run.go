@@ -315,7 +315,6 @@ func (c RunConfig) directoryConfig(geom memory.Geometry, pol core.Policy, pl pla
 		FreeDropNotifications: c.FreeDropNotifications,
 		DirPointers:           c.DirPointers,
 		Stats:                 c.Stats,
-		Decoders:              c.resolveDecoders(),
 	}
 }
 
@@ -328,7 +327,6 @@ func (c RunConfig) busConfig(geom memory.Geometry, prot snoop.Protocol) snoop.Co
 		Protocol:   prot,
 		Hysteresis: c.Hysteresis,
 		Stats:      c.Stats,
-		Decoders:   c.resolveDecoders(),
 	}
 }
 

@@ -68,11 +68,6 @@ type Options struct {
 	// so its runs cannot be partitioned. Parallelism composes with Shards
 	// multiplicatively — shards × workers goroutines can be live at once.
 	Shards int
-	// Decoders bounds the parallel trace-decode workers for sharded runs
-	// over indexed (MTR3) trace files (see RunConfig.Decoders): 0 = one per
-	// GOMAXPROCS, >= 1 explicit. Purely a throughput knob; results are
-	// bit-identical at any setting.
-	Decoders int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:
 	// the first cell decodes each segment once and the rest replay the
@@ -275,7 +270,6 @@ func RunDirectoryCell(app *App, opts Options, policy core.Policy, cacheBytes, bl
 		CacheBytes:      cacheBytes,
 		BlockSize:       blockSize,
 		Shards:          shards,
-		Decoders:        opts.Decoders,
 		Probes:          probes,
 		Stats:           opts.Stats,
 		Cache:           opts.Cache,
@@ -541,7 +535,6 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 			Protocol:   p.String(),
 			CacheBytes: cb,
 			Shards:     shards,
-			Decoders:   opts.Decoders,
 			Probes:     probes,
 			Stats:      opts.Stats,
 			Cache:      opts.Cache,

@@ -14,9 +14,7 @@ package timing
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
@@ -177,11 +175,6 @@ func Run(accesses []trace.Access, cfg Config) (Result, error) {
 	return RunSource(nil, trace.NewSliceSource(accesses), cfg)
 }
 
-// cancelCheckInterval is how many accesses run between context checks in
-// RunSource — one check per trace.DefaultBatchSize chunk (see
-// directory.RunSource for the tradeoff).
-const cancelCheckInterval = trace.DefaultBatchSize
-
 // runState is the mutable state the per-batch loop threads through a run.
 type runState struct {
 	cfg Config
@@ -235,15 +228,11 @@ func (st *runState) runBatch(batch []trace.Access) error {
 }
 
 // RunSource is Run over a streamed trace, holding O(1) trace memory.
-// Accesses are pulled in DefaultBatchSize chunks (through the source's own
-// NextBatch when it has one), so the per-access path pays no interface call
-// and no cancellation check. A nil ctx is treated as context.Background();
-// on cancellation RunSource returns ctx.Err() within cancelCheckInterval
-// accesses.
+// Accesses are pulled in DefaultBatchSize chunks by trace.EachBatch, so the
+// per-access path pays no interface call and no cancellation check. A nil
+// ctx is treated as context.Background(); on cancellation RunSource returns
+// ctx.Err() within one chunk.
 func RunSource(ctx context.Context, src trace.Source, cfg Config) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -269,26 +258,11 @@ func RunSource(ctx context.Context, src trace.Source, cfg Config) (Result, error
 		res:      Result{PerNode: make([]uint64, cfg.Nodes)},
 		ctrlFree: make([]uint64, cfg.Nodes),
 	}
-	buf := trace.GetBatch()
-	defer trace.PutBatch(buf)
-	off := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		n, err := trace.FillBatch(src, buf)
-		if n > 0 {
-			if berr := st.runBatch(buf[:n]); berr != nil {
-				return Result{}, berr
-			}
-			off += n
-		}
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("timing: trace source at access %d: %w", off, err)
-		}
+	err = trace.EachBatch(ctx, src, "timing", func(batch []trace.Access, _ int) error {
+		return st.runBatch(batch)
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	res := st.res
 	for _, c := range res.PerNode {

@@ -49,8 +49,8 @@ func putShardBatch(b ShardBatch) {
 	}
 }
 
-// Demux fans a single access stream out to per-shard consumers. The
-// producer (the calling goroutine) pulls batches from src, routes each
+// DemuxParallel fans a single access stream out to per-shard consumers.
+// One producer (the calling goroutine) pulls batches from src, routes each
 // access with route (which must return a value in [0, shards)), and
 // accumulates per-shard batches of up to DefaultBatchSize accesses; full
 // batches are handed to one consumer goroutine per shard over a bounded
@@ -59,32 +59,30 @@ func putShardBatch(b ShardBatch) {
 // every access in its original relative order — the property the sharded
 // engines rely on for bit-identical counters.
 //
+// The producer reads src through its sequential face, so decode
+// parallelism lives in the source: an IndexedFileSource decodes segments
+// on its own workers (and through its SegmentCache) at the width it was
+// opened with. decoders is unused and kept for signature compatibility.
+//
 // When withSteps is set, each batch carries the global access indices in
 // ShardBatch.Steps. Batch buffers are pooled; consume must not retain the
 // batch after returning.
 //
-// Demux returns after every consumer has finished. On failure the error
-// precedence is: context cancellation, then the lowest-numbered shard's
-// consume error, then the source error.
-func Demux(ctx context.Context, src Reader, shards int, withSteps bool,
-	route func(Access) int, consume func(shard int, b ShardBatch) error) error {
-	return DemuxStats(ctx, src, shards, withSteps, nil, route, consume)
-}
-
-// DemuxStats is Demux with an optional telemetry counter block. When stats
-// is non-nil the producer and consumers account each routed batch
-// (DemuxBatches), per-shard in-flight depth (QueueDepth), and producer time
-// spent blocked on a full shard queue (DemuxStalls / DemuxStallNs) — the
-// live back-pressure signal of a sharded run. A nil stats is exactly
-// Demux: the accounting sits on batch hand-offs, never the per-access loop.
+// When stats is non-nil the producer and consumers account each routed
+// batch (DemuxBatches), per-shard in-flight depth (QueueDepth), and
+// producer time spent blocked on a full shard queue (DemuxStalls /
+// DemuxStallNs) — the live back-pressure signal of a sharded run. A nil
+// stats costs nothing: the accounting sits on batch hand-offs, never the
+// per-access loop. QueueDepth follows the multi-producer contract
+// documented on telemetry.RunStats: the increment happens strictly before
+// the batch is visible to a consumer, the decrement exactly once at
+// consumption, so the gauge never dips negative and never double-counts
+// even when several demux pipelines share one RunStats.
 //
-// QueueDepth follows the multi-producer contract documented on
-// telemetry.RunStats: the increment happens strictly before the batch is
-// visible to a consumer, the decrement exactly once at consumption, so the
-// gauge never dips negative and never double-counts even when several
-// demux pipelines (this one or trace.DemuxParallel's decoder workers)
-// share one RunStats.
-func DemuxStats(ctx context.Context, src Reader, shards int, withSteps bool,
+// DemuxParallel returns after every consumer has finished. On failure the
+// error precedence is: context cancellation, then the lowest-numbered
+// shard's consume error, then the source error.
+func DemuxParallel(ctx context.Context, src Source, decoders, shards int, withSteps bool,
 	stats *telemetry.RunStats, route func(Access) int, consume func(shard int, b ShardBatch) error) error {
 	if shards < 1 {
 		return fmt.Errorf("trace: demux shards %d (want >= 1)", shards)

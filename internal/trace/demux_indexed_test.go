@@ -11,9 +11,9 @@ import (
 	"migratory/internal/telemetry"
 )
 
-// pdemuxSource builds a v3 image of n accesses (small segments, so there
+// indexedDemuxSource builds a v3 image of n accesses (small segments, so there
 // is real parallel structure) and returns a fresh IndexedFileSource.
-func pdemuxSource(t *testing.T, n, decoders int) (*IndexedFileSource, []Access) {
+func indexedDemuxSource(t *testing.T, n, decoders int) (*IndexedFileSource, []Access) {
 	t.Helper()
 	accs := indexTestAccesses(n)
 	data := encodeMTR3(t, Header{BlockSize: 16, PageSize: 4096, Nodes: 8}, accs, 2048)
@@ -24,8 +24,7 @@ func pdemuxSource(t *testing.T, n, decoders int) (*IndexedFileSource, []Access) 
 	return src, accs
 }
 
-// collectShards runs a demux function and gathers per-shard accesses and
-// steps. Each shard's consume callback runs on that shard's consumer
+// shardCollector gathers per-shard accesses and steps from a demux run. Each shard's consume callback runs on that shard's consumer
 // goroutine only, so plain slices suffice.
 type shardCollector struct {
 	accs  [][]Access
@@ -42,20 +41,23 @@ func (c *shardCollector) consume(shard int, b ShardBatch) error {
 	return nil
 }
 
-func TestDemuxParallelMatchesDemuxStats(t *testing.T) {
+// TestDemuxParallelIndexedMatchesSlice: an indexed source, decoded on its
+// own segment workers, reaches every shard as exactly the stream the same
+// accesses produce from a slice — accesses, order and global steps.
+func TestDemuxParallelIndexedMatchesSlice(t *testing.T) {
 	const shards = 4
 	for _, withSteps := range []bool{true, false} {
-		src, accs := pdemuxSource(t, 30_000, 4)
+		src, accs := indexedDemuxSource(t, 30_000, 4)
 		route := func(a Access) int { return int(a.Addr/16) % shards }
 
 		want := newShardCollector(shards)
-		if err := DemuxStats(nil, NewSliceSource(accs), shards, withSteps, nil, route, want.consume); err != nil {
+		if err := DemuxParallel(nil, NewSliceSource(accs), 0, shards, withSteps, nil, route, want.consume); err != nil {
 			t.Fatal(err)
 		}
 
 		var stats telemetry.RunStats
 		got := newShardCollector(shards)
-		if err := DemuxParallel(nil, src, 4, shards, withSteps, &stats, route, got.consume); err != nil {
+		if err := DemuxParallel(nil, src, 0, shards, withSteps, &stats, route, got.consume); err != nil {
 			t.Fatal(err)
 		}
 		src.Close()
@@ -90,15 +92,17 @@ func TestDemuxParallelMatchesDemuxStats(t *testing.T) {
 	}
 }
 
-// TestDemuxParallelFallbacks pins the conditions that route back to the
-// single-producer path — they must still deliver everything correctly.
-func TestDemuxParallelFallbacks(t *testing.T) {
+// TestDemuxParallelSourceShapes: every source shape goes through the one
+// producer and delivers everything — unindexed, indexed at decode width 1,
+// a single shard, and an indexed source already mid-stream (the demux
+// continues from the consumer's position, never rewinds it).
+func TestDemuxParallelSourceShapes(t *testing.T) {
 	const shards = 2
 
-	check := func(name string, src Source, decoders, shards int, wantTotal int) {
+	check := func(name string, src Source, shards int, wantTotal int) {
 		t.Helper()
 		var got atomic.Int64
-		err := DemuxParallel(nil, src, decoders, shards, false, nil,
+		err := DemuxParallel(nil, src, 0, shards, false, nil,
 			func(a Access) int { return int(a.Addr/16) % shards },
 			func(_ int, b ShardBatch) error { got.Add(int64(len(b.Accs))); return nil })
 		if err != nil {
@@ -110,34 +114,29 @@ func TestDemuxParallelFallbacks(t *testing.T) {
 	}
 
 	accs := indexTestAccesses(10_000)
-	check("unindexed source", NewSliceSource(accs), 4, shards, len(accs))
+	check("unindexed source", NewSliceSource(accs), shards, len(accs))
 
-	src, _ := pdemuxSource(t, 10_000, 4)
-	check("decoders=1", src, 1, shards, len(accs))
+	src, _ := indexedDemuxSource(t, 10_000, 1)
+	check("decoders=1", src, shards, len(accs))
 	src.Close()
 
-	src, _ = pdemuxSource(t, 10_000, 4)
-	check("single shard", src, 4, 1, len(accs))
+	src, _ = indexedDemuxSource(t, 10_000, 4)
+	check("single shard", src, 1, len(accs))
 	src.Close()
 
-	// A source mid-stream keeps its sequential face: the parallel demux
-	// must not reset it behind the consumer's back.
-	src, _ = pdemuxSource(t, 10_000, 4)
+	src, _ = indexedDemuxSource(t, 10_000, 4)
 	if _, err := src.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if !src.started() {
-		t.Fatal("source should report started after a read")
-	}
-	check("started source", src, 4, shards, len(accs)-1)
+	check("started source", src, shards, len(accs)-1)
 	src.Close()
 }
 
 func TestDemuxParallelConsumeError(t *testing.T) {
-	src, _ := pdemuxSource(t, 30_000, 4)
+	src, _ := indexedDemuxSource(t, 30_000, 4)
 	defer src.Close()
 	boom := errors.New("boom")
-	err := DemuxParallel(nil, src, 4, 4, false, nil,
+	err := DemuxParallel(nil, src, 0, 4, false, nil,
 		func(a Access) int { return int(a.Addr/16) % 4 },
 		func(shard int, b ShardBatch) error {
 			if shard == 2 {
@@ -169,7 +168,7 @@ func TestDemuxParallelDecodeError(t *testing.T) {
 	var stats telemetry.RunStats
 	var mu sync.Mutex
 	maxStep := uint64(0)
-	err = DemuxParallel(nil, src, 4, 4, true, &stats,
+	err = DemuxParallel(nil, src, 0, 4, true, &stats,
 		func(a Access) int { return int(a.Addr/16) % 4 },
 		func(shard int, b ShardBatch) error {
 			mu.Lock()
@@ -196,15 +195,14 @@ func TestDemuxParallelDecodeError(t *testing.T) {
 }
 
 func TestDemuxParallelCancel(t *testing.T) {
-	src, _ := pdemuxSource(t, 50_000, 4)
+	src, _ := indexedDemuxSource(t, 50_000, 4)
 	defer src.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
-	err := DemuxParallel(ctx, src, 4, 4, false, nil,
+	var n atomic.Int64 // shared by the four shard consumers
+	err := DemuxParallel(ctx, src, 0, 4, false, nil,
 		func(a Access) int { return int(a.Addr/16) % 4 },
 		func(shard int, b ShardBatch) error {
-			n += len(b.Accs)
-			if n > 5000 {
+			if n.Add(int64(len(b.Accs))) > 5000 {
 				cancel()
 			}
 			return nil
@@ -216,11 +214,12 @@ func TestDemuxParallelCancel(t *testing.T) {
 }
 
 // TestQueueDepthMultiProducer is the -race pin for the QueueDepth
-// contract: with four producers (two single-producer demux runs and two
-// parallel-decode runs) hammering one RunStats, the gauge observed at
-// every consumption is non-negative, and it returns exactly to zero when
-// all producers finish — increments happen pre-hand-off and decrements
-// exactly once, so no interleaving double-counts or dips below zero.
+// contract: with four demux pipelines (two over slices, two over indexed
+// sources decoding on their own workers) sharing one RunStats, as the
+// cells of a sweep do, the gauge observed at every consumption is
+// non-negative, and it returns exactly to zero when all producers finish —
+// increments happen pre-hand-off and decrements exactly once, so no
+// interleaving double-counts or dips below zero.
 func TestQueueDepthMultiProducer(t *testing.T) {
 	const shards = 4
 	var stats telemetry.RunStats
@@ -244,7 +243,7 @@ func TestQueueDepthMultiProducer(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			if p < 2 {
-				errs[p] = DemuxStats(nil, NewSliceSource(accs), shards, p == 0, &stats, route, consume)
+				errs[p] = DemuxParallel(nil, NewSliceSource(accs), 0, shards, p == 0, &stats, route, consume)
 				return
 			}
 			src, err := NewIndexedSource(bytes.NewReader(data), int64(len(data)), 2)
@@ -253,7 +252,7 @@ func TestQueueDepthMultiProducer(t *testing.T) {
 				return
 			}
 			defer src.Close()
-			errs[p] = DemuxParallel(nil, src, 2, shards, p == 2, &stats, route, consume)
+			errs[p] = DemuxParallel(nil, src, 0, shards, p == 2, &stats, route, consume)
 		}(p)
 	}
 	wg.Wait()

@@ -29,7 +29,7 @@ package trace
 // a reader seeds the delta chain from startAddr and decodes exactly count
 // records from the byteLen bytes at byteOff — no replay of prior deltas.
 // That is what lets N decoder goroutines work on one file through a shared
-// io.ReaderAt (IndexedFileSource, DemuxParallel).
+// io.ReaderAt (IndexedFileSource).
 //
 // The fixed-width footer at end-of-file locates the index without a
 // sequential scan; its magic doubles as the truncation check (a partially

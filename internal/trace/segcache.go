@@ -51,9 +51,9 @@ type segCacheEntry struct {
 }
 
 // SegmentCache is a process-wide, memory-bounded, ref-counted LRU of
-// decoded .mtr (v3) segments, shared across every sweep cell, shard
-// consumer, and cohd request that replays the same trace file: the first
-// acquisition of a segment decodes it once, and every later acquisition —
+// decoded .mtr (v3) segments, shared across every sweep cell and cohd
+// request that replays the same trace file: the first acquisition of a
+// segment decodes it once, and every later acquisition —
 // concurrent (single-flight) or subsequent (resident) — shares the same
 // immutable []Access slab.
 //

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -99,6 +100,55 @@ func FillBatch(r Reader, buf []Access) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// EachBatch is the engines' batch-pull loop: it feeds src to run in
+// DefaultBatchSize chunks, base being the stream index of the chunk's
+// first access. A SliceSource is chunked in place; any other source is
+// read through FillBatch into one pooled buffer. The context is checked
+// once per chunk, never per access, so a cancelled ctx returns ctx.Err()
+// within DefaultBatchSize accesses; a nil ctx never cancels. run's errors
+// return as they are, source errors wrapped as "<name>: trace source at
+// access N", and EOF ends the loop with nil.
+func EachBatch(ctx context.Context, src Reader, name string, run func(batch []Access, base int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ss, ok := src.(*SliceSource); ok {
+		rest := ss.Rest()
+		for off := 0; ; off += DefaultBatchSize {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if off >= len(rest) {
+				return nil
+			}
+			if err := run(rest[off:min(off+DefaultBatchSize, len(rest))], off); err != nil {
+				return err
+			}
+		}
+	}
+	buf := GetBatch()
+	defer PutBatch(buf)
+	off := 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n, err := FillBatch(src, buf)
+		if n > 0 {
+			if rerr := run(buf[:n], off); rerr != nil {
+				return rerr
+			}
+			off += n
+		}
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("%s: trace source at access %d: %w", name, off, err)
+		}
+	}
 }
 
 // batchPool recycles DefaultBatchSize access buffers across runs so a

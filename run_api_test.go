@@ -10,7 +10,9 @@ import (
 )
 
 // TestRunMatchesDeprecatedEntryPoints checks the unified Run against the
-// deprecated wrappers it subsumes: identical engines, identical numbers.
+// engines built and driven directly — what the removed deprecated wrappers
+// (RunDirectory, RunBus, RunTimedSource) did: identical engines, identical
+// numbers.
 func TestRunMatchesDeprecatedEntryPoints(t *testing.T) {
 	const (
 		nodes  = 16
@@ -36,7 +38,7 @@ func TestRunMatchesDeprecatedEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := migratory.RunDirectory(ctx, migratory.NewSliceTraceSource(accs), migratory.DirectoryConfig{
+		sys, err := migratory.NewDirectorySystem(migratory.DirectoryConfig{
 			Nodes:     nodes,
 			Geometry:  geom,
 			Assoc:     4,
@@ -44,6 +46,9 @@ func TestRunMatchesDeprecatedEntryPoints(t *testing.T) {
 			Placement: migratory.UsageBasedPlacement(accs, geom, nodes),
 		})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunSource(ctx, migratory.NewSliceTraceSource(accs)); err != nil {
 			t.Fatal(err)
 		}
 		if res.Directory == nil || res.Directory.Msgs != sys.Messages() {
@@ -62,13 +67,16 @@ func TestRunMatchesDeprecatedEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := migratory.RunBus(ctx, migratory.NewSliceTraceSource(accs), migratory.BusConfig{
+		sys, err := migratory.NewBusSystem(migratory.BusConfig{
 			Nodes:    nodes,
 			Geometry: geom,
 			Assoc:    4,
 			Protocol: migratory.BusAdaptive,
 		})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunSource(ctx, migratory.NewSliceTraceSource(accs)); err != nil {
 			t.Fatal(err)
 		}
 		if res.Bus == nil || res.Bus.Counts != sys.Counts() {
@@ -84,7 +92,7 @@ func TestRunMatchesDeprecatedEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := migratory.RunTimedSource(ctx, migratory.NewSliceTraceSource(accs), migratory.TimingConfig{
+		old, err := migratory.RunTimed(accs, migratory.TimingConfig{
 			Nodes:      nodes,
 			Geometry:   geom,
 			CacheBytes: 1 << 14,

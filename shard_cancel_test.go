@@ -7,12 +7,15 @@ package migratory
 // be torn down on the abort path, not just on clean EOF.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"migratory/internal/trace"
 )
 
 // cancelAfterSource cancels a context after limit accesses have been
@@ -53,7 +56,7 @@ func cancelTrace(t *testing.T) []Access {
 func demuxGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "internal/trace.DemuxStats")
+	return strings.Count(string(buf[:n]), "internal/trace.DemuxParallel")
 }
 
 // waitNoDemuxGoroutines polls until every demux goroutine has exited; a
@@ -147,4 +150,62 @@ func TestShardedSweepCancellation(t *testing.T) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
 	waitNoDemuxGoroutines(t)
+}
+
+// TestShardedDirectoryCorruptSegment: an 8-shard run over a v3 image whose
+// middle segment fails its CRC returns the typed ErrTraceCorrupt, and once
+// the source is closed every goroutine the run started is gone — the demux
+// producer's shard consumers and the source's segment decoders alike.
+func TestShardedDirectoryCorruptSegment(t *testing.T) {
+	accs := cancelTrace(t)
+	var buf bytes.Buffer
+	w := trace.NewWriterOptions(&buf, TraceHeader{BlockSize: 16, PageSize: 4096, Nodes: 16},
+		trace.WriterOptions{Version: 3, SegmentBytes: 16 << 10})
+	for _, a := range accs {
+		if err := w.Write(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	idx, err := trace.ReadIndex(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Segments) < 3 {
+		t.Fatalf("image has %d segments, want a middle one", len(idx.Segments))
+	}
+	seg := idx.Segments[len(idx.Segments)/2]
+	img[seg.Off+seg.Len/2] ^= 0x40
+
+	before := runtime.NumGoroutine()
+	src, err := NewIndexedTraceSource(bytes.NewReader(img), int64(len(img)), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewShardedDirectorySystem(DirectoryConfig{
+		Nodes:      16,
+		Geometry:   MustGeometry(16, 4096),
+		CacheBytes: 64 << 10,
+		Policy:     Basic,
+		Placement:  RoundRobinPlacement(16),
+	}, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunSource(nil, src); !errors.Is(err, ErrTraceCorrupt) {
+		t.Fatalf("run over a corrupt segment returned %v, want ErrTraceCorrupt", err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live 5s after the run, %d before it", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

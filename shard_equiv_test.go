@@ -30,7 +30,7 @@ func TestShardedDirectoryEquivalence(t *testing.T) {
 				Policy:     pol,
 				Placement:  RoundRobinPlacement(16),
 			}
-			seq, err := RunDirectory(nil, open(), cfg)
+			seq, err := runDirectory(nil, open(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", pol, name, err)
 			}
@@ -85,7 +85,7 @@ func TestShardedBusEquivalence(t *testing.T) {
 				CacheBytes: 16 << 10,
 				Protocol:   prot,
 			}
-			seq, err := RunBus(nil, open(), cfg)
+			seq, err := runBus(nil, open(), cfg)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", prot, name, err)
 			}
@@ -132,7 +132,7 @@ func TestShardedMetricsProbeEquivalence(t *testing.T) {
 	seqProbe := &MetricsProbe{}
 	seqCfg := cfg
 	seqCfg.Probe = seqProbe
-	if _, err := RunDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
+	if _, err := runDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
 		t.Fatal(err)
 	}
 	seqProbe.Finish()
@@ -239,7 +239,7 @@ func TestShardedJSONLProbe(t *testing.T) {
 	seqProbe := &MetricsProbe{}
 	seqCfg := cfg
 	seqCfg.Probe = seqProbe
-	if _, err := RunDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
+	if _, err := runDirectory(nil, NewSliceTraceSource(accs), seqCfg); err != nil {
 		t.Fatal(err)
 	}
 

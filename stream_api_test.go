@@ -51,13 +51,13 @@ func streamConfig(t *testing.T) DirectoryConfig {
 }
 
 // TestRunDirectoryStreamed: the generator-backed source and the
-// materialized slice land on bit-identical counters through RunDirectory.
+// materialized slice land on bit-identical counters through RunSource.
 func TestRunDirectoryStreamed(t *testing.T) {
 	accs, err := GenerateWorkload("MP3D", 16, 1993, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSlice, err := RunDirectory(nil, NewSliceTraceSource(accs), streamConfig(t))
+	fromSlice, err := runDirectory(nil, NewSliceTraceSource(accs), streamConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunDirectoryStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	streamed, err := RunDirectory(context.Background(), src, streamConfig(t))
+	streamed, err := runDirectory(context.Background(), src, streamConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunBusStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := BusConfig{Nodes: 16, Geometry: MustGeometry(16, 4096), Protocol: BusAdaptive}
-	fromSlice, err := RunBus(nil, NewSliceTraceSource(accs), cfg)
+	fromSlice, err := runBus(nil, NewSliceTraceSource(accs), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunBusStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	streamed, err := RunBus(nil, src, cfg)
+	streamed, err := runBus(nil, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunTimedSourceStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	streamed, err := RunTimedSource(nil, src, cfg)
+	streamed, err := runTimedSource(nil, src, Basic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,8 @@ func TestRunDirectoryCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	if _, err := RunDirectory(ctx, src, streamConfig(t)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunDirectory under cancelled ctx = %v", err)
+	if _, err := runDirectory(ctx, src, streamConfig(t)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSource under cancelled ctx = %v", err)
 	}
 }
 
