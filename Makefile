@@ -18,9 +18,13 @@ vet:
 	$(GO) vet ./...
 
 # perfbench/ is a nested module, so ./... above never compiles it; it calls
-# internal names (trace.DemuxParallel, sim.Options, sim.RunDirectoryCell,
-# RunStats.DemuxStallNs, trace.WriterOptions.Version) that a deletion can
-# break while the root module stays green.
+# internal names that a deletion can break while the root module stays
+# green: trace.DemuxParallel, RunStats.DemuxStallNs,
+# trace.WriterOptions.Version, and from internal/sim: Options (with its
+# Context, Nodes, Seed and Parallelism fields), App, PrepareApp,
+# Table2Apps, Table3Apps, Table2CacheSizes, RunDirectoryCell,
+# Sweep.Options.Policies, Sweep.Render, Run, RunConfig, RunResult,
+# PageSize and the Engine* names.
 vet-perfbench:
 	cd perfbench && $(GO) vet ./...
 

@@ -54,19 +54,13 @@ func main() {
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 
-	var sw *sim.BusSweep
-	if prepared, err := common.TraceApps(); err != nil {
+	apps, err := common.Apps(opts)
+	if err != nil {
 		cliutil.FatalRun(run, "bussim", "%v", err)
-	} else if prepared != nil {
-		sw, err = sim.RunBusApps(prepared, opts, cacheSizes, protocols)
-		if err != nil {
-			cliutil.FatalRun(run, "bussim", "%v", err)
-		}
-	} else {
-		sw, err = sim.RunBus(opts, cacheSizes, protocols)
-		if err != nil {
-			cliutil.FatalRun(run, "bussim", "%v", err)
-		}
+	}
+	sw, err := sim.RunBusApps(apps, opts, cacheSizes, protocols)
+	if err != nil {
+		cliutil.FatalRun(run, "bussim", "%v", err)
 	}
 	run.Close(nil)
 

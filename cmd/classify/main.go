@@ -54,19 +54,9 @@ func main() {
 	// One prepared app per input: the -trace file, or each built-in profile.
 	// The same apps drive both the accuracy scoring and the histogram, so a
 	// trace is generated (or a file profiled) once per app.
-	var apps []*sim.App
-	if traced, err := common.TraceApps(); err != nil {
+	apps, err := common.Apps(opts)
+	if err != nil {
 		cliutil.FatalRun(run, "classify", "%v", err)
-	} else if traced != nil {
-		apps = traced
-	} else {
-		for _, name := range opts.Apps {
-			app, err := sim.PrepareApp(name, opts)
-			if err != nil {
-				cliutil.FatalRun(run, "classify", "%v", err)
-			}
-			apps = append(apps, app)
-		}
 	}
 
 	fmt.Println("On-line detection vs off-line ground truth (shared blocks only):")
@@ -88,14 +78,13 @@ func main() {
 	fmt.Println("invalidated per ownership acquisition — the Weber–Gupta motivation for")
 	fmt.Println("migratory detection.")
 	fmt.Println()
-	shards := cliutil.ResolveShards(opts.Shards, *cache, 16)
 	for _, app := range apps {
 		res, err := sim.Run(ctx, sim.RunConfig{
 			Engine:          sim.EngineDirectory,
 			Nodes:           opts.Nodes,
 			Policy:          core.Conventional.Name,
 			CacheBytes:      *cache,
-			Shards:          shards,
+			Shards:          opts.Shards,
 			Stats:           run.Stats(),
 			OpenSource:      app.Open,
 			PlacementPolicy: app.Placement,

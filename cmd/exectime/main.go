@@ -46,19 +46,13 @@ func main() {
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 
-	var rows []sim.ExecRow
-	if prepared, err := common.TraceApps(); err != nil {
+	apps, err := common.Apps(opts)
+	if err != nil {
 		cliutil.FatalRun(run, "exectime", "%v", err)
-	} else if prepared != nil {
-		rows, err = sim.ExecutionTimeApps(prepared, opts, pol, *cache)
-		if err != nil {
-			cliutil.FatalRun(run, "exectime", "%v", err)
-		}
-	} else {
-		rows, err = sim.ExecutionTime(opts, pol, *cache)
-		if err != nil {
-			cliutil.FatalRun(run, "exectime", "%v", err)
-		}
+	}
+	rows, err := sim.ExecutionTimeApps(apps, opts, pol, *cache)
+	if err != nil {
+		cliutil.FatalRun(run, "exectime", "%v", err)
 	}
 	run.Close(nil)
 	fmt.Println("Execution-driven simulation (§4.2): DASH-like latencies, round-robin placement")

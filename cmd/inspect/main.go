@@ -28,6 +28,7 @@ import (
 
 	"migratory/internal/cliutil"
 	"migratory/internal/core"
+	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/obs"
 	"migratory/internal/sim"
@@ -91,7 +92,7 @@ func main() {
 	if *shards < 1 && *shards != -1 {
 		cliutil.Usagef("inspect", "-shards must be >= 1 or -1 for all CPUs (got %d)", *shards)
 	}
-	nshards := cliutil.ResolveShards(*shards, *cacheKB<<10, *blockSize)
+	nshards := directory.ResolveShards(*shards, *cacheKB<<10, *blockSize, 0)
 	if nshards > 1 {
 		if *jsonlOut != "" || *perfetto != "" {
 			cliutil.Usagef("inspect", "-jsonl/-perfetto need the single globally ordered event stream of -shards 1")

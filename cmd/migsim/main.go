@@ -41,28 +41,22 @@ func main() {
 	defer stop()
 	opts := common.Options(ctx)
 
-	prepared, err := common.TraceApps()
-	if err != nil {
-		cliutil.Fatal("migsim", "%v", err)
+	sweep := sim.Table2Apps
+	if *table == 3 {
+		sweep = sim.Table3Apps
+	} else if *table != 2 {
+		cliutil.Usagef("migsim", "unknown table %d (want 2 or 3)", *table)
 	}
 
 	run := tele.Start(opts, *common.Trace, map[string]any{"table": *table})
 	defer run.Close(nil)
 	opts.Stats = run.Stats()
 
-	var sw *sim.Sweep
-	switch {
-	case *table == 2 && prepared != nil:
-		sw, err = sim.Table2Apps(prepared, opts)
-	case *table == 3 && prepared != nil:
-		sw, err = sim.Table3Apps(prepared, opts)
-	case *table == 2:
-		sw, err = sim.Table2(opts)
-	case *table == 3:
-		sw, err = sim.Table3(opts)
-	default:
-		cliutil.Usagef("migsim", "unknown table %d (want 2 or 3)", *table)
+	apps, err := common.Apps(opts)
+	if err != nil {
+		cliutil.FatalRun(run, "migsim", "%v", err)
 	}
+	sw, err := sweep(apps, opts)
 	if err != nil {
 		cliutil.FatalRun(run, "migsim", "%v", err)
 	}

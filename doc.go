@@ -23,9 +23,11 @@
 //   - sweep drivers that regenerate the paper's Table 2, Table 3, cost-ratio
 //     analysis, and bus results, fanning independent simulation cells out
 //     across a worker pool (ExperimentOptions.Parallelism; 0 = all CPUs).
-//     Parallel runs are bit-identical to sequential ones: every cell
-//     simulates a private system over a shared read-only trace and results
-//     are assembled in paper order.
+//     Every cell of every sweep is one RunConfig executed by Run, so a
+//     sweep cell and a single run are validated, sharded and opened the
+//     same way. Parallel runs are bit-identical to sequential ones: every
+//     cell simulates a private system over a shared read-only trace and
+//     results are assembled in paper order.
 //
 // The quickest way in is the unified Run entry point — one declarative
 // config selects the engine, the trace, and the variant, with zero values
@@ -93,8 +95,9 @@
 // accesses, batches, classifier transitions, and migrations at batch
 // granularity (one update per 4096 accesses), the set-sharded demux
 // producer accounts per-shard queue depth and the time it spends blocked
-// on a full shard queue, and the sweep
-// drivers track cell progress for ETA estimation. Attach one through
+// on a full shard queue, and every sweep driver (Tables 2 and 3, the bus,
+// timing, classifier-accuracy and machine-size sweeps) tracks cell progress
+// for ETA estimation. Attach one through
 // ExperimentOptions.Stats, DirectoryConfig.Stats, or BusConfig.Stats —
 // when left nil the hot path pays a single pointer test per batch. A
 // TelemetrySampler turns the counters into periodic TelemetrySample

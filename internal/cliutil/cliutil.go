@@ -22,7 +22,6 @@ import (
 	"syscall"
 
 	"migratory/internal/core"
-	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/obs"
 	"migratory/internal/sim"
@@ -36,7 +35,7 @@ import (
 type Flags struct {
 	name string
 
-	Apps            *string
+	AppNames        *string
 	Length          *int
 	Seed            *int64
 	Nodes           *int
@@ -55,7 +54,7 @@ type Flags struct {
 // returns their holder. name prefixes error messages ("migsim: ...").
 func Register(name string) *Flags {
 	f := &Flags{name: name}
-	f.Apps = flag.String("apps", "", "comma-separated app subset (default: all five)")
+	f.AppNames = flag.String("apps", "", "comma-separated app subset (default: all five)")
 	f.Length = flag.Int("length", 0, "trace length override (0 = per-app default)")
 	f.Seed = flag.Int64("seed", 1993, "workload generator seed")
 	f.Nodes = flag.Int("nodes", 16, "processor count")
@@ -123,25 +122,6 @@ func (f *Flags) Validate() {
 	}
 }
 
-// ResolveShards turns a -shards value into a usable engine shard count for
-// commands that construct engines directly (sim.Options performs the same
-// resolution internally): -1 means all CPUs, counts round down to a power
-// of two, and finite caches cap the count at the per-cache set count so no
-// shard is left without sets.
-func ResolveShards(shards, cacheBytes, blockSize int) int {
-	if shards == -1 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	p := 1
-	for p*2 <= shards {
-		p *= 2
-	}
-	if max := directory.MaxShards(cacheBytes, blockSize, 0); max > 0 && p > max {
-		p = max
-	}
-	return p
-}
-
 // validateWorkerFlag is the shared range check for the two worker-count
 // flags: positive counts are always valid, and auto (the flag's designated
 // auto value: 0 for -parallelism, -1 for -shards) means "all CPUs".
@@ -166,44 +146,37 @@ func (f *Flags) Options(ctx context.Context) sim.Options {
 		Shards:      *f.Shards,
 		Cache:       f.Cache(),
 	}
-	if *f.Apps != "" {
-		for _, a := range strings.Split(*f.Apps, ",") {
+	if *f.AppNames != "" {
+		for _, a := range strings.Split(*f.AppNames, ",") {
 			opts.Apps = append(opts.Apps, strings.TrimSpace(a))
 		}
 	}
 	return opts
 }
 
-// TraceApps opens the -trace file, if one was given, as a one-element app
-// list for the *Apps sweep variants; it returns nil when -trace is unset.
-// Every simulation cell re-opens and re-decodes the file, so the sweep's
-// trace memory stays constant no matter how many accesses the file holds.
-func (f *Flags) TraceApps() ([]*sim.App, error) {
+// Apps returns the apps a command's sweeps run over: the built-in
+// profiles opts selects, prepared by sim.PrepareApps, or, when -trace was
+// given, that file (any .mtr version or the legacy fixed-record format) as
+// a one-element list. The trace's usage-based placement comes from one
+// streaming profiling pass, and every cell re-opens and re-decodes the
+// file, so a traced sweep's trace memory stays constant no matter how many
+// accesses the file holds. Indexed (v3) files open as an
+// IndexedFileSource with -decoders decode workers; older versions fall
+// back to sequential decode on a prefetch goroutine. Either way decode
+// overlaps the engine's work, and the -trace-cache-bytes cache lets every
+// opened source (the profiling pass included) share decoded segments.
+func (f *Flags) Apps(opts sim.Options) ([]*sim.App, error) {
 	if *f.Trace == "" {
-		return nil, nil
+		return sim.PrepareApps(opts)
 	}
-	app, err := TraceApp(*f.Trace, *f.Nodes, *f.Decoders, f.Cache())
+	path, decoders, cache := *f.Trace, *f.Decoders, f.Cache()
+	app, err := sim.NewSourceApp(path, func() (trace.Source, error) {
+		return trace.OpenFileParallelCache(path, decoders, cache)
+	}, *f.Nodes)
 	if err != nil {
 		return nil, err
 	}
 	return []*sim.App{app}, nil
-}
-
-// TraceApp wraps one binary trace file (any .mtr version or the legacy
-// fixed-record format) as a sim.App: the usage-based placement comes from
-// one streaming profiling pass, and each Open re-reads the file from the
-// start. Indexed (v3) files open as an IndexedFileSource with decoders
-// decode workers; older versions fall back to sequential decode ahead of
-// the simulation on a prefetch goroutine. Either way decode overlaps the
-// engine's work (sharded runs included: the demux producer reads the same
-// stream), and the composition is explicit in trace.OpenFileParallelCache
-// rather than depending on the shard count.
-// cache, when non-nil, lets every opened source (the profiling pass
-// included) share decoded segments instead of re-decoding per cell.
-func TraceApp(path string, nodes, decoders int, cache *trace.SegmentCache) (*sim.App, error) {
-	return sim.NewSourceApp(path, func() (trace.Source, error) {
-		return trace.OpenFileParallelCache(path, decoders, cache)
-	}, nodes)
 }
 
 // ProfileFlags holds the pprof flags every command shares (-cpuprofile,

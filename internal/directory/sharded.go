@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"migratory/internal/cost"
 	"migratory/internal/memory"
@@ -246,4 +247,23 @@ func MaxShards(cacheBytes, blockSize, assoc int) int {
 	// Round down to a power of two (set counts are validated as powers of
 	// two anyway; this keeps MaxShards total for odd inputs).
 	return 1 << (bits.Len(uint(sets)) - 1)
+}
+
+// ResolveShards turns a requested shard count into the one a run uses: -1
+// means one shard per GOMAXPROCS, counts round down to a power of two (a
+// block's shard is its low block bits), and finite caches cap the count at
+// MaxShards so every shard owns at least one set. 0 and 1 (and anything
+// below -1) mean a sequential run; the result is always >= 1.
+func ResolveShards(shards, cacheBytes, blockSize, assoc int) int {
+	if shards == -1 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if shards <= 1 {
+		return 1
+	}
+	n := 1 << (bits.Len(uint(shards)) - 1)
+	if max := MaxShards(cacheBytes, blockSize, assoc); max > 0 && n > max {
+		n = max
+	}
+	return n
 }

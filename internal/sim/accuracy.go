@@ -64,14 +64,12 @@ func ClassifierAccuracy(app string, opts Options, cacheBytes int) ([]Accuracy, e
 // own source.
 func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accuracy, error) {
 	opts = opts.withDefaults()
-	app := prepared.Name
-	geom := memory.MustGeometry(16, PageSize)
-	open := opts.cachedOpen(prepared.Open)
-	src, err := open()
+	// The ground-truth pass opens its source the way every cell's run does.
+	src, err := RunConfig{OpenSource: prepared.Open, Cache: opts.Cache}.openSource()
 	if err != nil {
 		return nil, err
 	}
-	truth, err := trace.ClassifyBlocksSource(src, geom)
+	truth, err := trace.ClassifyBlocksSource(src, memory.MustGeometry(16, PageSize))
 	cerr := src.Close()
 	if err != nil {
 		return nil, err
@@ -79,7 +77,6 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 	if cerr != nil {
 		return nil, cerr
 	}
-	pl := prepared.Placement
 
 	var adaptive []core.Policy
 	for _, pol := range opts.Policies {
@@ -87,51 +84,54 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 			adaptive = append(adaptive, pol)
 		}
 	}
-	out := make([]Accuracy, len(adaptive))
-	err = runIndexed(opts.ctx(), len(adaptive), opts.workers(), func(i int) error {
-		pol := adaptive[i]
-		res, err := Run(opts.ctx(), RunConfig{
+	cfgs := make([]RunConfig, len(adaptive))
+	for i := range adaptive {
+		cfgs[i] = RunConfig{
 			Engine:          EngineDirectory,
 			Nodes:           opts.Nodes,
 			CacheBytes:      cacheBytes,
 			Shards:          opts.Shards,
 			Cache:           opts.Cache,
-			OpenSource:      open,
-			PlacementPolicy: pl,
-			policy:          &pol,
-		})
-		if err != nil {
-			return err
+			OpenSource:      prepared.Open,
+			PlacementPolicy: prepared.Placement,
+			policy:          &adaptive[i],
 		}
-		detected := res.EverMigratory()
-		acc := Accuracy{App: app, Policy: pol}
-		for b, pattern := range truth {
-			if pattern == trace.PatternPrivate {
-				continue
-			}
-			acc.TotalBlocks++
-			positive := pattern == trace.PatternMigratory
-			if positive {
-				acc.MigratoryBlocks++
-			}
-			switch {
-			case positive && detected[b]:
-				acc.TruePositive++
-			case positive && !detected[b]:
-				acc.FalseNegative++
-			case !positive && detected[b]:
-				acc.FalsePositive++
-			default:
-				acc.TrueNegative++
-			}
-		}
-		out[i] = acc
-		return nil
-	})
+	}
+	out := make([]Accuracy, len(adaptive))
+	err = runCells(opts, cfgs,
+		func(i int) string { return prepared.Name + "/" + adaptive[i].Name },
+		func(i int, res *RunResult) { out[i] = score(prepared.Name, adaptive[i], truth, res.EverMigratory()) })
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// score tallies one policy's on-line verdicts against the off-line ground
+// truth over the shared blocks.
+func score(app string, pol core.Policy, truth map[memory.BlockID]trace.BlockPattern, detected map[memory.BlockID]bool) Accuracy {
+	acc := Accuracy{App: app, Policy: pol}
+	for b, pattern := range truth {
+		if pattern == trace.PatternPrivate {
+			continue
+		}
+		acc.TotalBlocks++
+		positive := pattern == trace.PatternMigratory
+		if positive {
+			acc.MigratoryBlocks++
+		}
+		switch {
+		case positive && detected[b]:
+			acc.TruePositive++
+		case positive && !detected[b]:
+			acc.FalseNegative++
+		case !positive && detected[b]:
+			acc.FalsePositive++
+		default:
+			acc.TrueNegative++
+		}
+	}
+	return acc
 }
 
 // RenderAccuracy formats the scores.

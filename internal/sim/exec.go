@@ -39,10 +39,6 @@ type ExecRow struct {
 // basic) on the ExecApps, with round-robin placement and DASH-like
 // latencies. cacheBytes of 0 uses 64 KB per node.
 func ExecutionTime(opts Options, policy core.Policy, cacheBytes int) ([]ExecRow, error) {
-	if err := rejectShards(opts); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
 	apps, err := PrepareApps(opts)
 	if err != nil {
 		return nil, err
@@ -50,60 +46,41 @@ func ExecutionTime(opts Options, policy core.Policy, cacheBytes int) ([]ExecRow,
 	return ExecutionTimeApps(apps, opts, policy, cacheBytes)
 }
 
-// rejectShards refuses set sharding for the timing model: the simulated
-// bus serializes every transaction globally, so a timed run cannot be
-// partitioned by set index. The check looks at the raw option — even
-// -shards -1 (auto) is rejected rather than resolved, so the error does
-// not depend on the machine's core count.
-func rejectShards(opts Options) error {
-	if opts.Shards != 0 && opts.Shards != 1 {
-		return fmt.Errorf("sim: execution-driven timing cannot shard (Shards=%d): the bus serializes transactions globally", opts.Shards)
-	}
-	return nil
-}
-
 // ExecutionTimeApps is ExecutionTime over caller-prepared apps (external
-// traces wrapped with NewApp or NewSourceApp).
+// traces wrapped with NewApp or NewSourceApp). Every cell carries
+// opts.Shards, so RunConfig.Validate refuses any value other than 0 or 1:
+// the simulated bus serializes every transaction globally, so a timed run
+// cannot be partitioned by set index.
 func ExecutionTimeApps(apps []*App, opts Options, policy core.Policy, cacheBytes int) ([]ExecRow, error) {
-	if err := rejectShards(opts); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	if cacheBytes == 0 {
 		cacheBytes = 64 << 10
 	}
 
-	// Two independent timing simulations per application (conventional and
-	// adaptive), fanned out together.
-	results := make([]timing.Result, 2*len(apps))
-	err := runIndexed(opts.ctx(), len(results), opts.workers(), func(i int) error {
-		app := apps[i/2]
+	// Two independent timing simulations per application: conventional,
+	// then the adaptive policy.
+	pols := []core.Policy{core.Conventional, policy}
+	cfgs := make([]RunConfig, 2*len(apps))
+	for i := range cfgs {
 		params := timing.DefaultParams()
-		if t, ok := execThink[app.Name]; ok {
+		if t, ok := execThink[apps[i/2].Name]; ok {
 			params.ThinkCycles = t
 		}
-		pol := core.Conventional
-		if i%2 == 1 {
-			pol = policy
-		}
-		res, err := Run(opts.ctx(), RunConfig{
+		cfgs[i] = RunConfig{
 			Engine:       EngineTiming,
 			Nodes:        opts.Nodes,
 			CacheBytes:   cacheBytes,
+			Shards:       opts.Shards,
 			TimingParams: &params,
 			Cache:        opts.Cache,
-			OpenSource:   opts.cachedOpen(app.Open),
-			policy:       &pol,
-		})
-		if err != nil {
-			if cerr := opts.ctx().Err(); cerr != nil {
-				return cerr
-			}
-			return fmt.Errorf("%s/%s: %w", app.Name, pol.Name, err)
+			OpenSource:   apps[i/2].Open,
+			policy:       &pols[i%2],
 		}
-		results[i] = *res.Timing
-		return nil
-	})
+	}
+	results := make([]timing.Result, len(cfgs))
+	err := runCells(opts, cfgs,
+		func(i int) string { return apps[i/2].Name + "/" + pols[i%2].Name },
+		func(i int, res *RunResult) { results[i] = *res.Timing })
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
-	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/stats"
 	"migratory/internal/workload"
@@ -40,14 +39,12 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 			return nil, fmt.Errorf("sim: node count %d out of range", n)
 		}
 	}
-	geom := memory.MustGeometry(16, PageSize)
 
 	// Each machine size has its own trace and placement; prepare them in
 	// parallel (as apps, so streaming mode holds no trace in memory), then
-	// fan the (node count, policy) simulations out.
+	// run one cell per (node count, policy).
 	preps := make([]*App, len(nodeCounts))
-	workers := opts.workers()
-	err = runIndexed(opts.ctx(), len(nodeCounts), workers, func(i int) error {
+	err = runIndexed(opts.ctx(), len(nodeCounts), opts.workers(), func(i int) error {
 		perNode := opts
 		perNode.Nodes = nodeCounts[i]
 		a, err := PrepareApp(prof.Name, perNode)
@@ -62,27 +59,25 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 	}
 
 	pols := core.Policies()
-	msgs := make([]cost.Msgs, len(nodeCounts)*len(pols))
-	err = runIndexed(opts.ctx(), len(msgs), workers, func(i int) error {
-		ni, pi := i/len(pols), i%len(pols)
-		n := nodeCounts[ni]
-		sys, err := newDirectoryRunner(directory.Config{
-			Nodes: n, Geometry: geom, Policy: pols[pi], Placement: preps[ni].Placement,
-		}, effectiveShards(opts, 0, 16), nil)
-		if err != nil {
-			return err
+	cfgs := make([]RunConfig, len(nodeCounts)*len(pols))
+	for i := range cfgs {
+		prep := preps[i/len(pols)]
+		cfgs[i] = RunConfig{
+			Engine:          EngineDirectory,
+			Nodes:           nodeCounts[i/len(pols)],
+			Shards:          opts.Shards,
+			Cache:           opts.Cache,
+			OpenSource:      prep.Open,
+			PlacementPolicy: prep.Placement,
+			policy:          &pols[i%len(pols)],
 		}
-		src, err := preps[ni].Open()
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		if err := sys.RunSource(opts.ctx(), src); err != nil {
-			return err
-		}
-		msgs[i] = sys.Messages()
-		return nil
-	})
+	}
+	msgs := make([]cost.Msgs, len(cfgs))
+	err = runCells(opts, cfgs,
+		func(i int) string {
+			return fmt.Sprintf("%s/%s (%d nodes)", app, pols[i%len(pols)].Name, nodeCounts[i/len(pols)])
+		},
+		func(i int, res *RunResult) { msgs[i] = res.Directory.Msgs })
 	if err != nil {
 		return nil, err
 	}

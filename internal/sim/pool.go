@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,6 +92,35 @@ func runIndexed(ctx context.Context, n, workers int, fn func(i int) error) error
 		return err
 	}
 	return firstEr
+}
+
+// runCells is the one executor behind every §4 sweep: it runs each cell
+// through Run on the worker pool, so the drivers only expand their axes
+// into cells and fold the results back into their row types. fold(i, res)
+// runs on the cell's worker as soon as cell i finishes, so a sweep keeps
+// only what its rows need rather than every cell's engine. runCells owns
+// the sweep's progress counters (CellsTotal grows by len(cells) up front,
+// CellsDone by one per finished cell), returns ctx.Err() ahead of any cell
+// error, and wraps a cell's error with label(i), the cell's "app/variant".
+func runCells(opts Options, cells []RunConfig, label func(i int) string, fold func(i int, res *RunResult)) error {
+	ctx := opts.ctx()
+	if opts.Stats != nil {
+		opts.Stats.CellsTotal.Add(uint64(len(cells)))
+	}
+	return runIndexed(ctx, len(cells), opts.workers(), func(i int) error {
+		res, err := Run(ctx, cells[i])
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return fmt.Errorf("%s: %w", label(i), err)
+		}
+		fold(i, res)
+		if opts.Stats != nil {
+			opts.Stats.CellsDone.Add(1)
+		}
+		return nil
+	})
 }
 
 // workers resolves an Options.Parallelism value (0 = GOMAXPROCS) to a

@@ -135,7 +135,8 @@ type RunConfig struct {
 	// placement profiling and the simulation each open their own.
 	OpenSource func() (trace.Source, error) `json:"-"`
 	// Cache, when non-nil, is the shared decoded-segment cache consulted
-	// when TraceFile names an indexed (MTR3) trace. Like Decoders it cannot
+	// when TraceFile names an indexed (MTR3) trace, or when OpenSource
+	// yields a *trace.IndexedFileSource. Like Decoders it cannot
 	// change the result — only how often segments are decoded — so it is
 	// not part of the wire format or the cache key (Digest ignores it).
 	Cache *trace.SegmentCache `json:"-"`
@@ -344,13 +345,18 @@ func (c RunConfig) timingConfig(geom memory.Geometry, pol core.Policy) timing.Co
 	}
 }
 
-// openSource opens the config's trace: the in-process factory, the trace
-// file (indexed parallel decode for MTR3, prefetched sequential decode for
-// older versions), or the named workload generator.
+// openSource opens the config's trace: the in-process factory (whose
+// indexed file sources are pointed at Cache), the trace file (indexed
+// parallel decode for MTR3, prefetched sequential decode for older
+// versions), or the named workload generator.
 func (c RunConfig) openSource() (trace.Source, error) {
 	switch {
 	case c.OpenSource != nil:
-		return c.OpenSource()
+		src, err := c.OpenSource()
+		if ifs, ok := src.(*trace.IndexedFileSource); ok && err == nil {
+			ifs.WithCache(c.Cache)
+		}
+		return src, err
 	case c.TraceFile != "":
 		return trace.OpenFileParallelCache(c.TraceFile, c.resolveDecoders(), c.Cache)
 	default:
@@ -399,11 +405,10 @@ func (c RunConfig) placementFor() (placement.Policy, error) {
 	}
 }
 
-// resolveShards maps the config's Shards to the engine shard count for this
-// cell (power of two, capped by the cache's set count). Idempotent, so
-// callers may pass either the raw setting or an already-resolved count.
-func (c RunConfig) resolveShards() int {
-	return effectiveShards(Options{Shards: c.Shards}, c.CacheBytes, c.BlockSize)
+// shards resolves the config's Shards to the engine shard count for this
+// run (see directory.ResolveShards).
+func (c RunConfig) shards() int {
+	return directory.ResolveShards(c.Shards, c.CacheBytes, c.BlockSize, c.Assoc)
 }
 
 // resolveDecoders maps the config's Decoders to the decode worker count:
@@ -471,15 +476,15 @@ type BusResult struct {
 // which is what the cohd result cache and the bit-identical equivalence
 // tests compare.
 type RunResult struct {
-	Engine   string           `json:"engine"`
-	Accesses uint64           `json:"accesses"`
+	Engine    string           `json:"engine"`
+	Accesses  uint64           `json:"accesses"`
 	Directory *DirectoryResult `json:"directory,omitempty"`
 	Bus       *BusResult       `json:"bus,omitempty"`
 	Timing    *timing.Result   `json:"timing,omitempty"`
 
 	// dir retains the live directory engine so in-process callers can pull
 	// the classifier verdicts and histograms a serialized result drops.
-	dir directoryRunner
+	dir *directory.Sharded
 }
 
 // EverMigratory returns the directory engine's per-block classifier
@@ -536,7 +541,7 @@ func (c RunConfig) runDirectory(ctx context.Context, geom memory.Geometry) (*Run
 	if err != nil {
 		return nil, err
 	}
-	sys, err := newDirectoryRunner(c.directoryConfig(geom, pol, pl), c.resolveShards(), c.Probes)
+	sys, err := directory.NewSharded(c.directoryConfig(geom, pol, pl), c.shards(), c.Probes)
 	if err != nil {
 		return nil, err
 	}
@@ -562,7 +567,7 @@ func (c RunConfig) runBus(ctx context.Context, geom memory.Geometry) (*RunResult
 	if err != nil {
 		return nil, err
 	}
-	sys, err := snoop.NewSharded(c.busConfig(geom, prot), c.resolveShards(), c.Probes)
+	sys, err := snoop.NewSharded(c.busConfig(geom, prot), c.shards(), c.Probes)
 	if err != nil {
 		return nil, err
 	}

@@ -104,25 +104,32 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestRunShardEquivalence checks that sharding is invisible in the results,
-// as the sharded-engine contract promises.
+// as the sharded-engine contract promises, including a request for more
+// shards than an 8-way cache has sets (the cap follows Assoc).
 func TestRunShardEquivalence(t *testing.T) {
-	cfg := RunConfig{
-		Engine: EngineDirectory, Workload: "Water", Policy: "basic",
-		Length: 20_000, CacheBytes: 1 << 15,
-	}
-	seq, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Shards = -1
-	par, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, _ := json.Marshal(seq)
-	pj, _ := json.Marshal(par)
-	if string(sj) != string(pj) {
-		t.Fatalf("sharded result drifted:\n%s\n%s", sj, pj)
+	for _, tc := range []struct {
+		cfg    RunConfig
+		shards int
+	}{
+		{RunConfig{Engine: EngineDirectory, Workload: "Water", Policy: "basic", Length: 20_000, CacheBytes: 1 << 15}, -1},
+		{RunConfig{Engine: EngineDirectory, Workload: "Water", Policy: "basic", Length: 20_000, CacheBytes: 4 << 10, Assoc: 8}, 64},
+		{RunConfig{Engine: EngineBus, Workload: "Water", Protocol: "adaptive", Length: 20_000, CacheBytes: 4 << 10, Assoc: 8}, 64},
+	} {
+		cfg := tc.cfg
+		seq, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shards = tc.shards
+		par, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s engine, %d shards: %v", cfg.Engine, tc.shards, err)
+		}
+		sj, _ := json.Marshal(seq)
+		pj, _ := json.Marshal(par)
+		if string(sj) != string(pj) {
+			t.Fatalf("%s engine, %d shards: sharded result drifted:\n%s\n%s", cfg.Engine, tc.shards, sj, pj)
+		}
 	}
 }
 

@@ -60,13 +60,14 @@ type Options struct {
 	// Shards splits each *individual* untimed directory/bus run across
 	// engine shards by cache-set index (accesses to different sets never
 	// interact, so counters, metrics, and classifier verdicts stay
-	// bit-identical to a sequential run). 0 and 1 run sequentially; -1
-	// resolves to the largest power of two not above runtime.GOMAXPROCS(0);
-	// other values round down to a power of two, and finite caches
-	// additionally cap the count at the per-cache set count. The timing
-	// model rejects Shards > 1: its bus serializes transactions globally,
-	// so its runs cannot be partitioned. Parallelism composes with Shards
-	// multiplicatively — shards × workers goroutines can be live at once.
+	// bit-identical to a sequential run). Every cell passes it to Run
+	// unresolved; directory.ResolveShards maps it per cell (0 and 1 run
+	// sequentially, -1 is one shard per GOMAXPROCS, other counts round down
+	// to a power of two capped at the per-cache set count). The timing
+	// model rejects any value other than 0 or 1: its bus serializes
+	// transactions globally, so its runs cannot be partitioned. Parallelism
+	// composes with Shards multiplicatively — shards × workers goroutines
+	// can be live at once.
 	Shards int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:
@@ -94,26 +95,6 @@ type Options struct {
 	// cell progress (CellsDone/CellsTotal) for ETA reporting. One RunStats
 	// may be shared across a whole sweep — all fields are atomic sums.
 	Stats *telemetry.RunStats
-}
-
-// cachedOpen wraps a source factory so every indexed file source it yields
-// consults the sweep's shared segment cache. Non-indexed sources (slices,
-// generators, v1/v2 files) pass through untouched, and a nil cache returns
-// the factory as-is.
-func (o Options) cachedOpen(open func() (trace.Source, error)) func() (trace.Source, error) {
-	if o.Cache == nil {
-		return open
-	}
-	cache := o.Cache
-	return func() (trace.Source, error) {
-		src, err := open()
-		if err == nil {
-			if ifs, ok := src.(*trace.IndexedFileSource); ok {
-				ifs.WithCache(cache)
-			}
-		}
-		return src, err
-	}
 }
 
 // ctx resolves Options.Context (nil = context.Background()).
@@ -257,38 +238,55 @@ type Cell struct {
 // relative to base (normally the conventional cell of the same row).
 func (c Cell) Reduction(base Cell) float64 { return cost.Reduction(base.Msgs, c.Msgs) }
 
+// dirCell is one directory sweep cell: the Cell it reports, the RunConfig
+// Run executes for it, and the per-shard probes that run builds.
+type dirCell struct {
+	Cell
+	cfg    RunConfig
+	probes *[]obs.Probe
+}
+
+func newDirCell(app *App, opts Options, policy core.Policy, cacheBytes, blockSize int) dirCell {
+	probes, built := shardProbes(opts, app.Name, policy.Name, cacheBytes, blockSize)
+	return dirCell{
+		Cell: Cell{App: app.Name, Policy: policy, CacheBytes: cacheBytes, BlockSize: blockSize},
+		cfg: RunConfig{
+			Engine:          EngineDirectory,
+			Nodes:           opts.Nodes,
+			CacheBytes:      cacheBytes,
+			BlockSize:       blockSize,
+			Shards:          opts.Shards,
+			Probes:          probes,
+			Stats:           opts.Stats,
+			Cache:           opts.Cache,
+			OpenSource:      app.Open,
+			PlacementPolicy: app.Placement,
+			policy:          &policy,
+		},
+		probes: built,
+	}
+}
+
+// done folds the cell's Run result into its Cell.
+func (d dirCell) done(res *RunResult) Cell {
+	c := d.Cell
+	c.Msgs, c.Counters = res.Directory.Msgs, res.Directory.Counters
+	c.Probe = mergeShardProbes(*d.probes)
+	return c
+}
+
 // RunDirectoryCell simulates one (app, policy, cache size, block size)
 // combination. It is a thin adapter over Run: the app supplies the source
 // and prepared placement, the sweep identity builds the per-shard probes.
+// The Table 2/3 sweeps describe their cells the same way.
 func RunDirectoryCell(app *App, opts Options, policy core.Policy, cacheBytes, blockSize int) (Cell, error) {
 	opts = opts.withDefaults()
-	shards := effectiveShards(opts, cacheBytes, blockSize)
-	probes, built := shardProbes(opts, app.Name, policy.Name, cacheBytes, blockSize, shards)
-	res, err := Run(opts.ctx(), RunConfig{
-		Engine:          EngineDirectory,
-		Nodes:           opts.Nodes,
-		CacheBytes:      cacheBytes,
-		BlockSize:       blockSize,
-		Shards:          shards,
-		Probes:          probes,
-		Stats:           opts.Stats,
-		Cache:           opts.Cache,
-		OpenSource:      opts.cachedOpen(app.Open),
-		PlacementPolicy: app.Placement,
-		policy:          &policy,
-	})
+	d := newDirCell(app, opts, policy, cacheBytes, blockSize)
+	res, err := Run(opts.ctx(), d.cfg)
 	if err != nil {
 		return Cell{}, err
 	}
-	return Cell{
-		App:        app.Name,
-		Policy:     policy,
-		CacheBytes: cacheBytes,
-		BlockSize:  blockSize,
-		Msgs:       res.Directory.Msgs,
-		Counters:   res.Directory.Counters,
-		Probe:      mergeShardProbes(built),
-	}, nil
+	return d.done(res), nil
 }
 
 // Row is one application's results across the protocol list, at one cache
@@ -356,50 +354,38 @@ func directorySweep(opts Options, apps []*App, cacheSizes, blockSizes []int, gro
 		}
 	}
 
-	// Fan the (app, group, policy) cells out across the worker pool; each
-	// lands in its index slot, so assembly below is in paper order no
-	// matter how the cells were scheduled.
-	nGroups, nPols := len(sw.GroupValues), len(opts.Policies)
-	cells := make([]Cell, len(apps)*nGroups*nPols)
-	if opts.Stats != nil {
-		opts.Stats.CellsTotal.Add(uint64(len(cells)))
-	}
-	err := runIndexed(opts.ctx(), len(cells), opts.workers(), func(i int) error {
-		app := apps[i/(nGroups*nPols)]
-		gv := sw.GroupValues[(i/nPols)%nGroups]
-		pol := opts.Policies[i%nPols]
-		cacheBytes, blockSize := gv, 16
-		if !groupIsCache {
-			cacheBytes, blockSize = 0, gv
-		}
-		cell, err := RunDirectoryCell(app, opts, pol, cacheBytes, blockSize)
-		if err != nil {
-			if cerr := opts.ctx().Err(); cerr != nil {
-				return cerr
-			}
-			return fmt.Errorf("%s/%s: %w", app.Name, pol.Name, err)
-		}
-		cells[i] = cell
-		if opts.Stats != nil {
-			opts.Stats.CellsDone.Add(1)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for ai, app := range apps {
-		for gi, gv := range sw.GroupValues {
+	// One cell per (app, group, policy) in paper order; each consecutive
+	// run of len(Policies) cells is one row.
+	var cells []dirCell
+	var cfgs []RunConfig
+	for _, app := range apps {
+		for _, gv := range sw.GroupValues {
 			cacheBytes, blockSize := gv, 16
 			if !groupIsCache {
 				cacheBytes, blockSize = 0, gv
 			}
-			row := Row{App: app.Name, CacheBytes: cacheBytes, BlockSize: blockSize}
-			base := (ai*nGroups + gi) * nPols
-			row.Cells = append(row.Cells, cells[base:base+nPols]...)
-			sw.Rows[gv] = append(sw.Rows[gv], row)
+			for _, pol := range opts.Policies {
+				d := newDirCell(app, opts, pol, cacheBytes, blockSize)
+				cells, cfgs = append(cells, d), append(cfgs, d.cfg)
+			}
 		}
+	}
+	out := make([]Cell, len(cells))
+	err := runCells(opts, cfgs,
+		func(i int) string { return cells[i].App + "/" + cells[i].Policy.Name },
+		func(i int, res *RunResult) { out[i] = cells[i].done(res) })
+	if err != nil {
+		return nil, err
+	}
+
+	nPols := len(opts.Policies)
+	for i := 0; i < len(out); i += nPols {
+		row := Row{App: out[i].App, CacheBytes: out[i].CacheBytes, BlockSize: out[i].BlockSize, Cells: out[i : i+nPols : i+nPols]}
+		gv := row.CacheBytes
+		if !groupIsCache {
+			gv = row.BlockSize
+		}
+		sw.Rows[gv] = append(sw.Rows[gv], row)
 	}
 	return sw, nil
 }
@@ -518,51 +504,44 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 	}
 	sw := &BusSweep{Options: opts, CacheSizes: cacheSizes, Protocols: protocols, Rows: make(map[int][]BusRow)}
 
-	nCaches, nProts := len(cacheSizes), len(protocols)
-	cells := make([]BusCell, len(apps)*nCaches*nProts)
-	if opts.Stats != nil {
-		opts.Stats.CellsTotal.Add(uint64(len(cells)))
-	}
-	err := runIndexed(opts.ctx(), len(cells), opts.workers(), func(i int) error {
-		app := apps[i/(nCaches*nProts)]
-		cb := cacheSizes[(i/nProts)%nCaches]
-		p := protocols[i%nProts]
-		shards := effectiveShards(opts, cb, 16)
-		probes, built := shardProbes(opts, app.Name, p.String(), cb, 16, shards)
-		res, err := Run(opts.ctx(), RunConfig{
-			Engine:     EngineBus,
-			Nodes:      opts.Nodes,
-			Protocol:   p.String(),
-			CacheBytes: cb,
-			Shards:     shards,
-			Probes:     probes,
-			Stats:      opts.Stats,
-			Cache:      opts.Cache,
-			OpenSource: opts.cachedOpen(app.Open),
-		})
-		if err != nil {
-			if cerr := opts.ctx().Err(); cerr != nil {
-				return cerr
+	// One cell per (app, cache, protocol) in paper order; each consecutive
+	// run of len(protocols) cells is one row.
+	var cells []BusCell
+	var cfgs []RunConfig
+	var probes []*[]obs.Probe
+	for _, app := range apps {
+		for _, cb := range cacheSizes {
+			for _, p := range protocols {
+				factory, built := shardProbes(opts, app.Name, p.String(), cb, 16)
+				cells = append(cells, BusCell{App: app.Name, Protocol: p, CacheBytes: cb})
+				probes = append(probes, built)
+				cfgs = append(cfgs, RunConfig{
+					Engine:     EngineBus,
+					Nodes:      opts.Nodes,
+					Protocol:   p.String(),
+					CacheBytes: cb,
+					Shards:     opts.Shards,
+					Probes:     factory,
+					Stats:      opts.Stats,
+					Cache:      opts.Cache,
+					OpenSource: app.Open,
+				})
 			}
-			return fmt.Errorf("%s/%s: %w", app.Name, p, err)
 		}
-		cells[i] = BusCell{App: app.Name, Protocol: p, CacheBytes: cb, Counts: res.Bus.Counts, Probe: mergeShardProbes(built)}
-		if opts.Stats != nil {
-			opts.Stats.CellsDone.Add(1)
-		}
-		return nil
-	})
+	}
+	err := runCells(opts, cfgs,
+		func(i int) string { return cells[i].App + "/" + cells[i].Protocol.String() },
+		func(i int, res *RunResult) {
+			cells[i].Counts, cells[i].Probe = res.Bus.Counts, mergeShardProbes(*probes[i])
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	for ai, app := range apps {
-		for ci, cb := range cacheSizes {
-			row := BusRow{App: app.Name, CacheBytes: cb}
-			base := (ai*nCaches + ci) * nProts
-			row.Cells = append(row.Cells, cells[base:base+nProts]...)
-			sw.Rows[cb] = append(sw.Rows[cb], row)
-		}
+	nProts := len(protocols)
+	for i := 0; i < len(cells); i += nProts {
+		row := BusRow{App: cells[i].App, CacheBytes: cells[i].CacheBytes, Cells: cells[i : i+nProts : i+nProts]}
+		sw.Rows[row.CacheBytes] = append(sw.Rows[row.CacheBytes], row)
 	}
 	return sw, nil
 }

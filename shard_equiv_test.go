@@ -10,6 +10,7 @@ package migratory
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -210,8 +211,8 @@ func TestTimingRejectsShards(t *testing.T) {
 	for _, shards := range []int{2, -1} {
 		opts := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000,
 			Apps: []string{"MP3D"}, Shards: shards}
-		if _, err := ExecutionTime(opts, Basic, 0); err == nil {
-			t.Fatalf("Shards=%d: execution-driven timing accepted sharding", shards)
+		if _, err := ExecutionTime(opts, Basic, 0); err == nil || !strings.Contains(err.Error(), "cannot shard") {
+			t.Fatalf("Shards=%d: err = %v, want the timing model's cannot-shard refusal", shards, err)
 		}
 	}
 	opts := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000,
