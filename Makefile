@@ -94,16 +94,21 @@ cover:
 
 ci: build vet vet-perfbench test-shuffle race
 
-# Profile the Table 2 sweep hot loop: run migsim under the CPU and heap
-# profilers and print the top CPU consumers. Open the .pprof files with
-# `go tool pprof -http=:8080 <file>` for flame graphs.
+# Profile the benchmark's paper-eval op (BENCHMARK.json): the full cmd/paper
+# evaluation on every CPU, unsharded, under the CPU and heap profilers.
+# Prints the top CPU consumers, then the top allocation sites by bytes
+# allocated over the run. Open the .pprof files with
+# `go tool pprof -http=:8080 $(PROFILE_DIR)/paper <file>` for flame graphs.
 PROFILE_DIR ?= /tmp/migratory-profile
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/migsim -table 2 -format csv \
+	$(GO) build -o $(PROFILE_DIR)/paper ./cmd/paper
+	$(PROFILE_DIR)/paper -parallelism $$(nproc) -shards 1 -progress off \
+		-manifest-dir $(PROFILE_DIR) \
 		-cpuprofile $(PROFILE_DIR)/cpu.pprof \
 		-memprofile $(PROFILE_DIR)/mem.pprof > /dev/null
-	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/paper $(PROFILE_DIR)/cpu.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space $(PROFILE_DIR)/paper $(PROFILE_DIR)/mem.pprof
 
 # End-to-end observability demo: generate a short MP3D trace, replay it
 # under the basic protocol with the inspector attached, and export the

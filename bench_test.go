@@ -80,9 +80,10 @@ func BenchmarkFigure3Classifier(b *testing.B) {
 	for _, p := range core.Policies() {
 		b.Run(p.Name, func(b *testing.B) {
 			c := core.NewClassifier(p)
+			st := c.NewState()
 			for i := 0; i < b.N; i++ {
-				c.ReadMiss(true)
-				c.WriteHit(memory.NodeID(i%16), true)
+				c.ReadMiss(&st, true)
+				c.WriteHit(&st, memory.NodeID(i%16), true)
 			}
 		})
 	}

@@ -21,16 +21,15 @@ import (
 // meaning of Dirty.
 type State uint8
 
-// Line is one cache entry. Protocol engines mutate State, Dirty, and
-// Version in place through the pointer returned by Lookup/Insert.
+// Line is one cache entry: 16 bytes and no pointers, so a chunk of lines
+// is never scanned by the garbage collector. Protocol engines mutate
+// State, Dirty and Aux in place through the pointer returned by
+// Lookup/Insert. The coherence checker's data values live beside the
+// caches, in Versions.
 type Line struct {
 	Block memory.BlockID
 	State State
 	Dirty bool
-	// Version is an instrumentation field for coherence checking: the
-	// simulated "data value" of the block, maintained by the protocol
-	// engines as a monotonically increasing write counter.
-	Version uint64
 	// Aux is protocol-defined auxiliary per-line state (for example, the
 	// small hysteresis counter the paper suggests for adaptive snooping
 	// protocols, §2.1). The cache itself never touches it.

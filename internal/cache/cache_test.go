@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"migratory/internal/memory"
 )
@@ -114,11 +116,11 @@ func TestEvictionReportsDirtyVictim(t *testing.T) {
 	c := New(Config{SizeBytes: 2 * 16, BlockSize: 16, Assoc: 2})
 	l, _ := c.Insert(0, 1)
 	l.Dirty = true
-	l.Version = 7
+	l.Aux = 7
 	c.Insert(2, 0) // same set (only one set)
 	_, ev := c.Insert(4, 0)
-	if ev == nil || ev.Block != 0 || !ev.Dirty || ev.State != 1 || ev.Version != 7 {
-		t.Fatalf("victim = %+v; want dirty block 0 state 1 version 7", ev)
+	if ev == nil || ev.Block != 0 || !ev.Dirty || ev.State != 1 || ev.Aux != 7 {
+		t.Fatalf("victim = %+v; want dirty block 0 state 1 aux 7", ev)
 	}
 }
 
@@ -266,5 +268,16 @@ func TestLRUWithinSetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLineLayout guards the line's size and keeps it free of pointers, so
+// the caches' line chunks are never scanned by the garbage collector.
+func TestLineLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 16 {
+		t.Errorf("Line is %d bytes, want 16", n)
+	}
+	if memory.HasPointers(reflect.TypeOf(Line{})) {
+		t.Error("Line contains pointers")
 	}
 }

@@ -25,7 +25,7 @@ const (
 )
 
 // String names the count, including the /MIGRATORY qualifier convention
-// used by Figure 3 when rendered by Classifier.String.
+// used by Figure 3 when rendered by State.String.
 func (c CopyCount) String() string {
 	switch c {
 	case Uncached:
@@ -41,18 +41,13 @@ func (c CopyCount) String() string {
 	}
 }
 
-// Classifier is the adaptive portion of one block's directory entry: the
+// State is the adaptive portion of one block's directory entry: the
 // copies-created state, the migratory classification, the identity of the
 // last invalidator, and the hysteresis evidence counter (the generalized
-// "one migration" flag of Figure 3).
-//
-// The Classifier is a passive decision engine: the directory engine tells
-// it what happened (read miss, write miss, write hit, block uncached) and
-// asks whether to migrate or replicate. It holds no copy set and sends no
-// messages.
-type Classifier struct {
-	policy Policy
-
+// "one migration" flag of Figure 3). It is as small as the bits it models
+// and holds no pointers, so a directory's table of entries is never scanned
+// by the garbage collector. Its transitions are driven by a Classifier.
+type State struct {
 	// Count is the copies-created state.
 	Count CopyCount
 	// Migratory is the current classification.
@@ -61,11 +56,25 @@ type Classifier struct {
 	// write access, or memory.NoNode.
 	LastInvalidator memory.NodeID
 	// Evidence counts successive migratory events toward Hysteresis.
-	Evidence int
+	// Policy.Validate bounds Hysteresis to what it can hold.
+	Evidence uint16
+}
+
+// Classifier runs one policy's Figure 3 handlers over per-block States. An
+// engine holds one Classifier and one State per block.
+//
+// The Classifier is a passive decision engine: the directory engine tells
+// it what happened to a block (read miss, write miss, write hit, block
+// uncached) and asks whether to migrate or replicate. It holds no copy set
+// and sends no messages.
+type Classifier struct {
+	policy Policy
 
 	// Observe, when non-nil, is called synchronously after every change to
-	// Evidence or Migratory, with the state after the change. It exists for
-	// observability layers; the classifier's decisions never depend on it.
+	// a State's Evidence or Migratory, with the state after the change. It
+	// exists for observability layers; the classifier's decisions never
+	// depend on it. The caller knows which block's State it passed in, so
+	// the hook needs no per-block closure.
 	Observe func(Change)
 
 	// table, when non-nil, drives transitions through the precomputed dense
@@ -75,8 +84,8 @@ type Classifier struct {
 	table *transitionTable
 }
 
-// Change describes one observable update to a classifier's adaptive state:
-// the Evidence counter and Migratory classification after the change, and
+// Change describes one observable update to a block's adaptive state: the
+// Evidence counter and Migratory classification after the change, and
 // whether the classification itself flipped.
 type Change struct {
 	// Evidence is the hysteresis counter after the change.
@@ -87,18 +96,22 @@ type Change struct {
 	Flipped bool
 }
 
-// NewClassifier returns the directory entry state for a freshly allocated
-// block under the given policy. The policy must be valid.
+// NewClassifier returns the classifier for the given policy. The policy
+// must be valid.
 func NewClassifier(p Policy) Classifier {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return Classifier{
-		policy:          p,
+	return Classifier{policy: p, table: tableFor(p)}
+}
+
+// NewState returns the state of a freshly allocated block under the
+// classifier's policy.
+func (c *Classifier) NewState() State {
+	return State{
 		Count:           Uncached,
-		Migratory:       p.Adaptive && p.InitialMigratory,
+		Migratory:       c.policy.Adaptive && c.policy.InitialMigratory,
 		LastInvalidator: memory.NoNode,
-		table:           tableFor(p),
 	}
 }
 
@@ -109,33 +122,33 @@ func (c *Classifier) Policy() Policy { return c.policy }
 // classifies it once Hysteresis successive events have been seen. The
 // counter saturates at the threshold: it models a one-or-two-bit hardware
 // field, and larger values carry no information.
-func (c *Classifier) record() {
+func (c *Classifier) record(s *State) {
 	if !c.policy.Adaptive {
 		return
 	}
 	changed := false
-	if c.Evidence < c.policy.Hysteresis {
-		c.Evidence++
+	if int(s.Evidence) < c.policy.Hysteresis {
+		s.Evidence++
 		changed = true
 	}
 	flipped := false
-	if c.Evidence >= c.policy.Hysteresis && !c.Migratory {
-		c.Migratory = true
+	if int(s.Evidence) >= c.policy.Hysteresis && !s.Migratory {
+		s.Migratory = true
 		changed, flipped = true, true
 	}
 	if changed && c.Observe != nil {
-		c.Observe(Change{Evidence: c.Evidence, Migratory: c.Migratory, Flipped: flipped})
+		c.Observe(Change{Evidence: int(s.Evidence), Migratory: s.Migratory, Flipped: flipped})
 	}
 }
 
 // declassify marks the block non-migratory and clears the evidence counter
 // (Figure 3 sets "one migration <- FALSE" whenever it declassifies or
 // replicates).
-func (c *Classifier) declassify() {
-	changed := c.Migratory || c.Evidence != 0
-	flipped := c.Migratory
-	c.Migratory = false
-	c.Evidence = 0
+func (c *Classifier) declassify(s *State) {
+	changed := s.Migratory || s.Evidence != 0
+	flipped := s.Migratory
+	s.Migratory = false
+	s.Evidence = 0
 	if changed && c.Observe != nil {
 		c.Observe(Change{Flipped: flipped})
 	}
@@ -143,13 +156,13 @@ func (c *Classifier) declassify() {
 
 // resetEvidence clears the evidence counter without touching the
 // classification, notifying the observer only on an actual change.
-func (c *Classifier) resetEvidence() {
-	if c.Evidence == 0 {
+func (c *Classifier) resetEvidence(s *State) {
+	if s.Evidence == 0 {
 		return
 	}
-	c.Evidence = 0
+	s.Evidence = 0
 	if c.Observe != nil {
-		c.Observe(Change{Migratory: c.Migratory})
+		c.Observe(Change{Migratory: s.Migratory})
 	}
 }
 
@@ -159,44 +172,44 @@ func (c *Classifier) resetEvidence() {
 // protocol should *migrate* the block (hand the requester an exclusive,
 // writable copy, invalidating any existing copy in the same transaction)
 // and false when it should *replicate* (hand out a read-only copy).
-func (c *Classifier) ReadMiss(dirty bool) (migrate bool) {
+func (c *Classifier) ReadMiss(s *State, dirty bool) (migrate bool) {
 	if t := c.table; t != nil {
 		ev := evReadMissClean
 		if dirty {
 			ev = evReadMissDirty
 		}
-		return c.apply(t.lookup(c.stateIndex(), ev))
+		return c.apply(s, t.lookup(s.index(), ev))
 	}
-	return c.readMissRef(dirty)
+	return c.readMissRef(s, dirty)
 }
 
 // readMissRef is the reference switch implementation of ReadMiss, kept as
 // the source of truth the transition table is built from and verified
 // against.
-func (c *Classifier) readMissRef(dirty bool) (migrate bool) {
-	switch c.Count {
+func (c *Classifier) readMissRef(s *State, dirty bool) (migrate bool) {
+	switch s.Count {
 	case Uncached:
-		c.Count = OneCopy
+		s.Count = OneCopy
 	case OneCopy:
-		if c.Migratory {
+		if s.Migratory {
 			if !dirty {
 				// The block moved without being modified: evidence that it
 				// is not currently migratory.
-				c.Count = TwoCopies
-				c.declassify()
+				s.Count = TwoCopies
+				c.declassify(s)
 			}
 			// Otherwise the block stays ONE COPY/MIGRATORY: the old copy is
 			// invalidated as part of the migration, so exactly one copy
 			// continues to exist.
 		} else {
-			c.Count = TwoCopies
+			s.Count = TwoCopies
 		}
 	case TwoCopies:
-		c.Count = ThreeOrMore
+		s.Count = ThreeOrMore
 	case ThreeOrMore:
 		// null statement
 	}
-	if c.Count == OneCopy && c.Migratory {
+	if s.Count == OneCopy && s.Migratory {
 		return true
 	}
 	// Figure 3 clears "one migration" when replicating. Taken literally on
@@ -207,8 +220,8 @@ func (c *Classifier) readMissRef(dirty bool) (migrate bool) {
 	// and each such migration is a read miss followed by an invalidation).
 	// We therefore clear the evidence only when replication demonstrates
 	// read-sharing — the copy that was just created is at least the third.
-	if c.Count == ThreeOrMore {
-		c.resetEvidence()
+	if s.Count == ThreeOrMore {
+		c.resetEvidence(s)
 	}
 	return false
 }
@@ -218,10 +231,10 @@ func (c *Classifier) readMissRef(dirty bool) (migrate bool) {
 // miss invalidating one or more copies"; a write miss to an uncached block
 // skips the classification tests). dirty is as for ReadMiss. After a write
 // miss the requester always holds the sole, writable copy.
-func (c *Classifier) WriteMiss(requester memory.NodeID, hadCopies bool, dirty bool) {
+func (c *Classifier) WriteMiss(s *State, requester memory.NodeID, hadCopies bool, dirty bool) {
 	if t := c.table; t != nil {
 		bits := 0
-		if c.LastInvalidator != memory.NoNode && c.LastInvalidator != requester {
+		if s.LastInvalidator != memory.NoNode && s.LastInvalidator != requester {
 			bits |= 1
 		}
 		if dirty {
@@ -230,36 +243,36 @@ func (c *Classifier) WriteMiss(requester memory.NodeID, hadCopies bool, dirty bo
 		if hadCopies {
 			bits |= 4
 		}
-		c.apply(t.lookup(c.stateIndex(), evWriteMiss+bits))
-		c.LastInvalidator = requester
+		c.apply(s, t.lookup(s.index(), evWriteMiss+bits))
+		s.LastInvalidator = requester
 		return
 	}
-	c.writeMissRef(requester, hadCopies, dirty)
+	c.writeMissRef(s, requester, hadCopies, dirty)
 }
 
 // writeMissRef is the reference switch implementation of WriteMiss.
-func (c *Classifier) writeMissRef(requester memory.NodeID, hadCopies bool, dirty bool) {
+func (c *Classifier) writeMissRef(s *State, requester memory.NodeID, hadCopies bool, dirty bool) {
 	switch {
 	case !hadCopies:
 		// Uncached: no evidence either way; the classification (including
 		// an initial or retained "migratory") carries over.
-		c.Count = OneCopy
-	case c.Count == OneCopy && c.Migratory:
+		s.Count = OneCopy
+	case s.Count == OneCopy && s.Migratory:
 		if !dirty || c.policy.DeclassifyOnWriteMiss {
-			c.declassify()
+			c.declassify(s)
 		}
-		c.Count = OneCopy
-	case c.LastInvalidator != memory.NoNode && c.LastInvalidator != requester && c.Count == OneCopy:
-		c.record()
-		c.Count = OneCopy
+		s.Count = OneCopy
+	case s.LastInvalidator != memory.NoNode && s.LastInvalidator != requester && s.Count == OneCopy:
+		c.record(s)
+		s.Count = OneCopy
 	default:
 		// Figure 3's bare "else state <- ONE COPY". Note that, verbatim,
 		// this branch does not clear the evidence counter; we follow the
 		// pseudo-code exactly (the write-hit handler's else branch does
 		// clear it).
-		c.Count = OneCopy
+		s.Count = OneCopy
 	}
-	c.LastInvalidator = requester
+	s.LastInvalidator = requester
 }
 
 // WriteHit applies Figure 3's two write-hit handlers. invalidatedOthers
@@ -268,32 +281,32 @@ func (c *Classifier) writeMissRef(requester memory.NodeID, hadCopies bool, dirty
 // write hit on a block of which the requester holds the only cached copy
 // ("write hit on a clean, exclusively-held block"). After the call the
 // requester holds the sole, writable copy.
-func (c *Classifier) WriteHit(requester memory.NodeID, invalidatedOthers bool) {
+func (c *Classifier) WriteHit(s *State, requester memory.NodeID, invalidatedOthers bool) {
 	if t := c.table; t != nil {
 		bits := 0
-		if c.LastInvalidator != memory.NoNode && c.LastInvalidator != requester {
+		if s.LastInvalidator != memory.NoNode && s.LastInvalidator != requester {
 			bits |= 1
 		}
 		if invalidatedOthers {
 			bits |= 2
 		}
-		c.apply(t.lookup(c.stateIndex(), evWriteHit+bits))
-		c.LastInvalidator = requester
+		c.apply(s, t.lookup(s.index(), evWriteHit+bits))
+		s.LastInvalidator = requester
 		return
 	}
-	c.writeHitRef(requester, invalidatedOthers)
+	c.writeHitRef(s, requester, invalidatedOthers)
 }
 
 // writeHitRef is the reference switch implementation of WriteHit.
-func (c *Classifier) writeHitRef(requester memory.NodeID, invalidatedOthers bool) {
+func (c *Classifier) writeHitRef(s *State, requester memory.NodeID, invalidatedOthers bool) {
 	if invalidatedOthers {
-		if c.LastInvalidator != memory.NoNode && c.LastInvalidator != requester && c.Count == TwoCopies {
-			c.record()
+		if s.LastInvalidator != memory.NoNode && s.LastInvalidator != requester && s.Count == TwoCopies {
+			c.record(s)
 		} else {
-			c.declassify()
+			c.declassify(s)
 		}
-		c.Count = OneCopy
-		c.LastInvalidator = requester
+		s.Count = OneCopy
+		s.LastInvalidator = requester
 		return
 	}
 	// Clean, exclusively-held upgrade. This handler fires only for blocks
@@ -302,61 +315,61 @@ func (c *Classifier) writeHitRef(requester memory.NodeID, invalidatedOthers bool
 	// Count == OneCopy and a different last invalidator means the block
 	// migrated through memory: evidence of migratory behaviour spanning an
 	// uncached interval (§2.2).
-	if c.LastInvalidator != memory.NoNode && c.LastInvalidator != requester && c.Count == OneCopy {
-		c.record()
-	} else if c.Count != OneCopy {
+	if s.LastInvalidator != memory.NoNode && s.LastInvalidator != requester && s.Count == OneCopy {
+		c.record(s)
+	} else if s.Count != OneCopy {
 		// Completion of the pseudo-code for a case it leaves implicit: the
 		// copies-created count exceeded one (silent drops shrank the copy
 		// set) but the requester now holds the block exclusively dirty.
-		c.Count = OneCopy
-		c.declassify()
+		s.Count = OneCopy
+		c.declassify(s)
 	}
-	c.LastInvalidator = requester
+	s.LastInvalidator = requester
 }
 
 // BecameUncached records that the last cached copy of the block was dropped
 // or written back. Policies that retain classification keep everything but
 // the copy count; otherwise the entry resets as if never seen.
-func (c *Classifier) BecameUncached() {
+func (c *Classifier) BecameUncached(s *State) {
 	if t := c.table; t != nil {
-		e := t.lookup(c.stateIndex(), evBecameUncached)
-		c.apply(e)
+		e := t.lookup(s.index(), evBecameUncached)
+		c.apply(s, e)
 		if e.flags&flagClearLast != 0 {
-			c.LastInvalidator = memory.NoNode
+			s.LastInvalidator = memory.NoNode
 		}
 		return
 	}
-	c.becameUncachedRef()
+	c.becameUncachedRef(s)
 }
 
 // becameUncachedRef is the reference switch implementation of BecameUncached.
-func (c *Classifier) becameUncachedRef() {
-	c.Count = Uncached
+func (c *Classifier) becameUncachedRef(s *State) {
+	s.Count = Uncached
 	if !c.policy.RetainWhenUncached {
 		initial := c.policy.Adaptive && c.policy.InitialMigratory
-		flipped := c.Migratory != initial
-		changed := flipped || c.Evidence != 0
-		c.Migratory = initial
-		c.Evidence = 0
-		c.LastInvalidator = memory.NoNode
+		flipped := s.Migratory != initial
+		changed := flipped || s.Evidence != 0
+		s.Migratory = initial
+		s.Evidence = 0
+		s.LastInvalidator = memory.NoNode
 		if changed && c.Observe != nil {
-			c.Observe(Change{Migratory: c.Migratory, Flipped: flipped})
+			c.Observe(Change{Migratory: s.Migratory, Flipped: flipped})
 		}
 	}
 }
 
 // String renders the entry in Figure 3's notation, e.g.
 // "ONE COPY/MIGRATORY last=3 evidence=1".
-func (c *Classifier) String() string {
-	s := c.Count.String()
-	if c.Migratory {
-		s += "/MIGRATORY"
+func (s State) String() string {
+	out := s.Count.String()
+	if s.Migratory {
+		out += "/MIGRATORY"
 	}
-	if c.LastInvalidator != memory.NoNode {
-		s += fmt.Sprintf(" last=%d", c.LastInvalidator)
+	if s.LastInvalidator != memory.NoNode {
+		out += fmt.Sprintf(" last=%d", s.LastInvalidator)
 	}
-	if c.Evidence > 0 {
-		s += fmt.Sprintf(" evidence=%d", c.Evidence)
+	if s.Evidence > 0 {
+		out += fmt.Sprintf(" evidence=%d", s.Evidence)
 	}
-	return s
+	return out
 }

@@ -7,9 +7,30 @@ import (
 	"migratory/internal/memory"
 )
 
+// block pairs a classifier with one block's state, so the Figure 3
+// scenarios below read as the sequence of directory events they model.
+type block struct {
+	State
+	c Classifier
+}
+
+func newBlock(p Policy) *block {
+	c := NewClassifier(p)
+	return &block{State: c.NewState(), c: c}
+}
+
+func (b *block) ReadMiss(dirty bool) bool { return b.c.ReadMiss(&b.State, dirty) }
+func (b *block) WriteMiss(n memory.NodeID, hadCopies, dirty bool) {
+	b.c.WriteMiss(&b.State, n, hadCopies, dirty)
+}
+func (b *block) WriteHit(n memory.NodeID, invalidatedOthers bool) {
+	b.c.WriteHit(&b.State, n, invalidatedOthers)
+}
+func (b *block) BecameUncached() { b.c.BecameUncached(&b.State) }
+
 func TestNewClassifierInitialState(t *testing.T) {
 	for _, p := range Policies() {
-		c := NewClassifier(p)
+		c := newBlock(p)
 		if c.Count != Uncached {
 			t.Errorf("%s: initial count %v", p.Name, c.Count)
 		}
@@ -35,7 +56,7 @@ func TestNewClassifierPanicsOnInvalidPolicy(t *testing.T) {
 // read-miss switch.
 func TestFigure3ReadMissStateTransitions(t *testing.T) {
 	t.Run("UNCACHED to ONE COPY", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		if mig := c.ReadMiss(false); mig {
 			t.Fatal("non-migratory uncached block migrated")
 		}
@@ -44,7 +65,7 @@ func TestFigure3ReadMissStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("UNCACHED/MIGRATORY to ONE COPY/MIGRATORY migrates", func(t *testing.T) {
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		if mig := c.ReadMiss(false); !mig {
 			t.Fatal("aggressive first read did not migrate")
 		}
@@ -53,7 +74,7 @@ func TestFigure3ReadMissStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("ONE COPY to TWO COPIES", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.ReadMiss(false)
 		if mig := c.ReadMiss(true); mig {
 			t.Fatal("replicate policy migrated")
@@ -63,7 +84,7 @@ func TestFigure3ReadMissStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("ONE COPY/MIGRATORY dirty migrates and stays", func(t *testing.T) {
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		c.ReadMiss(false) // -> ONE COPY/MIGRATORY
 		if mig := c.ReadMiss(true); !mig {
 			t.Fatal("dirty migratory block did not migrate")
@@ -73,7 +94,7 @@ func TestFigure3ReadMissStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("ONE COPY/MIGRATORY clean declassifies and replicates", func(t *testing.T) {
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		c.ReadMiss(false)
 		if mig := c.ReadMiss(false); mig {
 			t.Fatal("clean migratory block migrated")
@@ -86,7 +107,7 @@ func TestFigure3ReadMissStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("TWO COPIES to THREE OR MORE and saturate", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		for i := 0; i < 5; i++ {
 			if mig := c.ReadMiss(false); mig {
 				t.Fatal("replicating block migrated")
@@ -103,7 +124,7 @@ func TestFigure3ReadMissStateTransitions(t *testing.T) {
 // conservative needs the pattern twice.
 func TestFigure3WriteHitTwoCopies(t *testing.T) {
 	t.Run("basic classifies after one event", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.WriteMiss(1, false, false) // Pi writes: ONE COPY, last=1
 		c.ReadMiss(true)             // Pj reads dirty block: TWO COPIES
 		c.WriteHit(2, true)          // Pj invalidates Pi's copy
@@ -115,7 +136,7 @@ func TestFigure3WriteHitTwoCopies(t *testing.T) {
 		}
 	})
 	t.Run("conservative needs two events", func(t *testing.T) {
-		c := NewClassifier(Conservative)
+		c := newBlock(Conservative)
 		c.WriteMiss(1, false, false)
 		c.ReadMiss(true)
 		c.WriteHit(2, true)
@@ -133,7 +154,7 @@ func TestFigure3WriteHitTwoCopies(t *testing.T) {
 		}
 	})
 	t.Run("same invalidator is not evidence", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.WriteMiss(1, false, false)
 		c.ReadMiss(true)    // node 2 reads -> TWO COPIES
 		c.WriteHit(1, true) // node 1 writes again, invalidating node 2
@@ -145,7 +166,7 @@ func TestFigure3WriteHitTwoCopies(t *testing.T) {
 		}
 	})
 	t.Run("three copies is not evidence", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.WriteMiss(1, false, false)
 		c.ReadMiss(true)  // 2 copies
 		c.ReadMiss(false) // 3 copies
@@ -162,14 +183,14 @@ func TestFigure3WriteHitTwoCopies(t *testing.T) {
 // TestFigure3WriteMiss covers the write-miss handler branches.
 func TestFigure3WriteMiss(t *testing.T) {
 	t.Run("uncached write miss keeps retained classification", func(t *testing.T) {
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		c.WriteMiss(4, false, false)
 		if c.Count != OneCopy || !c.Migratory || c.LastInvalidator != 4 {
 			t.Fatalf("state = %v", c.String())
 		}
 	})
 	t.Run("write miss on single copy by new node is evidence", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.WriteMiss(1, false, false) // ONE COPY, last=1
 		c.WriteMiss(2, true, true)   // node 2 write-misses, invalidating node 1
 		if !c.Migratory || c.Count != OneCopy || c.LastInvalidator != 2 {
@@ -177,7 +198,7 @@ func TestFigure3WriteMiss(t *testing.T) {
 		}
 	})
 	t.Run("write miss by last invalidator is not evidence", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.WriteMiss(1, false, false)
 		// Node 1's copy is evicted elsewhere; node 1 write-misses again
 		// while some other copy exists. Same invalidator: no evidence.
@@ -187,7 +208,7 @@ func TestFigure3WriteMiss(t *testing.T) {
 		}
 	})
 	t.Run("write miss on clean migratory block declassifies", func(t *testing.T) {
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		c.ReadMiss(false) // ONE COPY/MIGRATORY, clean
 		c.WriteMiss(2, true, false)
 		if c.Migratory || c.Count != OneCopy {
@@ -195,7 +216,7 @@ func TestFigure3WriteMiss(t *testing.T) {
 		}
 	})
 	t.Run("write miss on dirty migratory block stays migratory", func(t *testing.T) {
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		c.ReadMiss(false)
 		c.WriteMiss(2, true, true)
 		if !c.Migratory || c.Count != OneCopy {
@@ -203,7 +224,7 @@ func TestFigure3WriteMiss(t *testing.T) {
 		}
 	})
 	t.Run("write miss with multiple copies resets to one copy", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.ReadMiss(false)
 		c.ReadMiss(false)
 		c.ReadMiss(false) // THREE OR MORE
@@ -219,7 +240,7 @@ func TestFigure3WriteMiss(t *testing.T) {
 // detection the paper highlights for small caches.
 func TestFigure3WriteHitExclusive(t *testing.T) {
 	t.Run("migratory pattern spanning uncached interval", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		// Node 1 reads and writes; block then leaves all caches; node 2
 		// reads it back and writes. The directory sees: read miss, upgrade
 		// by 1, uncached, read miss, upgrade by 2.
@@ -236,7 +257,7 @@ func TestFigure3WriteHitExclusive(t *testing.T) {
 		}
 	})
 	t.Run("same node upgrading repeatedly is not evidence", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.ReadMiss(false)
 		c.WriteHit(1, false)
 		c.BecameUncached()
@@ -247,7 +268,7 @@ func TestFigure3WriteHitExclusive(t *testing.T) {
 		}
 	})
 	t.Run("upgrade after silent drops resets count", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.ReadMiss(false)
 		c.ReadMiss(false)
 		c.ReadMiss(false) // THREE OR MORE created
@@ -263,7 +284,7 @@ func TestFigure3WriteHitExclusive(t *testing.T) {
 }
 
 func TestConventionalNeverClassifies(t *testing.T) {
-	c := NewClassifier(Conventional)
+	c := newBlock(Conventional)
 	// Run a strongly migratory sequence: the conventional protocol must
 	// never migrate.
 	for n := memory.NodeID(0); n < 10; n++ {
@@ -278,14 +299,14 @@ func TestConventionalNeverClassifies(t *testing.T) {
 }
 
 func TestRetentionAcrossUncachedIntervals(t *testing.T) {
-	classify := func(c *Classifier) {
+	classify := func(c *block) {
 		c.WriteMiss(1, false, false)
 		c.ReadMiss(true)
 		c.WriteHit(2, true)
 	}
 	t.Run("retaining policy keeps classification", func(t *testing.T) {
-		c := NewClassifier(Basic)
-		classify(&c)
+		c := newBlock(Basic)
+		classify(c)
 		if !c.Migratory {
 			t.Fatal("setup failed")
 		}
@@ -300,8 +321,8 @@ func TestRetentionAcrossUncachedIntervals(t *testing.T) {
 	})
 	t.Run("non-retaining ablation forgets", func(t *testing.T) {
 		p := Policy{Name: "basic-forgetful", Adaptive: true, Hysteresis: 1}
-		c := NewClassifier(p)
-		classify(&c)
+		c := newBlock(p)
+		classify(c)
 		if !c.Migratory {
 			t.Fatal("setup failed")
 		}
@@ -312,7 +333,7 @@ func TestRetentionAcrossUncachedIntervals(t *testing.T) {
 	})
 	t.Run("non-retaining aggressive resets to migratory", func(t *testing.T) {
 		p := Policy{Name: "aggressive-forgetful", Adaptive: true, Hysteresis: 1, InitialMigratory: true}
-		c := NewClassifier(p)
+		c := newBlock(p)
 		c.ReadMiss(false)
 		c.ReadMiss(false) // declassified
 		if c.Migratory {
@@ -326,7 +347,7 @@ func TestRetentionAcrossUncachedIntervals(t *testing.T) {
 }
 
 func TestConservativeHysteresisResetByReplication(t *testing.T) {
-	c := NewClassifier(Conservative)
+	c := newBlock(Conservative)
 	c.WriteMiss(1, false, false)
 	c.ReadMiss(true)
 	c.WriteHit(2, true) // evidence 1
@@ -345,7 +366,7 @@ func TestConservativeHysteresisResetByReplication(t *testing.T) {
 func TestMigratorySteadyStateNeverTalksToDirectoryOnWrite(t *testing.T) {
 	// Once migratory, the cycle is pure read-miss migrations: each ReadMiss
 	// with dirty=true returns migrate and the classification is stable.
-	c := NewClassifier(Basic)
+	c := newBlock(Basic)
 	c.WriteMiss(1, false, false)
 	c.ReadMiss(true)
 	c.WriteHit(2, true)
@@ -361,7 +382,7 @@ func TestMigratorySteadyStateNeverTalksToDirectoryOnWrite(t *testing.T) {
 
 func TestHysteresisDepthThree(t *testing.T) {
 	p := Policy{Name: "hyst3", Adaptive: true, Hysteresis: 3, RetainWhenUncached: true}
-	c := NewClassifier(p)
+	c := newBlock(p)
 	c.WriteMiss(0, false, false)
 	for i := 1; i <= 3; i++ {
 		c.ReadMiss(true)
@@ -389,7 +410,7 @@ func TestCopyCountString(t *testing.T) {
 }
 
 func TestClassifierString(t *testing.T) {
-	c := NewClassifier(Conservative)
+	c := newBlock(Conservative)
 	c.WriteMiss(1, false, false)
 	c.ReadMiss(true)
 	c.WriteHit(3, true)
@@ -399,7 +420,7 @@ func TestClassifierString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
 	}
-	m := NewClassifier(Aggressive)
+	m := newBlock(Aggressive)
 	if got := m.String(); !strings.Contains(got, "UNCACHED/MIGRATORY") {
 		t.Errorf("aggressive initial String() = %q", got)
 	}

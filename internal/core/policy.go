@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrUnknownPolicy is wrapped by PolicyByName when no protocol matches, so
@@ -94,6 +95,10 @@ func PolicyByName(name string) (Policy, error) {
 	return Policy{}, fmt.Errorf("%w: %q", ErrUnknownPolicy, name)
 }
 
+// maxHysteresis is the largest hysteresis a policy may set: the largest
+// value State.Evidence holds.
+const maxHysteresis = math.MaxUint16
+
 // Validate checks policy parameters.
 func (p Policy) Validate() error {
 	if p.Name == "" {
@@ -107,6 +112,9 @@ func (p Policy) Validate() error {
 	}
 	if p.Hysteresis < 1 {
 		return fmt.Errorf("core: policy %q: hysteresis %d must be >= 1", p.Name, p.Hysteresis)
+	}
+	if p.Hysteresis > maxHysteresis {
+		return fmt.Errorf("core: policy %q: hysteresis %d must be <= %d", p.Name, p.Hysteresis, maxHysteresis)
 	}
 	return nil
 }

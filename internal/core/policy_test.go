@@ -59,6 +59,7 @@ func TestPolicyValidateRejections(t *testing.T) {
 		{Name: "x", Adaptive: true},         // hysteresis 0
 		{Name: "x", InitialMigratory: true}, // non-adaptive migratory
 		{Name: "x", Adaptive: true, Hysteresis: -1},
+		{Name: "x", Adaptive: true, Hysteresis: maxHysteresis + 1}, // overflows State.Evidence
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {

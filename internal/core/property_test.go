@@ -13,7 +13,7 @@ import (
 // BecameUncached when the copy count reaches zero, etc. — here we are
 // stricter and allow any order, since the classifier must tolerate every
 // sequence the engine can produce and then some).
-func applyRandomEvent(c *Classifier, rng *rand.Rand) {
+func applyRandomEvent(c *block, rng *rand.Rand) {
 	n := memory.NodeID(rng.Intn(8))
 	switch rng.Intn(5) {
 	case 0:
@@ -29,15 +29,15 @@ func applyRandomEvent(c *Classifier, rng *rand.Rand) {
 	}
 }
 
-func validState(c *Classifier) bool {
+func validState(c *block) bool {
 	if c.Count > ThreeOrMore {
 		return false
 	}
-	if c.Evidence < 0 {
+	if int(c.Evidence) > c.c.Policy().Hysteresis {
 		return false
 	}
 	// A non-adaptive policy must never classify.
-	if !c.Policy().Adaptive && c.Migratory {
+	if !c.c.Policy().Adaptive && c.Migratory {
 		return false
 	}
 	// Migratory blocks are only meaningful with at most one copy created:
@@ -59,10 +59,10 @@ func TestClassifierStateSpaceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, p := range policies {
-			c := NewClassifier(p)
+			c := newBlock(p)
 			for i := 0; i < 400; i++ {
-				applyRandomEvent(&c, rng)
-				if !validState(&c) {
+				applyRandomEvent(c, rng)
+				if !validState(c) {
 					t.Logf("policy %s invalid after %d events: %v", p.Name, i, c.String())
 					return false
 				}
@@ -80,14 +80,14 @@ func TestClassifierStateSpaceProperty(t *testing.T) {
 func TestClassifierMigrateImpliesSingleCopyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewClassifier(Aggressive)
+		c := newBlock(Aggressive)
 		for i := 0; i < 400; i++ {
 			if rng.Intn(3) == 0 {
 				if c.ReadMiss(rng.Intn(2) == 0) && (c.Count != OneCopy || !c.Migratory) {
 					return false
 				}
 			} else {
-				applyRandomEvent(&c, rng)
+				applyRandomEvent(c, rng)
 			}
 		}
 		return true
@@ -102,14 +102,14 @@ func TestClassifierMigrateImpliesSingleCopyProperty(t *testing.T) {
 func TestConventionalNeverMigratesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewClassifier(Conventional)
+		c := newBlock(Conventional)
 		for i := 0; i < 300; i++ {
 			if rng.Intn(3) == 0 {
 				if c.ReadMiss(rng.Intn(2) == 0) {
 					return false
 				}
 			} else {
-				applyRandomEvent(&c, rng)
+				applyRandomEvent(c, rng)
 			}
 		}
 		return true
@@ -122,8 +122,8 @@ func TestConventionalNeverMigratesProperty(t *testing.T) {
 // TestStenstromClassifierBranches covers the DeclassifyOnWriteMiss axis at
 // the classifier level.
 func TestStenstromClassifierBranches(t *testing.T) {
-	mk := func() Classifier {
-		c := NewClassifier(Stenstrom)
+	mk := func() *block {
+		c := newBlock(Stenstrom)
 		c.WriteMiss(1, false, false)
 		c.ReadMiss(true)
 		c.WriteHit(2, true) // classified (basic rule)
@@ -146,7 +146,7 @@ func TestStenstromClassifierBranches(t *testing.T) {
 		}
 	})
 	t.Run("basic keeps classification on the same event", func(t *testing.T) {
-		c := NewClassifier(Basic)
+		c := newBlock(Basic)
 		c.WriteMiss(1, false, false)
 		c.ReadMiss(true)
 		c.WriteHit(2, true)

@@ -69,24 +69,24 @@ func (t *transitionTable) lookup(state, event int) tableEntry {
 	return t.entries[state*numEvents+event]
 }
 
-// stateIndex packs the classifier's tabulated state. The exported fields
-// remain the canonical representation; the index is recomputed per event,
-// which keeps external field writes (tests, zero values) coherent.
-func (c *Classifier) stateIndex() int {
-	i := int(c.Evidence)<<3 | int(c.Count)<<1
-	if c.Migratory {
+// index packs the state's tabulated part. The exported fields remain the
+// canonical representation; the index is recomputed per event, which keeps
+// external field writes (tests, zero values) coherent.
+func (s *State) index() int {
+	i := int(s.Evidence)<<3 | int(s.Count)<<1
+	if s.Migratory {
 		i |= 1
 	}
 	return i
 }
 
-// apply installs a transition's successor state and fires the Observe
-// notification the reference implementation would have fired. It returns
-// the migrate decision for ReadMiss's benefit.
-func (c *Classifier) apply(e tableEntry) bool {
-	c.Count = e.count
-	c.Migratory = e.mig
-	c.Evidence = int(e.evidence)
+// apply installs a transition's successor state into s and fires the
+// Observe notification the reference implementation would have fired. It
+// returns the migrate decision for ReadMiss's benefit.
+func (c *Classifier) apply(s *State, e tableEntry) bool {
+	s.Count = e.count
+	s.Migratory = e.mig
+	s.Evidence = uint16(e.evidence)
 	if e.flags&flagNotify != 0 && c.Observe != nil {
 		c.Observe(Change{Evidence: int(e.evidence), Migratory: e.mig, Flipped: e.flags&flagFlipped != 0})
 	}
@@ -94,10 +94,10 @@ func (c *Classifier) apply(e tableEntry) bool {
 }
 
 // maxTableHysteresis bounds the table size (the state space grows linearly
-// with the hysteresis threshold). Policies beyond it — far past anything a
-// one-or-two-bit hardware counter models — fall back to the reference
-// switches.
-const maxTableHysteresis = 256
+// with the hysteresis threshold) and is the largest evidence a tableEntry's
+// byte holds. Policies beyond it — far past anything a one-or-two-bit
+// hardware counter models — fall back to the reference switches.
+const maxTableHysteresis = 255
 
 // policyShape is the behavior-relevant projection of a Policy: two policies
 // differing only in Name share a table.
@@ -156,8 +156,8 @@ func buildTable(p Policy) *transitionTable {
 	for evidence := 0; evidence <= h; evidence++ {
 		for count := Uncached; count <= ThreeOrMore; count++ {
 			for _, mig := range [2]bool{false, true} {
-				c := Classifier{policy: p, Count: count, Migratory: mig, Evidence: evidence}
-				si := c.stateIndex()
+				st := State{Count: count, Migratory: mig, Evidence: uint16(evidence)}
+				si := st.index()
 				for event := 0; event < numEvents; event++ {
 					t.entries[si*numEvents+event] = buildEntry(p, count, mig, evidence, event)
 				}
@@ -172,7 +172,8 @@ func buildTable(p Policy) *transitionTable {
 func buildEntry(p Policy, count CopyCount, mig bool, evidence, event int) tableEntry {
 	const requester = memory.NodeID(0)
 	const other = memory.NodeID(1)
-	c := Classifier{policy: p, Count: count, Migratory: mig, Evidence: evidence, LastInvalidator: memory.NoNode}
+	c := Classifier{policy: p}
+	s := State{Count: count, Migratory: mig, Evidence: uint16(evidence), LastInvalidator: memory.NoNode}
 	var notified bool
 	var change Change
 	c.Observe = func(ch Change) {
@@ -185,25 +186,25 @@ func buildEntry(p Policy, count CopyCount, mig bool, evidence, event int) tableE
 	var flags uint8
 	switch {
 	case event == evReadMissClean || event == evReadMissDirty:
-		if c.readMissRef(event == evReadMissDirty) {
+		if c.readMissRef(&s, event == evReadMissDirty) {
 			flags |= flagMigrate
 		}
 	case event >= evWriteMiss && event < evWriteMiss+8:
 		bits := event - evWriteMiss
 		if bits&1 != 0 {
-			c.LastInvalidator = other
+			s.LastInvalidator = other
 		}
-		c.writeMissRef(requester, bits&4 != 0, bits&2 != 0)
+		c.writeMissRef(&s, requester, bits&4 != 0, bits&2 != 0)
 	case event >= evWriteHit && event < evWriteHit+4:
 		bits := event - evWriteHit
 		if bits&1 != 0 {
-			c.LastInvalidator = other
+			s.LastInvalidator = other
 		}
-		c.writeHitRef(requester, bits&2 != 0)
+		c.writeHitRef(&s, requester, bits&2 != 0)
 	case event == evBecameUncached:
-		c.LastInvalidator = other
-		c.becameUncachedRef()
-		if c.LastInvalidator == memory.NoNode {
+		s.LastInvalidator = other
+		c.becameUncachedRef(&s)
+		if s.LastInvalidator == memory.NoNode {
 			flags |= flagClearLast
 		}
 	default:
@@ -213,16 +214,16 @@ func buildEntry(p Policy, count CopyCount, mig bool, evidence, event int) tableE
 		// The reference handlers always notify with the post-transition
 		// (Evidence, Migratory) pair; apply() reconstructs the Change from
 		// the entry on that invariant, so enforce it at build time.
-		if change.Evidence != c.Evidence || change.Migratory != c.Migratory {
-			panic(fmt.Sprintf("core: notification %+v disagrees with state %s", change, c.String()))
+		if change.Evidence != int(s.Evidence) || change.Migratory != s.Migratory {
+			panic(fmt.Sprintf("core: notification %+v disagrees with state %s", change, s.String()))
 		}
 		flags |= flagNotify
 		if change.Flipped {
 			flags |= flagFlipped
 		}
 	}
-	if c.Evidence < 0 || c.Evidence > 255 {
-		panic(fmt.Sprintf("core: evidence %d out of table range", c.Evidence))
+	if s.Evidence > 255 {
+		panic(fmt.Sprintf("core: evidence %d out of table range", s.Evidence))
 	}
-	return tableEntry{count: c.Count, mig: c.Migratory, evidence: uint8(c.Evidence), flags: flags}
+	return tableEntry{count: s.Count, mig: s.Migratory, evidence: uint8(s.Evidence), flags: flags}
 }

@@ -26,8 +26,8 @@ func tablePolicies() []Policy {
 type tableEvent struct {
 	name string
 	last memory.NodeID // pre-set LastInvalidator
-	call func(c *Classifier)
-	ref  func(c *Classifier)
+	call func(c *Classifier, s *State)
+	ref  func(c *Classifier, s *State)
 }
 
 func tableEvents() []tableEvent {
@@ -39,8 +39,8 @@ func tableEvents() []tableEvent {
 		evs = append(evs, tableEvent{
 			name: fmt.Sprintf("ReadMiss(dirty=%v)", dirty),
 			last: memory.NoNode,
-			call: func(c *Classifier) { c.ReadMiss(dirty) },
-			ref:  func(c *Classifier) { c.readMissRef(dirty) },
+			call: func(c *Classifier, s *State) { c.ReadMiss(s, dirty) },
+			ref:  func(c *Classifier, s *State) { c.readMissRef(s, dirty) },
 		})
 	}
 	for _, last := range lasts {
@@ -50,8 +50,8 @@ func tableEvents() []tableEvent {
 				evs = append(evs, tableEvent{
 					name: fmt.Sprintf("WriteMiss(last=%d,hadCopies=%v,dirty=%v)", last, hadCopies, dirty),
 					last: last,
-					call: func(c *Classifier) { c.WriteMiss(requester, hadCopies, dirty) },
-					ref:  func(c *Classifier) { c.writeMissRef(requester, hadCopies, dirty) },
+					call: func(c *Classifier, s *State) { c.WriteMiss(s, requester, hadCopies, dirty) },
+					ref:  func(c *Classifier, s *State) { c.writeMissRef(s, requester, hadCopies, dirty) },
 				})
 			}
 		}
@@ -60,8 +60,8 @@ func tableEvents() []tableEvent {
 			evs = append(evs, tableEvent{
 				name: fmt.Sprintf("WriteHit(last=%d,invalidatedOthers=%v)", last, inv),
 				last: last,
-				call: func(c *Classifier) { c.WriteHit(requester, inv) },
-				ref:  func(c *Classifier) { c.writeHitRef(requester, inv) },
+				call: func(c *Classifier, s *State) { c.WriteHit(s, requester, inv) },
+				ref:  func(c *Classifier, s *State) { c.writeHitRef(s, requester, inv) },
 			})
 		}
 	}
@@ -70,8 +70,8 @@ func tableEvents() []tableEvent {
 		evs = append(evs, tableEvent{
 			name: fmt.Sprintf("BecameUncached(last=%d)", last),
 			last: last,
-			call: func(c *Classifier) { c.BecameUncached() },
-			ref:  func(c *Classifier) { c.becameUncachedRef() },
+			call: func(c *Classifier, s *State) { c.BecameUncached(s) },
+			ref:  func(c *Classifier, s *State) { c.becameUncachedRef(s) },
 		})
 	}
 	return evs
@@ -93,17 +93,14 @@ func TestTableMatchesReference(t *testing.T) {
 				for count := Uncached; count <= ThreeOrMore; count++ {
 					for _, mig := range []bool{false, true} {
 						for _, ev := range tableEvents() {
-							got := Classifier{policy: p, table: tbl,
-								Count: count, Migratory: mig, Evidence: evidence, LastInvalidator: ev.last}
-							want := Classifier{policy: p,
-								Count: count, Migratory: mig, Evidence: evidence, LastInvalidator: ev.last}
+							start := State{Count: count, Migratory: mig, Evidence: uint16(evidence), LastInvalidator: ev.last}
+							got, want := start, start
 							var gotN, wantN []Change
-							got.Observe = func(ch Change) { gotN = append(gotN, ch) }
-							want.Observe = func(ch Change) { wantN = append(wantN, ch) }
-							ev.call(&got)
-							ev.ref(&want)
-							if got.Count != want.Count || got.Migratory != want.Migratory ||
-								got.Evidence != want.Evidence || got.LastInvalidator != want.LastInvalidator {
+							tc := Classifier{policy: p, table: tbl, Observe: func(ch Change) { gotN = append(gotN, ch) }}
+							rc := Classifier{policy: p, Observe: func(ch Change) { wantN = append(wantN, ch) }}
+							ev.call(&tc, &got)
+							ev.ref(&rc, &want)
+							if got != want {
 								t.Fatalf("%s from {count=%v mig=%v ev=%d}: table %s, reference %s",
 									ev.name, count, mig, evidence, got.String(), want.String())
 							}
@@ -119,13 +116,17 @@ func TestTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHugeHysteresisFallsBackToReference pins the table-size guard: a
-// hysteresis beyond maxTableHysteresis runs the reference switches and
-// still behaves.
+// TestHugeHysteresisFallsBackToReference pins the table-size guard: the
+// largest tabulated hysteresis builds its table, and one beyond it runs the
+// reference switches and still behaves.
 func TestHugeHysteresisFallsBackToReference(t *testing.T) {
+	top := Policy{Name: "top", Adaptive: true, Hysteresis: maxTableHysteresis, RetainWhenUncached: true}
+	if tableFor(top) == nil {
+		t.Fatalf("hysteresis %d should be tabulated", top.Hysteresis)
+	}
 	p := Policy{Name: "huge", Adaptive: true, Hysteresis: maxTableHysteresis + 1, RetainWhenUncached: true}
-	c := NewClassifier(p)
-	if c.table != nil {
+	c := newBlock(p)
+	if c.c.table != nil {
 		t.Fatalf("hysteresis %d should not be tabulated", p.Hysteresis)
 	}
 	c.ReadMiss(false)

@@ -57,7 +57,7 @@ type Config struct {
 	Placement placement.Policy
 	// CheckCoherence makes every access verify that the value observed is
 	// the most recently written version of the block. Enabled by tests;
-	// costs one map lookup per access.
+	// costs a few BlockMap lookups per access (cache.Versions).
 	CheckCoherence bool
 	// FreeDropNotifications treats the clean-replacement notifications to
 	// the home node as free. §3.3 discusses exactly this accounting choice
@@ -132,23 +132,40 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// entry is one block's directory entry: the adaptive classifier state plus
-// the copy set and owner tracking of the base protocol.
+// entry is one block's directory entry: the copy set and owner tracking of
+// the base protocol plus the adaptive classifier state. It is 16 bytes and
+// holds no pointers (TestEntryLayout), so the entry table costs what the
+// blocks it models need and the garbage collector never scans it.
 type entry struct {
-	cls    core.Classifier
 	copies memory.NodeSet
+	cls    core.State
 	// owner is the node holding a PermWrite line, or memory.NoNode.
 	owner memory.NodeID
-	// dirty mirrors the owner's Dirty flag. In hardware the directory
+	flags uint8
+}
+
+// Entry flags.
+const (
+	// flagDirty mirrors the owner's Dirty flag. In hardware the directory
 	// learns this when it next consults the owner; the simulator keeps it
 	// synchronized eagerly, which is equivalent at every observation point.
-	dirty bool
-	// everMigratory records whether the block was classified migratory at
-	// any point, for classifier-accuracy analysis.
-	everMigratory bool
-	// overflow is set when the copy set outgrew a limited directory's
+	flagDirty uint8 = 1 << iota
+	// flagEverMigratory records whether the block was classified migratory
+	// at any point, for classifier-accuracy analysis.
+	flagEverMigratory
+	// flagOverflow is set when the copy set outgrew a limited directory's
 	// pointers; invalidations must then be broadcast.
-	overflow bool
+	flagOverflow
+)
+
+func (e *entry) is(f uint8) bool { return e.flags&f != 0 }
+
+func (e *entry) set(f uint8, on bool) {
+	if on {
+		e.flags |= f
+	} else {
+		e.flags &^= f
+	}
 }
 
 // Counters tallies protocol activity beyond raw message counts.
@@ -214,7 +231,7 @@ type OpInfo struct {
 }
 
 // System is one simulated machine running one protocol over one trace.
-// Entries and versions live in chunked BlockMap arenas rather than Go maps:
+// Entries live in a chunked BlockMap arena rather than a Go map:
 // block lookups are the per-access hot path of every sweep, and the trace
 // generators produce dense block identifiers that index straight into a
 // slice chunk (sparse external traces fall back to a map transparently).
@@ -222,11 +239,16 @@ type System struct {
 	cfg     Config
 	caches  []*cache.Cache
 	entries memory.BlockMap[entry]
-	msgs    cost.Counter
-	n       Counters
-	// versions holds the globally latest write version of each block, for
-	// coherence checking; nil unless CheckCoherence is set.
-	versions *memory.BlockMap[uint64]
+	// cls runs the policy over the entries' classifier states. clsBlock is
+	// the block whose state it was last handed, which its Observe hook
+	// reports (set only when probing).
+	cls      core.Classifier
+	clsBlock memory.BlockID
+	msgs     cost.Counter
+	n        Counters
+	// versions models data values for coherence checking; nil unless
+	// CheckCoherence is set.
+	versions *cache.Versions
 	lastOp   OpInfo
 	// probe mirrors cfg.Probe; cur is the access being serviced and step
 	// its index in the global trace interleaving, for stamping emitted
@@ -287,6 +309,10 @@ func New(cfg Config) (*System, error) {
 		invalHist: make([]uint64, cfg.Nodes+1),
 		probe:     cfg.Probe,
 		stats:     cfg.Stats,
+		cls:       core.NewClassifier(cfg.Policy),
+	}
+	if s.probe != nil {
+		s.cls.Observe = func(ch core.Change) { s.emitClassifier(s.clsBlock, ch) }
 	}
 	for i := range s.caches {
 		s.caches[i] = cache.New(cache.Config{
@@ -298,7 +324,7 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 	if cfg.CheckCoherence {
-		s.versions = new(memory.BlockMap[uint64])
+		s.versions = cache.NewVersions(cfg.Nodes)
 	}
 	return s, nil
 }
@@ -306,14 +332,17 @@ func New(cfg Config) (*System, error) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
+// entryFor returns b's entry, creating it on first touch. Every classifier
+// call on an entry's state follows the entryFor of its block, so entryFor
+// is also where a probed run names the block the Observe hook reports.
 func (s *System) entryFor(b memory.BlockID) *entry {
 	e, created := s.entries.GetOrCreate(b)
 	if created {
-		e.cls = core.NewClassifier(s.cfg.Policy)
+		e.cls = s.cls.NewState()
 		e.owner = memory.NoNode
-		if s.probe != nil {
-			e.cls.Observe = func(ch core.Change) { s.emitClassifier(b, ch) }
-		}
+	}
+	if s.probe != nil {
+		s.clsBlock = b
 	}
 	return e
 }
@@ -463,7 +492,7 @@ func (s *System) dispatch(a trace.Access, b memory.BlockID, line *cache.Line) er
 			if s.probe != nil {
 				s.emit(obs.Event{Kind: obs.KindHit, Node: a.Node, Block: b})
 			}
-			return s.checkRead(b, line)
+			return s.checkRead(a.Node, b)
 		}
 		s.n.ReadMisses++
 		s.readMiss(a.Node, b)
@@ -481,9 +510,8 @@ func (s *System) dispatch(a trace.Access, b memory.BlockID, line *cache.Line) er
 			if s.probe != nil {
 				s.emit(obs.Event{Kind: obs.KindHit, Node: a.Node, Block: b})
 			}
-			s.write(b, line)
-			e := s.entryFor(b)
-			e.dirty = true
+			s.write(a.Node, b, line)
+			s.entryFor(b).set(flagDirty, true)
 			return nil
 		case PermRead:
 			s.n.WriteUpgrade++
@@ -514,7 +542,7 @@ func (s *System) readMiss(n memory.NodeID, b memory.BlockID) {
 	distant := e.copies.Without(n, home).Len()
 
 	wasMigratory := e.cls.Migratory
-	migrate := e.cls.ReadMiss(e.dirty)
+	migrate := s.cls.ReadMiss(&e.cls, e.is(flagDirty))
 	s.noteReclass(e, wasMigratory)
 
 	m := s.msgs.Charge(cost.ReadMiss, homeLocal, ownerHeld, distant)
@@ -540,11 +568,11 @@ func (s *System) readMiss(n memory.NodeID, b memory.BlockID) {
 		if s.probe != nil {
 			s.emit(obs.Event{Kind: obs.KindMigration, Node: n, Block: b, Migratory: true})
 		}
-		line := s.insert(n, b, PermWrite)
-		line.Version = s.version(b)
+		s.insert(n, b, PermWrite)
+		s.versions.Fill(n, b)
 		e.copies = e.copies.Add(n)
 		e.owner = n
-		e.dirty = false
+		e.set(flagDirty, false)
 		if s.probe != nil {
 			s.emit(obs.Event{Kind: obs.KindState, Node: n, Block: b, Old: "I", New: "W", Migratory: e.cls.Migratory})
 		}
@@ -562,16 +590,16 @@ func (s *System) readMiss(n memory.NodeID, b memory.BlockID) {
 			s.emit(obs.Event{Kind: obs.KindState, Node: e.owner, Block: b, Old: "W", New: "R"})
 		}
 		e.owner = memory.NoNode
-		e.dirty = false
+		e.set(flagDirty, false)
 	}
 	if s.probe != nil {
 		s.emit(obs.Event{Kind: obs.KindReplication, Node: n, Block: b, Migratory: e.cls.Migratory})
 	}
-	line := s.insert(n, b, PermRead)
-	line.Version = s.version(b)
+	s.insert(n, b, PermRead)
+	s.versions.Fill(n, b)
 	e.copies = e.copies.Add(n)
 	if s.cfg.DirPointers > 0 && e.copies.Len() > s.cfg.DirPointers {
-		e.overflow = true
+		e.set(flagOverflow, true)
 	}
 	if s.probe != nil {
 		s.emit(obs.Event{Kind: obs.KindState, Node: n, Block: b, Old: "I", New: "R", Migratory: e.cls.Migratory})
@@ -588,7 +616,7 @@ func (s *System) readWithOwnership(n memory.NodeID, b memory.BlockID) {
 	homeLocal := home == n
 	ownerHeld := e.owner != memory.NoNode
 	distant := e.copies.Without(n, home).Len()
-	if e.overflow {
+	if e.is(flagOverflow) {
 		distant = s.broadcastDistant(n, home)
 		s.n.Overflows++
 		if s.probe != nil {
@@ -598,7 +626,7 @@ func (s *System) readWithOwnership(n memory.NodeID, b memory.BlockID) {
 
 	// Keep the classifier's copy-count bookkeeping coherent even though
 	// its decisions are overridden.
-	e.cls.WriteMiss(n, !e.copies.Empty(), e.dirty)
+	s.cls.WriteMiss(&e.cls, n, !e.copies.Empty(), e.is(flagDirty))
 
 	msg := s.msgs.Charge(cost.WriteMiss, homeLocal, ownerHeld, distant)
 	s.lastOp = OpInfo{Op: cost.WriteMiss, HomeLocal: homeLocal, OwnerConsult: ownerHeld, Distant: distant, Migrated: true}
@@ -614,16 +642,16 @@ func (s *System) readWithOwnership(n memory.NodeID, b memory.BlockID) {
 		s.n.Invalidations++
 	})
 	e.copies = 0
-	e.overflow = false
+	e.set(flagOverflow, false)
 	s.n.Migrations++
 	if s.probe != nil {
 		s.emit(obs.Event{Kind: obs.KindMigration, Node: n, Block: b, Migratory: true})
 	}
-	line := s.insert(n, b, PermWrite)
-	line.Version = s.version(b)
+	s.insert(n, b, PermWrite)
+	s.versions.Fill(n, b)
 	e.copies = e.copies.Add(n)
 	e.owner = n
-	e.dirty = false
+	e.set(flagDirty, false)
 	if s.probe != nil {
 		s.emit(obs.Event{Kind: obs.KindState, Node: n, Block: b, Old: "I", New: "W", Migratory: e.cls.Migratory})
 	}
@@ -647,7 +675,7 @@ func (s *System) writeMiss(n memory.NodeID, b memory.BlockID) {
 	homeLocal := home == n
 	ownerHeld := e.owner != memory.NoNode
 	distant := e.copies.Without(n, home).Len()
-	if e.overflow {
+	if e.is(flagOverflow) {
 		distant = s.broadcastDistant(n, home)
 		s.n.Overflows++
 		if s.probe != nil {
@@ -657,7 +685,7 @@ func (s *System) writeMiss(n memory.NodeID, b memory.BlockID) {
 	hadCopies := !e.copies.Empty()
 
 	wasMigratory := e.cls.Migratory
-	e.cls.WriteMiss(n, hadCopies, e.dirty)
+	s.cls.WriteMiss(&e.cls, n, hadCopies, e.is(flagDirty))
 	s.noteReclass(e, wasMigratory)
 
 	msg := s.msgs.Charge(cost.WriteMiss, homeLocal, ownerHeld, distant)
@@ -675,12 +703,12 @@ func (s *System) writeMiss(n memory.NodeID, b memory.BlockID) {
 		s.n.Invalidations++
 	})
 	e.copies = 0
-	e.overflow = false
+	e.set(flagOverflow, false)
 	line := s.insert(n, b, PermWrite)
-	s.write(b, line)
+	s.write(n, b, line)
 	e.copies = e.copies.Add(n)
 	e.owner = n
-	e.dirty = true
+	e.set(flagDirty, true)
 	if s.probe != nil {
 		s.emit(obs.Event{Kind: obs.KindState, Node: n, Block: b, Old: "I", New: "W", Migratory: e.cls.Migratory})
 	}
@@ -694,7 +722,7 @@ func (s *System) writeHitUpgrade(n memory.NodeID, b memory.BlockID, line *cache.
 	homeLocal := home == n
 	others := e.copies.Remove(n)
 	distant := others.Without(home).Len()
-	if e.overflow {
+	if e.is(flagOverflow) {
 		distant = s.broadcastDistant(n, home)
 		s.n.Overflows++
 		if s.probe != nil {
@@ -703,7 +731,7 @@ func (s *System) writeHitUpgrade(n memory.NodeID, b memory.BlockID, line *cache.
 	}
 
 	wasMigratory := e.cls.Migratory
-	e.cls.WriteHit(n, !others.Empty())
+	s.cls.WriteHit(&e.cls, n, !others.Empty())
 	s.noteReclass(e, wasMigratory)
 
 	// The block is clean: PermRead copies are never dirty.
@@ -722,11 +750,11 @@ func (s *System) writeHitUpgrade(n memory.NodeID, b memory.BlockID, line *cache.
 		s.n.Invalidations++
 	})
 	e.copies = memory.NodeSet(0).Add(n)
-	e.overflow = false
+	e.set(flagOverflow, false)
 	line.State = PermWrite
-	s.write(b, line)
+	s.write(n, b, line)
 	e.owner = n
-	e.dirty = true
+	e.set(flagDirty, true)
 	if s.probe != nil {
 		s.emit(obs.Event{Kind: obs.KindState, Node: n, Block: b, Old: "R", New: "W", Migratory: e.cls.Migratory})
 	}
@@ -772,12 +800,12 @@ func (s *System) evict(n memory.NodeID, victim *cache.Line) {
 	e.copies = e.copies.Remove(n)
 	if e.owner == n {
 		e.owner = memory.NoNode
-		e.dirty = false
+		e.set(flagDirty, false)
 	}
 	if e.copies.Empty() {
-		e.overflow = false
+		e.set(flagOverflow, false)
 		wasMigratory := e.cls.Migratory
-		e.cls.BecameUncached()
+		s.cls.BecameUncached(&e.cls)
 		s.noteReclass(e, wasMigratory)
 	}
 }
@@ -786,39 +814,23 @@ func (s *System) noteReclass(e *entry, was bool) {
 	switch {
 	case !was && e.cls.Migratory:
 		s.n.Classifications++
-		e.everMigratory = true
+		e.set(flagEverMigratory, true)
 	case was && !e.cls.Migratory:
 		s.n.Declassified++
 	}
 }
 
-// write records a write to a line, bumping the block's global version when
-// coherence checking is on.
-func (s *System) write(b memory.BlockID, line *cache.Line) {
+// write records a write by node n to its line of block b.
+func (s *System) write(n memory.NodeID, b memory.BlockID, line *cache.Line) {
 	line.Dirty = true
-	if s.versions != nil {
-		v, _ := s.versions.GetOrCreate(b)
-		*v++
-		line.Version = *v
-	}
+	s.versions.Write(n, b)
 }
 
-func (s *System) version(b memory.BlockID) uint64 {
-	if s.versions == nil {
-		return 0
-	}
-	if v := s.versions.Get(b); v != nil {
-		return *v
-	}
-	return 0
-}
-
-func (s *System) checkRead(b memory.BlockID, line *cache.Line) error {
-	if s.versions == nil {
-		return nil
-	}
-	if want := s.version(b); line.Version != want {
-		return fmt.Errorf("directory: stale read of block %d: version %d, latest %d", b, line.Version, want)
+// checkRead verifies, when checking coherence, that node n's read hit on b
+// observes the latest write.
+func (s *System) checkRead(n memory.NodeID, b memory.BlockID) error {
+	if err := s.versions.CheckRead(n, b); err != nil {
+		return fmt.Errorf("directory: %w", err)
 	}
 	return nil
 }
@@ -866,7 +878,7 @@ func (s *System) EverMigratory() map[memory.BlockID]bool {
 		// Under an initially-migratory policy, a block that is still
 		// classified at the end survived every declassification test:
 		// count it as detected even though no classification event fired.
-		if e.everMigratory || (s.cfg.Policy.InitialMigratory && e.cls.Migratory) {
+		if e.is(flagEverMigratory) || (s.cfg.Policy.InitialMigratory && e.cls.Migratory) {
 			out[b] = true
 		}
 	})
@@ -915,8 +927,8 @@ func (s *System) CheckInvariants() error {
 		if e.owner != tr.owner {
 			return fmt.Errorf("block %d: directory owner %d != actual %d", b, e.owner, tr.owner)
 		}
-		if e.dirty != tr.dirty {
-			return fmt.Errorf("block %d: directory dirty %v != actual %v", b, e.dirty, tr.dirty)
+		if e.is(flagDirty) != tr.dirty {
+			return fmt.Errorf("block %d: directory dirty %v != actual %v", b, e.is(flagDirty), tr.dirty)
 		}
 		if tr.owner != memory.NoNode && tr.copies.Len() != 1 {
 			return fmt.Errorf("block %d: owner %d coexists with copies %v", b, tr.owner, tr.copies)
@@ -930,9 +942,9 @@ func (s *System) CheckInvariants() error {
 		if _, ok := actual[b]; ok {
 			return
 		}
-		if !e.copies.Empty() || e.owner != memory.NoNode || e.dirty {
+		if !e.copies.Empty() || e.owner != memory.NoNode || e.is(flagDirty) {
 			entryErr = fmt.Errorf("block %d: uncached but directory says copies=%v owner=%d dirty=%v",
-				b, e.copies, e.owner, e.dirty)
+				b, e.copies, e.owner, e.is(flagDirty))
 			return
 		}
 		if e.cls.Count != core.Uncached {

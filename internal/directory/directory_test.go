@@ -1,7 +1,10 @@
 package directory
 
 import (
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
@@ -428,5 +431,48 @@ func TestMigrationOfCleanBlockDeclassifies(t *testing.T) {
 	run(t, s, []trace.Access{{Node: 1, Kind: trace.Read, Addr: 0}})
 	if s.Messages() != before {
 		t.Fatal("node 1's copy was lost by the clean migration declassification")
+	}
+}
+
+// TestEntryLayout guards the directory entry's size and keeps it free of
+// pointers, so the entry table's chunks are never scanned by the garbage
+// collector.
+func TestEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 16 {
+		t.Errorf("entry is %d bytes, want <= 16", n)
+	}
+	for _, v := range []any{entry{}, core.State{}} {
+		if memory.HasPointers(reflect.TypeOf(v)) {
+			t.Errorf("%T contains pointers", v)
+		}
+	}
+}
+
+// TestCoherenceCheckCatchesStaleCopy re-inserts an invalidated block into a
+// cache behind the protocol's back: the coherence check must report the
+// stale copy on the next read, for finite and infinite caches alike.
+func TestCoherenceCheckCatchesStaleCopy(t *testing.T) {
+	for _, size := range []int{0, 4096} {
+		s, err := New(Config{
+			Nodes: 4, Geometry: geom, CacheBytes: size, Policy: core.Basic,
+			Placement: placement.NewRoundRobin(4), CheckCoherence: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := trace.Access{Node: 0, Kind: trace.Read, Addr: 64}
+		for _, a := range []trace.Access{read, {Node: 1, Kind: trace.Write, Addr: 64}} {
+			if err := s.Access(a); err != nil {
+				t.Fatalf("size %d: %v: %v", size, a, err)
+			}
+		}
+		b := geom.Block(64)
+		if s.caches[0].Peek(b) != nil {
+			t.Fatalf("size %d: node 0 still holds block %d after node 1's write", size, b)
+		}
+		s.caches[0].Insert(b, PermRead)
+		if err := s.Access(read); err == nil || !strings.Contains(err.Error(), "stale read") {
+			t.Fatalf("size %d: read of stale copy: err = %v, want stale read", size, err)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func dirSignature(s *System, nodes int) string {
 		b.WriteString("|no-entry")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "|%v %d %v %v|%s", e.copies, e.owner, e.dirty, e.overflow, e.cls.String())
+	fmt.Fprintf(&b, "|%v %d %v %v|%s", e.copies, e.owner, e.is(flagDirty), e.is(flagOverflow), e.cls.String())
 	return b.String()
 }
 

@@ -1,5 +1,10 @@
 package memory
 
+import (
+	"math/bits"
+	"reflect"
+)
+
 // BlockMap is a map from BlockID to V optimized for the dense, low-numbered
 // block identifiers the trace generators produce. Values for blocks below
 // the dense limit live in fixed-size chunks allocated on demand — one
@@ -19,7 +24,7 @@ type BlockMap[V any] struct {
 }
 
 const (
-	// blockChunkBits sets the allocation granule: 1024 entries (33 KB of
+	// blockChunkBits sets the allocation granule: 1024 entries (16 KB of
 	// infinite-cache lines). Every infinite-cache node and directory pays
 	// for whole chunks, and the generated workloads touch a few thousand
 	// blocks each, so a smaller granule tracks their footprint closely.
@@ -32,10 +37,15 @@ const (
 	blockDenseLimit = BlockID(1) << 26
 )
 
+// blockChunk holds one granule of values and a presence bitmap (128 bytes
+// per chunk, not a byte per value). For a pointer-free V the whole chunk is
+// pointer-free, so the garbage collector never scans it.
 type blockChunk[V any] struct {
-	present [blockChunkSize]bool
+	present [blockChunkSize / 64]uint64
 	vals    [blockChunkSize]V
 }
+
+func (ch *blockChunk[V]) has(i int) bool { return ch.present[i>>6]&(1<<(i&63)) != 0 }
 
 // Len returns the number of stored values.
 func (m *BlockMap[V]) Len() int { return m.n }
@@ -48,7 +58,7 @@ func (m *BlockMap[V]) Get(b BlockID) *V {
 			return nil
 		}
 		ch := m.chunks[ci]
-		if ch == nil || !ch.present[b&blockChunkMask] {
+		if ch == nil || !ch.has(int(b&blockChunkMask)) {
 			return nil
 		}
 		return &ch.vals[b&blockChunkMask]
@@ -70,10 +80,10 @@ func (m *BlockMap[V]) GetOrCreate(b BlockID) (*V, bool) {
 			m.chunks[ci] = ch
 		}
 		i := int(b & blockChunkMask)
-		if ch.present[i] {
+		if ch.has(i) {
 			return &ch.vals[i], false
 		}
-		ch.present[i] = true
+		ch.present[i>>6] |= 1 << (i & 63)
 		m.n++
 		return &ch.vals[i], true
 	}
@@ -98,10 +108,10 @@ func (m *BlockMap[V]) Delete(b BlockID) bool {
 		}
 		ch := m.chunks[ci]
 		i := int(b & blockChunkMask)
-		if !ch.present[i] {
+		if !ch.has(i) {
 			return false
 		}
-		ch.present[i] = false
+		ch.present[i>>6] &^= 1 << (i & 63)
 		var zero V
 		ch.vals[i] = zero
 		m.n--
@@ -124,13 +134,39 @@ func (m *BlockMap[V]) ForEach(fn func(BlockID, *V)) {
 			continue
 		}
 		base := BlockID(ci) << blockChunkBits
-		for i := range ch.present {
-			if ch.present[i] {
+		for w, word := range ch.present {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
 				fn(base+BlockID(i), &ch.vals[i])
 			}
 		}
 	}
 	for b, v := range m.sparse {
 		fn(b, v)
+	}
+}
+
+// HasPointers reports whether values of type t contain Go pointers
+// (including strings, slices, maps, funcs, channels and interfaces). A
+// BlockMap over a pointer-free value type allocates chunks the garbage
+// collector never scans; the engines' layout tests assert it for their
+// per-block records.
+func HasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && HasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if HasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
 	}
 }

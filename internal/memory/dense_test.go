@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -118,4 +119,33 @@ func TestNodeSetForEach(t *testing.T) {
 		}
 	}
 	NodeSet(0).ForEach(func(NodeID) { t.Fatal("empty set visited") })
+}
+
+func TestHasPointers(t *testing.T) {
+	type flat struct {
+		a uint64
+		b [4]uint8
+		c struct{ d bool }
+	}
+	type withString struct {
+		a int
+		s string
+	}
+	cases := []struct {
+		v    any
+		want bool
+	}{
+		{flat{}, false},
+		{[0]*int{}, false},
+		{withString{}, true},
+		{[2]*int{}, true},
+		{struct{ m map[int]int }{}, true},
+		{struct{ f func() }{}, true},
+		{struct{ s []byte }{}, true},
+	}
+	for _, c := range cases {
+		if got := HasPointers(reflect.TypeOf(c.v)); got != c.want {
+			t.Errorf("HasPointers(%T) = %v, want %v", c.v, got, c.want)
+		}
+	}
 }

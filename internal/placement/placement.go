@@ -121,17 +121,35 @@ func FirstTouch(accesses []trace.Access, geom memory.Geometry, nodes int) *Stati
 // FirstTouchSource is FirstTouch over a streamed trace: one pass, state
 // proportional to the number of distinct pages.
 func FirstTouchSource(src trace.Reader, geom memory.Geometry, nodes int) (*Static, error) {
-	table := make(map[memory.PageID]memory.NodeID)
-	err := each(src, func(a trace.Access) {
-		p := geom.Page(a.Addr)
-		if _, ok := table[p]; !ok {
-			table[p] = a.Node
+	// first[p] is 1 + the first node to touch dense page p, 0 if none has.
+	var first []uint16
+	sparse := make(map[memory.PageID]memory.NodeID)
+	err := eachBatch(src, func(batch []trace.Access) {
+		for _, a := range batch {
+			p := geom.Page(a.Addr)
+			if p >= tallyDenseLimit {
+				if _, ok := sparse[p]; !ok {
+					sparse[p] = a.Node
+				}
+				continue
+			}
+			if int(p) >= len(first) {
+				first = append(first, make([]uint16, int(p)+1-len(first))...)
+			}
+			if first[p] == 0 {
+				first[p] = uint16(a.Node) + 1
+			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newStatic("first-touch", table, nodes), nil
+	for p, n := range first {
+		if n != 0 {
+			sparse[memory.PageID(p)] = memory.NodeID(n - 1)
+		}
+	}
+	return newStatic("first-touch", sparse, nodes), nil
 }
 
 // UsageBased builds the paper's "good static placement": each page is
@@ -152,31 +170,63 @@ func UsageBased(accesses []trace.Access, geom memory.Geometry, nodes int) *Stati
 // the two-pass trace-driven methodology; the caller Resets the source and
 // replays it for the protocol simulation proper.
 func UsageBasedSource(src trace.Reader, geom memory.Geometry, nodes int) (*Static, error) {
-	counts := make(map[memory.PageID]*[memory.MaxNodes]uint32)
-	err := each(src, func(a trace.Access) {
-		p := geom.Page(a.Addr)
-		c, ok := counts[p]
-		if !ok {
-			c = new([memory.MaxNodes]uint32)
-			counts[p] = c
+	// A dense page p owns the row counts[p*w : (p+1)*w]: one count per node,
+	// then a mark that the page was touched at all (by any node, in range or
+	// not), which maps it even when no in-range node counted.
+	w := nodes + 1
+	var counts []uint32
+	sparse := make(map[memory.PageID][]uint32)
+	err := eachBatch(src, func(batch []trace.Access) {
+		for _, a := range batch {
+			p := geom.Page(a.Addr)
+			var row []uint32
+			if p < tallyDenseLimit {
+				if need := (int(p) + 1) * w; need > len(counts) {
+					counts = append(counts, make([]uint32, need-len(counts))...)
+				}
+				row = counts[int(p)*w : int(p)*w+w]
+			} else if row = sparse[p]; row == nil {
+				row = make([]uint32, w)
+				sparse[p] = row
+			}
+			if int(a.Node) < nodes {
+				row[a.Node]++
+			}
+			row[nodes] = 1
 		}
-		c[a.Node]++
 	})
 	if err != nil {
 		return nil, err
 	}
-	table := make(map[memory.PageID]memory.NodeID, len(counts))
-	for p, c := range counts {
-		best := memory.NodeID(0)
-		for n := 1; n < nodes; n++ {
-			if c[n] > c[best] {
-				best = memory.NodeID(n)
-			}
+	table := make(map[memory.PageID]memory.NodeID, len(counts)/w+len(sparse))
+	for off := 0; off < len(counts); off += w {
+		if row := counts[off : off+w]; row[nodes] != 0 {
+			table[memory.PageID(off/w)] = busiest(row[:nodes])
 		}
-		table[p] = best
+	}
+	for p, row := range sparse {
+		table[p] = busiest(row[:nodes])
 	}
 	return newStatic("usage-based", table, nodes), nil
 }
+
+// busiest returns the node with the highest count, ties broken toward the
+// lower node ID.
+func busiest(counts []uint32) memory.NodeID {
+	best := 0
+	for n := 1; n < len(counts); n++ {
+		if counts[n] > counts[best] {
+			best = n
+		}
+	}
+	return memory.NodeID(best)
+}
+
+// tallyDenseLimit bounds the page-indexed tables the profiling passes fill
+// (a 256 MB address space at 4 KB pages: at most 4.5 MB of usage counts
+// for 16 nodes); pages at or beyond it are tallied in a map, so one wild
+// page ID cannot allocate an enormous table.
+const tallyDenseLimit = memory.PageID(1) << 16
 
 // LocalFraction reports the fraction of accesses in the trace whose page is
 // homed at the accessing node under the given policy. It is a direct
@@ -193,10 +243,12 @@ func LocalFraction(accesses []trace.Access, geom memory.Geometry, p Policy) floa
 // LocalFractionSource is LocalFraction over a streamed trace.
 func LocalFractionSource(src trace.Reader, geom memory.Geometry, p Policy) (float64, error) {
 	local, total := 0, 0
-	err := each(src, func(a trace.Access) {
-		total++
-		if p.Home(geom.Page(a.Addr)) == a.Node {
-			local++
+	err := eachBatch(src, func(batch []trace.Access) {
+		for _, a := range batch {
+			total++
+			if p.Home(geom.Page(a.Addr)) == a.Node {
+				local++
+			}
 		}
 	})
 	if err != nil {
@@ -208,16 +260,19 @@ func LocalFractionSource(src trace.Reader, geom memory.Geometry, p Policy) (floa
 	return float64(local) / float64(total), nil
 }
 
-// each drains src through fn, folding io.EOF into a nil return.
-func each(src trace.Reader, fn func(trace.Access)) error {
+// eachBatch drains src through fn in trace.DefaultBatchSize chunks, folding
+// io.EOF into a nil return.
+func eachBatch(src trace.Reader, fn func([]trace.Access)) error {
+	buf := trace.GetBatch()
+	defer trace.PutBatch(buf)
 	for {
-		a, err := src.Next()
+		n, err := trace.FillBatch(src, buf)
+		fn(buf[:n])
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		fn(a)
 	}
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math/rand"
 	"testing"
 
 	"migratory/internal/memory"
@@ -170,5 +171,63 @@ func TestStaticDenseMatchesMap(t *testing.T) {
 	// A table whose only page is past the bound builds no dense table.
 	if s := newStatic("test", map[memory.PageID]memory.NodeID{huge: 3}, 16); len(s.dense) != 0 || s.Home(huge) != 3 {
 		t.Fatalf("huge-only table: dense len %d, Home = %d", len(s.dense), s.Home(huge))
+	}
+}
+
+// TestProfilesMatchMapReference checks the batched, page-indexed profiling
+// passes against straightforward per-access map implementations, on pages
+// in the dense table, at its limit, and far past it, with some accesses by
+// nodes beyond the placement's node count.
+func TestProfilesMatchMapReference(t *testing.T) {
+	const nodes = 8
+	pages := []memory.PageID{0, 1, 7, 300, tallyDenseLimit - 1, tallyDenseLimit, 1 << 40}
+	rng := rand.New(rand.NewSource(1))
+	var accs []trace.Access
+	for i := 0; i < 3*trace.DefaultBatchSize; i++ {
+		p := pages[rng.Intn(len(pages))]
+		accs = append(accs, trace.Access{
+			Node: memory.NodeID(rng.Intn(nodes + 2)), Kind: trace.Read,
+			Addr: geom.PageAddr(p) + memory.Addr(rng.Intn(4096)),
+		})
+	}
+	// A page touched only by out-of-range nodes is still mapped (to 0).
+	accs = append(accs, trace.Access{Node: nodes + 1, Kind: trace.Write, Addr: geom.PageAddr(42)})
+
+	first := make(map[memory.PageID]memory.NodeID)
+	counts := make(map[memory.PageID]*[memory.MaxNodes]uint32)
+	for _, a := range accs {
+		p := geom.Page(a.Addr)
+		if _, ok := first[p]; !ok {
+			first[p] = a.Node
+			counts[p] = new([memory.MaxNodes]uint32)
+		}
+		counts[p][a.Node]++
+	}
+	usage := make(map[memory.PageID]memory.NodeID)
+	for p, c := range counts {
+		best := memory.NodeID(0)
+		for n := 1; n < nodes; n++ {
+			if c[n] > c[best] {
+				best = memory.NodeID(n)
+			}
+		}
+		usage[p] = best
+	}
+
+	for _, c := range []struct {
+		got  *Static
+		want map[memory.PageID]memory.NodeID
+	}{
+		{FirstTouch(accs, geom, nodes), first},
+		{UsageBased(accs, geom, nodes), usage},
+	} {
+		if c.got.Pages() != len(c.want) {
+			t.Errorf("%s: %d pages mapped, want %d", c.got.Name(), c.got.Pages(), len(c.want))
+		}
+		for p, n := range c.want {
+			if got := c.got.Home(p); got != n {
+				t.Errorf("%s: Home(%d) = %d, want %d", c.got.Name(), p, got, n)
+			}
+		}
 	}
 }

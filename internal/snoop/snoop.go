@@ -236,8 +236,10 @@ type System struct {
 	// dominated the per-access cost. The holder set restricts each scan to
 	// the caches that can actually respond, with identical outcomes (a
 	// non-holder's snoop is a no-op).
-	holders  memory.BlockMap[memory.NodeSet]
-	versions *memory.BlockMap[uint64]
+	holders memory.BlockMap[memory.NodeSet]
+	// versions models data values for coherence checking; nil unless
+	// CheckCoherence is set.
+	versions *cache.Versions
 	// tbl holds the protocol's precomputed snoop-response tables (table.go).
 	tbl *snoopTables
 
@@ -303,7 +305,7 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 	if cfg.CheckCoherence {
-		s.versions = new(memory.BlockMap[uint64])
+		s.versions = cache.NewVersions(cfg.Nodes)
 	}
 	return s, nil
 }
@@ -422,7 +424,7 @@ func (s *System) accessAt(a trace.Access, step uint64) error {
 			if s.probe != nil {
 				s.emit(obs.Event{Kind: obs.KindHit, Node: a.Node, Block: b})
 			}
-			return s.checkRead(b, line)
+			return s.checkRead(a.Node, b)
 		}
 		s.readMiss(a.Node, b)
 		return nil
@@ -435,7 +437,7 @@ func (s *System) accessAt(a trace.Access, step uint64) error {
 			if s.probe != nil {
 				s.emit(obs.Event{Kind: obs.KindHit, Node: a.Node, Block: b})
 			}
-			s.write(b, line)
+			s.write(a.Node, b, line)
 			return nil
 		case StateE:
 			// E -> D with no bus transaction (Figure 2).
@@ -445,7 +447,7 @@ func (s *System) accessAt(a trace.Access, step uint64) error {
 				s.emit(obs.Event{Kind: obs.KindHit, Node: a.Node, Block: b})
 				s.emit(obs.Event{Kind: obs.KindState, Node: a.Node, Block: b, Old: "E", New: "D"})
 			}
-			s.write(b, line)
+			s.write(a.Node, b, line)
 			return nil
 		case StateMC:
 			// MC -> MD with no bus transaction.
@@ -455,7 +457,7 @@ func (s *System) accessAt(a trace.Access, step uint64) error {
 				s.emit(obs.Event{Kind: obs.KindHit, Node: a.Node, Block: b})
 				s.emit(obs.Event{Kind: obs.KindState, Node: a.Node, Block: b, Old: "MC", New: "MD", Migratory: true})
 			}
-			s.write(b, line)
+			s.write(a.Node, b, line)
 			return nil
 		case StateS, StateS2, StateO:
 			if s.cfg.Protocol == UpdateOnce {
@@ -568,7 +570,7 @@ func (s *System) readMiss(n memory.NodeID, b memory.BlockID) {
 	if st == StateD {
 		line.Dirty = true // Symmetry ownership transfer keeps memory stale
 	}
-	line.Version = s.version(b)
+	s.versions.Fill(n, b)
 }
 
 // writeMiss runs a Bwmr transaction.
@@ -630,7 +632,7 @@ func (s *System) writeMiss(n memory.NodeID, b memory.BlockID) {
 	}
 	line := s.insert(n, b, st)
 	line.Aux = aux
-	s.write(b, line)
+	s.write(n, b, line)
 }
 
 // writeHitShared runs a Bir transaction for a write hit on an S or S2 line.
@@ -678,7 +680,7 @@ func (s *System) writeHitShared(n memory.NodeID, b memory.BlockID, line *cache.L
 		s.emit(obs.Event{Kind: obs.KindState, Node: n, Block: b, Old: oldSelf, New: StateName(line.State),
 			Migratory: line.State == StateMD})
 	}
-	s.write(b, line)
+	s.write(n, b, line)
 }
 
 // writeUpdate runs an update broadcast for the UpdateOnce protocol: every
@@ -691,7 +693,7 @@ func (s *System) writeUpdate(n memory.NodeID, b memory.BlockID, line *cache.Line
 	if s.probe != nil {
 		s.emitBus(n, b, "update")
 	}
-	s.write(b, line)
+	s.write(n, b, line)
 	line.Dirty = false // the broadcast updated memory
 	line.Aux = 0
 	sharers := false
@@ -705,7 +707,7 @@ func (s *System) writeUpdate(n memory.NodeID, b memory.BlockID, line *cache.Line
 			s.invalidate(i, b)
 			return
 		}
-		other.Version = line.Version
+		s.versions.Fill(i, b)
 		sharers = true
 	})
 	old := line.State
@@ -740,31 +742,17 @@ func (s *System) insert(n memory.NodeID, b memory.BlockID, st cache.State) *cach
 	return line
 }
 
-func (s *System) write(b memory.BlockID, line *cache.Line) {
+// write records a write by node n to its line of block b.
+func (s *System) write(n memory.NodeID, b memory.BlockID, line *cache.Line) {
 	line.Dirty = true
-	if s.versions != nil {
-		v, _ := s.versions.GetOrCreate(b)
-		*v++
-		line.Version = *v
-	}
+	s.versions.Write(n, b)
 }
 
-func (s *System) version(b memory.BlockID) uint64 {
-	if s.versions == nil {
-		return 0
-	}
-	if v := s.versions.Get(b); v != nil {
-		return *v
-	}
-	return 0
-}
-
-func (s *System) checkRead(b memory.BlockID, line *cache.Line) error {
-	if s.versions == nil {
-		return nil
-	}
-	if want := s.version(b); line.Version != want {
-		return fmt.Errorf("snoop: stale read of block %d: version %d, latest %d", b, line.Version, want)
+// checkRead verifies, when checking coherence, that node n's read hit on b
+// observes the latest write.
+func (s *System) checkRead(n memory.NodeID, b memory.BlockID) error {
+	if err := s.versions.CheckRead(n, b); err != nil {
+		return fmt.Errorf("snoop: %w", err)
 	}
 	return nil
 }

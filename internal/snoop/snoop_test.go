@@ -1,6 +1,7 @@
 package snoop
 
 import (
+	"strings"
 	"testing"
 
 	"migratory/internal/cache"
@@ -511,5 +512,31 @@ func TestMESIBasics(t *testing.T) {
 	read, write := s.Hits()
 	if read != 0 || write != 0 {
 		t.Fatalf("hits = %d %d", read, write)
+	}
+}
+
+// TestCoherenceCheckCatchesStaleCopy re-inserts an invalidated block into a
+// cache behind the protocol's back: the coherence check must report the
+// stale copy on the next read, for finite and infinite caches alike.
+func TestCoherenceCheckCatchesStaleCopy(t *testing.T) {
+	for _, size := range []int{0, 4096} {
+		s, err := New(Config{Nodes: 4, Geometry: geom, CacheBytes: size, Protocol: Adaptive, CheckCoherence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := acc(0, trace.Read, 64)
+		for _, a := range []trace.Access{read, acc(1, trace.Write, 64)} {
+			if err := s.Access(a); err != nil {
+				t.Fatalf("size %d: %v: %v", size, a, err)
+			}
+		}
+		b := geom.Block(64)
+		if s.caches[0].Peek(b) != nil {
+			t.Fatalf("size %d: node 0 still holds block %d after node 1's write", size, b)
+		}
+		s.caches[0].Insert(b, StateS)
+		if err := s.Access(read); err == nil || !strings.Contains(err.Error(), "stale read") {
+			t.Fatalf("size %d: read of stale copy: err = %v, want stale read", size, err)
+		}
 	}
 }

@@ -104,18 +104,19 @@ func (h *blockHistory) observe(a Access) {
 	h.nodes = h.nodes.Add(a.Node)
 }
 
-func observeBlock(blocks map[memory.BlockID]*blockHistory, a Access, geom memory.Geometry) {
-	b := geom.Block(a.Addr)
-	h, ok := blocks[b]
-	if !ok {
-		h = &blockHistory{firstNode: a.Node, curNode: a.Node}
-		blocks[b] = h
+func observeBlock(blocks *memory.BlockMap[blockHistory], a Access, geom memory.Geometry) {
+	h, created := blocks.GetOrCreate(geom.Block(a.Addr))
+	if created {
+		*h = blockHistory{firstNode: a.Node, curNode: a.Node}
 	}
 	h.observe(a)
 }
 
-func buildHistories(src Reader, geom memory.Geometry) (map[memory.BlockID]*blockHistory, error) {
-	blocks := make(map[memory.BlockID]*blockHistory)
+// buildHistories runs every access through its block's history. The
+// histories hold no pointers, so the chunks of the BlockMap that indexes
+// them are never scanned by the garbage collector.
+func buildHistories(src Reader, geom memory.Geometry) (*memory.BlockMap[blockHistory], error) {
+	blocks := new(memory.BlockMap[blockHistory])
 	buf := GetBatch()
 	defer PutBatch(buf)
 	for {
@@ -149,7 +150,7 @@ func AnalyzeSource(src Reader, geom memory.Geometry) (Stats, error) {
 	var st Stats
 	pages := make(map[memory.PageID]struct{})
 	perNode := make(map[memory.NodeID]int)
-	blocks := make(map[memory.BlockID]*blockHistory)
+	blocks := new(memory.BlockMap[blockHistory])
 
 	buf := GetBatch()
 	defer PutBatch(buf)
@@ -174,7 +175,7 @@ func AnalyzeSource(src Reader, geom memory.Geometry) (Stats, error) {
 		}
 	}
 
-	st.Blocks = len(blocks)
+	st.Blocks = blocks.Len()
 	st.Pages = len(pages)
 	st.FootprintKB = len(pages) * geom.PageSize() / 1024
 
@@ -190,7 +191,7 @@ func AnalyzeSource(src Reader, geom memory.Geometry) (Stats, error) {
 		st.PerNode[n] = c
 	}
 
-	for _, h := range blocks {
+	blocks.ForEach(func(_ memory.BlockID, h *blockHistory) {
 		switch classify(h) {
 		case PatternPrivate:
 			st.PrivateBlocks++
@@ -201,7 +202,7 @@ func AnalyzeSource(src Reader, geom memory.Geometry) (Stats, error) {
 		default:
 			st.OtherBlocks++
 		}
-	}
+	})
 	return st, nil
 }
 
@@ -241,10 +242,10 @@ func ClassifyBlocksSource(src Reader, geom memory.Geometry) (map[memory.BlockID]
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[memory.BlockID]BlockPattern, len(blocks))
-	for b, h := range blocks {
+	out := make(map[memory.BlockID]BlockPattern, blocks.Len())
+	blocks.ForEach(func(b memory.BlockID, h *blockHistory) {
 		out[b] = classify(h)
-	}
+	})
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,5 +174,34 @@ func TestTopPagesTieBreak(t *testing.T) {
 	top := TopPages(accs, g16, 2)
 	if top[0].Page != 0 || top[1].Page != 2 {
 		t.Fatalf("tie break by page id failed: %+v", top)
+	}
+}
+
+// TestBlockHistoryLayout keeps the per-block census record free of
+// pointers, so its BlockMap chunks are never scanned by the garbage
+// collector.
+func TestBlockHistoryLayout(t *testing.T) {
+	if memory.HasPointers(reflect.TypeOf(blockHistory{})) {
+		t.Error("blockHistory contains pointers")
+	}
+}
+
+// TestClassifyBlocksSparseIDs runs the same migratory pattern on a dense
+// and on a huge block ID (the census map's sparse fallback): both must
+// classify alike and be counted once each.
+func TestClassifyBlocksSparseIDs(t *testing.T) {
+	huge := memory.Addr(1) << 40
+	var accs []Access
+	for _, n := range []memory.NodeID{0, 1, 2} {
+		for _, addr := range []memory.Addr{block(3), huge} {
+			accs = append(accs, Access{Node: n, Kind: Read, Addr: addr}, Access{Node: n, Kind: Write, Addr: addr})
+		}
+	}
+	got := ClassifyBlocks(accs, g16)
+	if len(got) != 2 || got[g16.Block(block(3))] != PatternMigratory || got[g16.Block(huge)] != PatternMigratory {
+		t.Fatalf("ClassifyBlocks = %v, want both blocks migratory", got)
+	}
+	if st := Analyze(accs, g16); st.Blocks != 2 || st.MigratoryBlocks != 2 {
+		t.Fatalf("Analyze: %d blocks, %d migratory; want 2, 2", st.Blocks, st.MigratoryBlocks)
 	}
 }
