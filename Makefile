@@ -19,12 +19,15 @@ vet:
 
 # perfbench/ is a nested module, so ./... above never compiles it; it calls
 # internal names that a deletion can break while the root module stays
-# green: trace.DemuxParallel, RunStats.DemuxStallNs,
-# trace.WriterOptions.Version, and from internal/sim: Options (with its
-# Context, Nodes, Seed and Parallelism fields), App, PrepareApp,
-# Table2Apps, Table3Apps, Table2CacheSizes, RunDirectoryCell,
-# Sweep.Options.Policies, Sweep.Render, Run, RunConfig, RunResult,
-# PageSize and the Engine* names.
+# green. From internal/trace: Access, Header, Copy, NewWriterOptions,
+# WriterOptions (with its Version field), OpenFileParallelCache,
+# NewSegmentCache, SegmentCache, DefaultTraceCacheBytes, DemuxParallel,
+# ShardBatch, NewSliceSource and the batch-pool helpers GetBatch, PutBatch
+# and FillBatch. From internal/telemetry: RunStats.DemuxStallNs. From
+# internal/sim: Options (with its Context, Nodes, Seed and Parallelism
+# fields), App, PrepareApp, Table2Apps, Table3Apps, Table2CacheSizes,
+# RunDirectoryCell, Sweep.Options.Policies, Sweep.Render, Run, RunConfig,
+# RunResult, PageSize and the Engine* names.
 vet-perfbench:
 	cd perfbench && $(GO) vet ./...
 
@@ -38,7 +41,7 @@ bench:
 # (results/bench_baseline.json), failing on regression beyond tolerance.
 # The benchmarks refresh the sweep file as a side effect of running.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchedTable2|BenchmarkBatchedBus|BenchmarkProbeOverhead|BenchmarkShardedTable2|BenchmarkPrefetchMTR|BenchmarkParallelDecodeMTR|BenchmarkTelemetryOverhead|BenchmarkSegmentCacheSweep|BenchmarkCohdHotTrace' -benchtime 10x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchedTable2|BenchmarkBatchedBus|BenchmarkProbeOverhead|BenchmarkShardedTable2|BenchmarkParallelDecodeMTR|BenchmarkTelemetryOverhead|BenchmarkSegmentCacheSweep|BenchmarkCohdHotTrace' -benchtime 10x -benchmem .
 	$(GO) run ./cmd/benchcheck
 
 # Known-vulnerability scan of the module and its (stdlib-only) dependency

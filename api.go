@@ -428,12 +428,10 @@ type (
 	TraceReader = trace.Reader
 	// SliceTraceSource adapts an in-memory trace to TraceSource.
 	SliceTraceSource = trace.SliceSource
-	// FileTraceSource streams a binary trace file (either format).
-	FileTraceSource = trace.FileSource
 	// GeneratorTraceSource lazily generates a workload profile's trace,
 	// bit-identical to GenerateWorkload with the same parameters.
 	GeneratorTraceSource = workload.Source
-	// TraceWriter encodes accesses to the streaming .mtr binary format.
+	// TraceWriter encodes accesses to the indexed .mtr binary format.
 	TraceWriter = trace.Writer
 	// TraceHeader is the geometry header of a streaming trace file.
 	TraceHeader = trace.Header
@@ -452,46 +450,27 @@ func NewGeneratorSource(name string, nodes int, seed int64, length int) (*Genera
 	return workload.NewSource(p, nodes, seed, length)
 }
 
-// OpenTraceFile opens a binary trace file (the streaming .mtr format or
-// the legacy fixed-record one) as a TraceSource. The caller must Close it.
-func OpenTraceFile(path string) (*FileTraceSource, error) { return trace.OpenFile(path) }
-
-// NewFileTraceSource decodes a binary trace from any seekable reader,
-// e.g. a bytes.Reader holding an .mtr image.
-func NewFileTraceSource(r io.ReadSeeker) (*FileTraceSource, error) { return trace.NewFileSource(r) }
-
-// PrefetchTraceSource wraps another source with a decode goroutine running
-// one batch window ahead, so file IO and varint decode overlap the
-// consumer's work. It owns the inner source: Close closes it, Reset
-// rewinds it.
-type PrefetchTraceSource = trace.PrefetchSource
-
-// NewPrefetchTraceSource returns src wrapped with a prefetching decode
-// stage.
-func NewPrefetchTraceSource(src TraceSource) *PrefetchTraceSource {
-	return trace.NewPrefetchSource(src)
-}
-
-// IndexedTraceSource decodes an indexed (v3) .mtr image with parallel
-// segment-decode workers; it implements TraceSource, so it drops into any
-// run path, and sharded runs feed decoded segments straight to the engine
-// shards without a single-producer hand-off.
+// IndexedTraceSource reads an indexed (v3) .mtr trace with parallel
+// segment-decode workers that reassemble the access stream in order. It
+// is the one trace reader: it implements TraceSource, so it drops into
+// any run path.
 type IndexedTraceSource = trace.IndexedFileSource
 
-// NewIndexedTraceSource opens an indexed (v3) .mtr image for parallel
-// decode with the given worker count (0 = one per GOMAXPROCS). Input
-// without a segment index (v1/v2) returns ErrTraceNoIndex; use
-// OpenIndexedTraceFile for transparent fallback.
-func NewIndexedTraceSource(r io.ReaderAt, size int64, decoders int) (*IndexedTraceSource, error) {
-	return trace.NewIndexedSource(r, size, decoders)
+// OpenTraceFile opens a v3 .mtr trace file with up to decoders (0 = one per
+// GOMAXPROCS) parallel segment decoders and cache attached (nil = no
+// caching). Older MTR1/MTR2 files fail with ErrTraceNoIndex, naming the
+// converter (`tracegen -in old.mtr -o new.mtr`); a damaged v3 file fails
+// with its typed error. The caller must Close the source.
+func OpenTraceFile(path string, decoders int, cache *TraceSegmentCache) (*IndexedTraceSource, error) {
+	return trace.OpenFileParallelCache(path, decoders, cache)
 }
 
-// OpenIndexedTraceFile opens a trace file with the fastest decode path its
-// format supports: indexed parallel decode for v3 files, a prefetching
-// sequential decode for v1/v2. Corrupt v3 files fail loudly here rather
-// than falling back.
-func OpenIndexedTraceFile(path string, decoders int) (TraceSource, error) {
-	return trace.OpenFileParallel(path, decoders)
+// NewIndexedTraceSource reads an in-memory v3 .mtr image (r must allow
+// concurrent ReadAt, as *bytes.Reader does) with the given worker count
+// (0 = one per GOMAXPROCS). Input without a segment index (v1/v2) fails
+// with ErrTraceNoIndex.
+func NewIndexedTraceSource(r io.ReaderAt, size int64, decoders int) (*IndexedTraceSource, error) {
+	return trace.NewIndexedSource(r, size, decoders)
 }
 
 // TraceSegmentCache is a process-wide, memory-bounded, ref-counted LRU of
@@ -499,10 +478,9 @@ func OpenIndexedTraceFile(path string, decoders int) (TraceSource, error) {
 // segment index. Concurrent readers wanting the same segment decode it once
 // (single-flight) and share one immutable slab, so sweeps that replay one
 // trace across many cells — and cohd serving many requests over a hot
-// trace — skip redundant decode work. It only engages for indexed (v3)
-// files opened by path; v1/v2 and in-memory sources bypass it. Replay is
-// bit-identical with or without the cache. Set it on Options.Cache /
-// RunConfig.Cache, or pass it to OpenIndexedTraceFileCache.
+// trace — skip redundant decode work. It engages for files opened by path;
+// in-memory sources bypass it. Replay is bit-identical with or without the
+// cache. Set it on RunConfig.Cache, or pass it to OpenTraceFile.
 type TraceSegmentCache = trace.SegmentCache
 
 // DefaultTraceCacheBytes is the default segment-cache capacity the CLI
@@ -517,18 +495,9 @@ func NewTraceSegmentCache(capBytes int64) *TraceSegmentCache {
 	return trace.NewSegmentCache(capBytes)
 }
 
-// OpenIndexedTraceFileCache is OpenIndexedTraceFile with a shared segment
-// cache attached: v3 files consult cache before decoding a segment and
-// publish what they decode. A nil cache behaves exactly like
-// OpenIndexedTraceFile.
-func OpenIndexedTraceFileCache(path string, decoders int, cache *TraceSegmentCache) (TraceSource, error) {
-	return trace.OpenFileParallelCache(path, decoders, cache)
-}
-
-// NewTraceWriter returns a writer encoding accesses to w in the streaming
-// .mtr format (version 3, segment-indexed, by default — see
-// trace.NewWriterOptions for the version escape hatch). Close it to emit
-// the integrity trailer and the segment index.
+// NewTraceWriter returns a writer encoding accesses to w in the indexed
+// .mtr format (version 3). Close it to emit the integrity trailer and the
+// segment index.
 func NewTraceWriter(w io.Writer, hdr TraceHeader) *TraceWriter { return trace.NewWriter(w, hdr) }
 
 // ReadTrace drains a source into memory.
@@ -678,7 +647,7 @@ var (
 	ErrTraceCorrupt = trace.ErrCorrupt
 	// ErrTraceBadMagic reports input that is not a trace file at all.
 	ErrTraceBadMagic = trace.ErrBadMagic
-	// ErrTraceNoIndex reports a trace without a segment index (v1/v2)
-	// where an indexed (v3) one was required.
+	// ErrTraceNoIndex reports a pre-index (v1/v2) trace, which no run
+	// reads; the error names the converter that re-encodes it as v3.
 	ErrTraceNoIndex = trace.ErrNoIndex
 )

@@ -74,7 +74,7 @@ func equivTrace(t *testing.T) ([]Access, []byte) {
 }
 
 // equivSources returns the three source kinds over the same trace: the
-// in-memory slice, the lazy generator, and the .mtr file decoder.
+// in-memory slice, the lazy generator, and the indexed .mtr reader.
 func equivSources(t *testing.T, accs []Access, mtr []byte) map[string]func() TraceSource {
 	t.Helper()
 	return map[string]func() TraceSource{
@@ -87,7 +87,7 @@ func equivSources(t *testing.T, accs []Access, mtr []byte) map[string]func() Tra
 			return src
 		},
 		"file": func() TraceSource {
-			src, err := NewFileTraceSource(bytes.NewReader(mtr))
+			src, err := NewIndexedTraceSource(bytes.NewReader(mtr), int64(len(mtr)), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func FuzzBatchBoundary(f *testing.F) {
 		}
 		var src TraceSource
 		if fromFile {
-			fs, err := NewFileTraceSource(bytes.NewReader(mtr))
+			fs, err := NewIndexedTraceSource(bytes.NewReader(mtr), int64(len(mtr)), 2)
 			if err != nil {
 				t.Fatal(err)
 			}

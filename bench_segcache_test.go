@@ -49,7 +49,7 @@ func segcacheBenchCells(path string) []RunConfig {
 // be asserted identical.
 func drainCached(b *testing.B, path string, cache *TraceSegmentCache) (int, uint64) {
 	b.Helper()
-	src, err := OpenIndexedTraceFileCache(path, 2, cache)
+	src, err := OpenTraceFile(path, 2, cache)
 	if err != nil {
 		b.Fatal(err)
 	}

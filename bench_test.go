@@ -911,11 +911,12 @@ func benchMTRImage(b *testing.B, app string) []byte {
 	return buf.Bytes()
 }
 
-// benchFileSource opens an in-memory .mtr image, optionally hiding its
-// NextBatch method so the engines fall back to the per-access pull path.
+// benchFileSource opens an in-memory .mtr image through the indexed reader
+// (one decoder per GOMAXPROCS), optionally hiding its NextBatch method so
+// the engines fall back to the per-access pull path.
 func benchFileSource(b *testing.B, img []byte, batched bool) trace.Source {
 	b.Helper()
-	src, err := trace.NewFileSource(bytes.NewReader(img))
+	src, err := trace.NewIndexedSource(bytes.NewReader(img), int64(len(img)), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1252,79 +1253,6 @@ func BenchmarkShardedTable2(b *testing.B) {
 	})
 }
 
-// BenchmarkPrefetchMTR prices the prefetching decode stage on .mtr replay:
-// the basic policy at 64 KB over a file-backed trace, pulled directly
-// versus through a PrefetchSource whose goroutine decodes one window
-// ahead. Counters are asserted bit-identical; on a single-CPU machine the
-// overlap cannot show, so the prefetch mode there measures pure handoff
-// overhead.
-func BenchmarkPrefetchMTR(b *testing.B) {
-	img := benchMTRImage(b, "MP3D")
-	run := func(b *testing.B, prefetch bool) (cost.Msgs, directory.Counters) {
-		b.Helper()
-		pl := placement.NewRoundRobin(16)
-		sys, err := directory.New(directory.Config{
-			Nodes: 16, Geometry: benchGeom, CacheBytes: 64 << 10,
-			Policy: core.Basic, Placement: pl,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := benchFileSource(b, img, true)
-		if prefetch {
-			src = trace.NewPrefetchSource(src)
-		}
-		defer src.Close()
-		if err := sys.RunSource(nil, src); err != nil {
-			b.Fatal(err)
-		}
-		return sys.Messages(), sys.Counters()
-	}
-
-	modes := []struct {
-		name     string
-		prefetch bool
-	}{
-		{"direct", false},
-		{"prefetch", true},
-	}
-	msgs := make([]cost.Msgs, len(modes))
-	counters := make([]directory.Counters, len(modes))
-	elapsed := make([]time.Duration, len(modes))
-	mallocs := make([]uint64, len(modes))
-	allocBytes := make([]uint64, len(modes))
-	b.Run("paired", func(b *testing.B) {
-		var before, after runtime.MemStats
-		for i := 0; i < b.N; i++ {
-			for mi, m := range modes {
-				runtime.ReadMemStats(&before)
-				start := time.Now()
-				msgs[mi], counters[mi] = run(b, m.prefetch)
-				elapsed[mi] += time.Since(start)
-				runtime.ReadMemStats(&after)
-				mallocs[mi] += after.Mallocs - before.Mallocs
-				allocBytes[mi] += after.TotalAlloc - before.TotalAlloc
-			}
-		}
-		if msgs[0] != msgs[1] || counters[0] != counters[1] {
-			b.Fatalf("prefetch run diverged: %+v/%+v vs %+v/%+v",
-				msgs[1], counters[1], msgs[0], counters[0])
-		}
-		measured := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
-		for mi, m := range modes {
-			measured[m.name+"_ns_per_op"] = float64(elapsed[mi].Nanoseconds()) / float64(b.N)
-			measured[m.name+"_bytes_per_op"] = float64(allocBytes[mi]) / float64(b.N)
-			measured[m.name+"_allocs_per_op"] = float64(mallocs[mi]) / float64(b.N)
-		}
-		speedup := measured["direct_ns_per_op"] / measured["prefetch_ns_per_op"]
-		measured["speedup"] = speedup
-		b.ReportMetric(speedup, "speedup-prefetch")
-		if err := stats.UpdateBenchJSON("results/bench_sweep.json", "BenchmarkPrefetchMTR", measured); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
 // BenchmarkTelemetryOverhead prices the runtime telemetry layer: the basic
 // policy over an in-memory MP3D trace with Config.Stats nil ("off" — must
 // stay within noise of the uninstrumented hot path, since disabled
@@ -1407,12 +1335,11 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // BenchmarkParallelDecodeMTR prices the indexed (v3) decode path on its
 // own, with no simulator attached: draining an in-memory .mtr image
-// through the sequential FileSource versus through an IndexedFileSource
-// whose workers decode whole segments from contiguous buffers. Decoded
-// streams are asserted bit-identical via an order-sensitive checksum. The
-// segment path wins even on one CPU — it replaces the per-byte bufio pull
-// with slice-indexed varint decode — and overlaps decode with consumption
-// when real cores exist.
+// through an IndexedFileSource with one segment decoder versus two, each
+// decoding whole segments from contiguous buffers into pooled slabs.
+// Decoded streams are asserted bit-identical via an order-sensitive
+// checksum. The second decoder overlaps decode with consumption when real
+// cores exist; on one CPU it measures the pipeline's hand-off cost.
 func BenchmarkParallelDecodeMTR(b *testing.B) {
 	img := benchMTRImage(b, "MP3D")
 	drain := func(b *testing.B, src trace.Source) (int, uint64) {
@@ -1437,9 +1364,9 @@ func BenchmarkParallelDecodeMTR(b *testing.B) {
 	}
 	modes := []struct {
 		name     string
-		decoders int // 0 = sequential FileSource
+		decoders int
 	}{
-		{"sequential", 0},
+		{"indexed1", 1},
 		{"indexed2", 2},
 	}
 	counts := make([]int, len(modes))
@@ -1451,13 +1378,7 @@ func BenchmarkParallelDecodeMTR(b *testing.B) {
 		var before, after runtime.MemStats
 		for i := 0; i < b.N; i++ {
 			for mi, m := range modes {
-				var src trace.Source
-				var err error
-				if m.decoders == 0 {
-					src, err = trace.NewFileSource(bytes.NewReader(img))
-				} else {
-					src, err = trace.NewIndexedSource(bytes.NewReader(img), int64(len(img)), m.decoders)
-				}
+				src, err := trace.NewIndexedSource(bytes.NewReader(img), int64(len(img)), m.decoders)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1471,7 +1392,7 @@ func BenchmarkParallelDecodeMTR(b *testing.B) {
 			}
 		}
 		if counts[1] != counts[0] || sums[1] != sums[0] {
-			b.Fatalf("indexed decode diverged: %d/%x vs %d/%x", counts[1], sums[1], counts[0], sums[0])
+			b.Fatalf("2-decoder decode diverged: %d/%x vs %d/%x", counts[1], sums[1], counts[0], sums[0])
 		}
 		measured := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
 		for mi, m := range modes {
@@ -1479,9 +1400,9 @@ func BenchmarkParallelDecodeMTR(b *testing.B) {
 			measured[m.name+"_bytes_per_op"] = float64(allocBytes[mi]) / float64(b.N)
 			measured[m.name+"_allocs_per_op"] = float64(mallocs[mi]) / float64(b.N)
 		}
-		speedup := measured["sequential_ns_per_op"] / measured["indexed2_ns_per_op"]
+		speedup := measured["indexed1_ns_per_op"] / measured["indexed2_ns_per_op"]
 		measured["speedup"] = speedup
-		b.ReportMetric(speedup, "speedup-indexed")
+		b.ReportMetric(speedup, "speedup-2-decoders")
 		if err := stats.UpdateBenchJSON("results/bench_sweep.json", "BenchmarkParallelDecodeMTR", measured); err != nil {
 			b.Fatal(err)
 		}

@@ -9,9 +9,14 @@ package migratory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"migratory/internal/trace"
@@ -114,31 +119,20 @@ func TestSegmentCacheRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestSegmentCacheLegacyBypass pins the v1/v2 fallback: unindexed traces
-// replay identically with a cache configured, and the cache itself sees
-// zero traffic — no keys, no misses, no residency.
-func TestSegmentCacheLegacyBypass(t *testing.T) {
+// TestLegacyTraceConversion pins the v3-only run path at its boundary.
+// MTR1 and MTR2 traces of the same accesses (the MTR2 one cut from a v3
+// image: the record streams are byte-identical) are refused by every run
+// path with ErrTraceNoIndex naming the converter: Run, and `paper -trace`
+// with exit status 1. `tracegen -in old -o new` converts each into exactly
+// the v3 file tracegen writes for those accesses, and a Run over the
+// converted file gives RunResult bytes equal to the in-memory run.
+func TestLegacyTraceConversion(t *testing.T) {
 	accs, err := GenerateWorkload("MP3D", 16, 1993, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "legacy.mtr")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteTo(f, accs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	w := trace.NewWriterOptions(&buf, TraceHeader{BlockSize: 16, PageSize: 4096, Nodes: 16},
-		trace.WriterOptions{Version: 2})
+	var v3 bytes.Buffer
+	w := NewTraceWriter(&v3, TraceHeader{BlockSize: 16, PageSize: 4096, Nodes: 16})
 	for _, a := range accs {
 		if err := w.Write(a); err != nil {
 			t.Fatal(err)
@@ -147,31 +141,79 @@ func TestSegmentCacheLegacyBypass(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2 := filepath.Join(dir, "v2.mtr")
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
+	var v1 bytes.Buffer
+	if err := trace.WriteTo(&v1, accs); err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	bin := buildCommands(t, dir, "tracegen", "paper")
 
-	for name, path := range map[string]string{"v1": v1, "v2": v2} {
-		cache := NewTraceSegmentCache(256 << 20)
-		cfg := RunConfig{
-			Engine:    EngineDirectory,
-			TraceFile: path,
-			Nodes:     16,
-			Policy:    "basic",
-			Shards:    2,
-			Decoders:  4,
+	base := RunConfig{Engine: EngineDirectory, Nodes: 16, Policy: "basic", CacheBytes: 64 << 10, Shards: 2}
+	mem := base
+	mem.OpenSource = func() (TraceSource, error) { return NewSliceTraceSource(accs), nil }
+	want := resultJSON(t, mem)
+
+	for name, img := range map[string][]byte{"MTR1": v1.Bytes(), "MTR2": mtr2Image(v3.Bytes())} {
+		legacy := filepath.Join(dir, name+".mtr")
+		if err := os.WriteFile(legacy, img, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want := resultJSON(t, cfg)
-		cfg.Cache = cache
+
+		cfg := base
+		cfg.TraceFile = legacy
+		_, err := Run(nil, cfg)
+		if !errors.Is(err, ErrTraceNoIndex) || !strings.Contains(fmt.Sprint(err), trace.ConvertCommand) {
+			t.Fatalf("%s: Run = %v, want ErrTraceNoIndex naming %q", name, err, trace.ConvertCommand)
+		}
+		out, err := exec.Command(filepath.Join(bin, "paper"), "-trace", legacy, "-progress", "off").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), trace.ConvertCommand) {
+			t.Fatalf("%s: paper -trace: %v, want exit status 1 naming the converter\n%s", name, err, out)
+		}
+		out, err = exec.Command(filepath.Join(bin, "tracegen"), "-in", legacy, "-stats").CombinedOutput()
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-o") {
+			t.Fatalf("%s: tracegen -in without -o: %v, want a usage error naming -o\n%s", name, err, out)
+		}
+
+		conv := filepath.Join(dir, name+"-v3.mtr")
+		if out, err := exec.Command(filepath.Join(bin, "tracegen"), "-in", legacy, "-o", conv).CombinedOutput(); err != nil {
+			t.Fatalf("%s: tracegen -in -o: %v\n%s", name, err, out)
+		}
+		got, err := os.ReadFile(conv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, v3.Bytes()) {
+			t.Errorf("%s: converted file (%d bytes) differs from the v3 encoding (%d bytes)", name, len(got), v3.Len())
+		}
+		cfg.TraceFile = conv
 		if got := resultJSON(t, cfg); got != want {
-			t.Errorf("%s: result with cache configured diverged", name)
-		}
-		if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 ||
-			st.ResidentBytes != 0 || st.SingleFlightJoins != 0 || st.Evictions != 0 {
-			t.Errorf("%s: unindexed trace touched the segment cache: %+v", name, st)
+			t.Errorf("%s: run over the converted trace diverged from the in-memory run", name)
 		}
 	}
+}
+
+// mtr2Image turns a v3 image into the equivalent MTR2 one: cut the segment
+// index and the footer (whose first 8 bytes locate the index) and swap in
+// the MTR2 magic.
+func mtr2Image(v3 []byte) []byte {
+	indexOff := binary.LittleEndian.Uint64(v3[len(v3)-16:])
+	out := append([]byte(nil), v3[:indexOff]...)
+	copy(out, "MTR2")
+	return out
+}
+
+// buildCommands builds the named cmd/ binaries into dir and returns dir.
+func buildCommands(t *testing.T, dir string, names ...string) string {
+	t.Helper()
+	args := []string{"build", "-o", dir + string(filepath.Separator)}
+	for _, n := range names {
+		args = append(args, "./cmd/"+n)
+	}
+	if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+		t.Fatalf("building %v: %v\n%s", names, err, out)
+	}
+	return dir
 }
 
 // TestSegmentCacheEvictionUnderLoad replays MP3D through a cache sized for
@@ -181,11 +223,11 @@ func TestSegmentCacheLegacyBypass(t *testing.T) {
 // concurrency test.
 func TestSegmentCacheEvictionUnderLoad(t *testing.T) {
 	path, _ := writeEquivTraceFile(t, 2<<10)
-	src, err := OpenIndexedTraceFile(path, 1)
+	src, err := OpenTraceFile(path, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := src.(*IndexedTraceSource).Index()
+	idx := src.Index()
 	maxCount := int64(0)
 	for _, seg := range idx.Segments {
 		if int64(seg.Count) > maxCount {

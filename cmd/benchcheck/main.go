@@ -50,7 +50,6 @@ const defaultChecks = "BenchmarkBatchedTable2:speedup," +
 	"BenchmarkShardedTable2:speedup:0.60," +
 	"BenchmarkShardedTable2:sequential_ns_per_op:0.60," +
 	"BenchmarkShardedTable2:sharded8_ns_per_op:0.60," +
-	"BenchmarkPrefetchMTR:prefetch_ns_per_op:0.60," +
 	"BenchmarkParallelDecodeMTR:speedup:0.60," +
 	"BenchmarkParallelDecodeMTR:indexed2_ns_per_op:0.60," +
 	"BenchmarkTelemetryOverhead:off_ns_per_op:0.60," +

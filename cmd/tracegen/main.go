@@ -9,10 +9,16 @@
 //	tracegen -app MP3D -o mp3d.mtr            # generate a binary trace
 //	tracegen -app Water -stats                # print trace statistics
 //	tracegen -in mp3d.mtr -stats              # analyze an existing trace
+//	tracegen -in old.mtr -o new.mtr           # convert an MTR1/MTR2 trace to v3
 //	tracegen -list                            # list available profiles
+//
+// Every simulator reads v3 traces only. tracegen is the one reader of the
+// older MTR1 and MTR2 formats: given one with -in, it re-encodes it as v3
+// into -o (and -stats then reads the new file).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,8 +47,7 @@ func main() {
 		blockSize = flag.Int("block", 16, "block size for the statistics")
 		stats     = flag.Bool("stats", false, "print trace statistics")
 		list      = flag.Bool("list", false, "list available application profiles")
-		mtrVer    = flag.Int("mtr-version", 3, "output .mtr format version: 3 (indexed, parallel-decodable) or 2 (plain stream)")
-		segBytes  = flag.Int("segment-bytes", 0, "target encoded segment size for v3 output (0 = default)")
+		segBytes  = flag.Int("segment-bytes", 0, "target encoded segment size of the .mtr output (0 = default)")
 
 		prof = cliutil.RegisterProfile("tracegen")
 		tele = cliutil.RegisterTelemetry("tracegen")
@@ -75,22 +80,20 @@ func main() {
 		fatal(err)
 	}
 
-	if *mtrVer != 2 && *mtrVer != 3 {
-		cliutil.Usagef("tracegen", "-mtr-version must be 2 or 3 (got %d)", *mtrVer)
-	}
+	hdr := trace.Header{BlockSize: geom.BlockSize(), PageSize: geom.PageSize(), Nodes: *nodes}
+	opts := trace.WriterOptions{SegmentBytes: *segBytes}
 
 	var src trace.Source
+	converted := false
 	switch {
 	case *in != "":
-		// Decode ahead of the consumer so file IO and varint decode overlap
-		// the streaming statistics passes: indexed (v3) input decodes
-		// segments on parallel workers, older versions on a prefetch
-		// goroutine.
-		fs, err := trace.OpenFileParallel(*in, 0)
+		if *out != "" && sameFile(*in, *out) {
+			cliutil.Usagef("tracegen", "-o must not name the -in file %s", *in)
+		}
+		src, converted, err = openInput(*in, *out, hdr, opts)
 		if err != nil {
 			fatal(err)
 		}
-		src = fs
 	case *app != "":
 		prof, err := workload.ProfileByName(*app)
 		if err != nil {
@@ -105,8 +108,8 @@ func main() {
 	}
 	defer src.Close()
 
-	if *out != "" {
-		n, err := export(src, *out, geom, *nodes, trace.WriterOptions{Version: *mtrVer, SegmentBytes: *segBytes})
+	if *out != "" && !converted {
+		n, err := export(src, *out, hdr, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -124,18 +127,76 @@ func main() {
 	run.Close(nil)
 }
 
-// export streams the source into an .mtr file and returns the access count.
-func export(src trace.Source, path string, geom memory.Geometry, nodes int, opts trace.WriterOptions) (int, error) {
+// openInput opens the -in trace through its segment index. An MTR1/MTR2
+// trace has none, so it is converted instead: decoded sequentially and
+// written to out as v3, which is then opened in its place (converted
+// reports this). Converting needs out. Geometry the input header records
+// wins over hdr, the flags' defaults.
+func openInput(in, out string, hdr trace.Header, opts trace.WriterOptions) (src trace.Source, converted bool, err error) {
+	fs, err := trace.OpenFileParallelCache(in, 0, nil)
+	if err == nil {
+		return fs, false, nil
+	}
+	if !errors.Is(err, trace.ErrNoIndex) {
+		return nil, false, err
+	}
+	if out == "" {
+		cliutil.Usagef("tracegen", "%s is an MTR1/MTR2 trace, which no simulator reads: give -o to convert it to v3 (%s)",
+			in, trace.ConvertCommand)
+	}
+	f, err := os.Open(in)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	dec, err := trace.NewDecoder(f)
+	if err != nil {
+		return nil, false, err
+	}
+	n, err := export(dec, out, mergeHeader(dec.Header(), hdr), opts)
+	if err != nil {
+		return nil, false, fmt.Errorf("converting %s: %w", in, err)
+	}
+	fmt.Printf("converted %d accesses from %s to %s\n", n, in, out)
+	if fs, err = trace.OpenFileParallelCache(out, 0, nil); err != nil {
+		return nil, false, err
+	}
+	return fs, true, nil
+}
+
+// mergeHeader fills the fields the input header leaves unspecified (all
+// of them for MTR1) from def.
+func mergeHeader(h, def trace.Header) trace.Header {
+	if h.BlockSize == 0 {
+		h.BlockSize = def.BlockSize
+	}
+	if h.PageSize == 0 {
+		h.PageSize = def.PageSize
+	}
+	if h.Nodes == 0 {
+		h.Nodes = def.Nodes
+	}
+	return h
+}
+
+// sameFile reports whether a and b name one existing file.
+func sameFile(a, b string) bool {
+	fa, err := os.Stat(a)
+	if err != nil {
+		return false
+	}
+	fb, err := os.Stat(b)
+	return err == nil && os.SameFile(fa, fb)
+}
+
+// export streams r into an .mtr file and returns the access count.
+func export(r trace.Reader, path string, hdr trace.Header, opts trace.WriterOptions) (int, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	w := trace.NewWriterOptions(f, trace.Header{
-		BlockSize: geom.BlockSize(),
-		PageSize:  geom.PageSize(),
-		Nodes:     nodes,
-	}, opts)
-	n, err := trace.Copy(w, src)
+	w := trace.NewWriterOptions(f, hdr, opts)
+	n, err := trace.Copy(w, r)
 	if err != nil {
 		f.Close()
 		return 0, err

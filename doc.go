@@ -117,17 +117,18 @@
 // NewSliceTraceSource (in-memory), NewGeneratorSource (lazy synthetic
 // workload, bit-identical to GenerateWorkload), or OpenTraceFile (the
 // compact varint-delta ".mtr" binary format written by NewTraceWriter and
-// cmd/tracegen; the legacy fixed-record format is still readable).
-// NewTraceWriter now emits an indexed v3 by default: the stream is cut
-// into independently decodable segments and a footer index lets
-// OpenIndexedTraceFile / NewIndexedTraceSource decode segments on several
-// workers (RunConfig.Decoders, the shared -decoders flag, fixed when the
-// file is opened) while reassembling the exact sequential stream. Sharded
-// runs read that stream like any other: one demux producer routes it into
-// per-shard queues while the decode workers run ahead.
-// Opening a v1/v2 trace through the indexed path reports ErrTraceNoIndex.
+// cmd/tracegen). Version 3 is the only format written and the only one
+// read: the stream is cut into independently decodable segments, and a
+// footer index lets OpenTraceFile (a path) and NewIndexedTraceSource (an
+// in-memory image), the two openers, decode segments on several workers
+// (RunConfig.Decoders, the shared -decoders flag, fixed when the file is
+// opened) while reassembling the exact sequential stream. Sharded runs
+// read that stream like any other: one demux producer routes it into
+// per-shard queues while the decode workers run ahead. An MTR1 or MTR2
+// trace fails with ErrTraceNoIndex, naming the converter
+// (`tracegen -in old.mtr -o new.mtr`).
 // A process-wide decoded-segment cache (NewTraceSegmentCache, threaded via
-// RunConfig.Cache or OpenIndexedTraceFileCache, sized by the shared
+// RunConfig.Cache or OpenTraceFile, sized by the shared
 // -trace-cache-bytes flag) lets sweeps and cohd decode each indexed trace
 // once and replay it many times from immutable ref-counted slabs — keyed
 // by file identity so rewritten files never serve stale data, bounded by

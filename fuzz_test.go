@@ -107,9 +107,10 @@ func FuzzSnoopProtocols(f *testing.F) {
 	})
 }
 
-// FuzzMTRRoundTrip encodes arbitrary traces in the streaming .mtr format
-// and decodes them back: the round trip must be exact, and every truncated
-// prefix must error (never succeed, never panic).
+// FuzzMTRRoundTrip encodes arbitrary traces in the .mtr format and decodes
+// them back through the indexed reader every run uses: the round trip must
+// be exact, and every truncated prefix must error (never succeed, never
+// panic).
 func FuzzMTRRoundTrip(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -126,11 +127,12 @@ func FuzzMTRRoundTrip(f *testing.F) {
 		}
 		full := buf.Bytes()
 
-		src, err := trace.NewFileSource(bytes.NewReader(full))
+		src, err := trace.NewIndexedSource(bytes.NewReader(full), int64(len(full)), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := trace.ReadAll(src)
+		src.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,9 +151,10 @@ func FuzzMTRRoundTrip(f *testing.F) {
 			if cut < 0 || cut >= len(full) {
 				continue
 			}
-			tsrc, err := trace.NewFileSource(bytes.NewReader(full[:cut]))
+			tsrc, err := trace.NewIndexedSource(bytes.NewReader(full[:cut]), int64(cut), 2)
 			if err == nil {
 				_, err = trace.ReadAll(tsrc)
+				tsrc.Close()
 			}
 			if err == nil {
 				t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(full))
@@ -160,9 +163,10 @@ func FuzzMTRRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzMTRDecode feeds arbitrary bytes to the .mtr decoder: any input may be
-// rejected, none may panic or be silently misread as a valid trace longer
-// than the data could hold.
+// FuzzMTRDecode feeds arbitrary bytes to the sequential .mtr decoder, the
+// reader of the MTR1/MTR2 input that tracegen converts (so it reads
+// outside data): any input may be rejected, none may panic or be silently
+// misread as a valid trace longer than the data could hold.
 func FuzzMTRDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("MTR2"))
@@ -170,11 +174,11 @@ func FuzzMTRDecode(f *testing.F) {
 	f.Add([]byte("MTR2\x10\x80\x20\x10\x03\x02\x00\x01"))
 	f.Add([]byte("MTR1\x00\x00\x00\x00\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		src, err := trace.NewFileSource(bytes.NewReader(data))
+		dec, err := trace.NewDecoder(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		accs, err := trace.ReadAll(src)
+		accs, err := trace.ReadAll(dec)
 		if err != nil {
 			return
 		}
@@ -315,10 +319,10 @@ func FuzzSegmentIndex(f *testing.F) {
 			typed(t, "indexed", err)
 			return -1
 		}
-		fsrc, err := trace.NewFileSource(bytes.NewReader(b))
+		dec, err := trace.NewDecoder(bytes.NewReader(b))
 		var want []trace.Access
 		if err == nil {
-			want, err = trace.ReadAll(fsrc)
+			want, err = trace.ReadAll(dec)
 		}
 		if err != nil {
 			t.Fatalf("indexed decode accepted %d bytes the sequential decoder rejects: %v", len(b), err)
@@ -369,7 +373,8 @@ func FuzzSegmentIndex(f *testing.F) {
 	})
 }
 
-// FuzzTraceCodec round-trips arbitrary traces through the binary format.
+// FuzzTraceCodec round-trips arbitrary traces through the legacy MTR1
+// format: WriteTo encodes, the sequential decoder reads them back.
 func FuzzTraceCodec(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -378,7 +383,11 @@ func FuzzTraceCodec(f *testing.F) {
 		if err := trace.WriteTo(&buf, accs); err != nil {
 			t.Fatal(err)
 		}
-		got, err := trace.ReadFrom(&buf)
+		dec, err := trace.NewDecoder(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.ReadAll(dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +427,7 @@ func FuzzSegmentCacheKey(f *testing.F) {
 	}
 	readThrough := func(t *testing.T, cache *TraceSegmentCache, path string) []trace.Access {
 		t.Helper()
-		src, err := OpenIndexedTraceFileCache(path, 2, cache)
+		src, err := OpenTraceFile(path, 2, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

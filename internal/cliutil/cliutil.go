@@ -156,22 +156,25 @@ func (f *Flags) Options(ctx context.Context) sim.Options {
 
 // Apps returns the apps a command's sweeps run over: the built-in
 // profiles opts selects, prepared by sim.PrepareApps, or, when -trace was
-// given, that file (any .mtr version or the legacy fixed-record format) as
-// a one-element list. The trace's usage-based placement comes from one
-// streaming profiling pass, and every cell re-opens and re-decodes the
-// file, so a traced sweep's trace memory stays constant no matter how many
-// accesses the file holds. Indexed (v3) files open as an
-// IndexedFileSource with -decoders decode workers; older versions fall
-// back to sequential decode on a prefetch goroutine. Either way decode
-// overlaps the engine's work, and the -trace-cache-bytes cache lets every
-// opened source (the profiling pass included) share decoded segments.
+// given, that v3 .mtr file as a one-element list. The trace's usage-based
+// placement comes from one streaming profiling pass, and every cell
+// re-opens and re-decodes the file, so a traced sweep's trace memory stays
+// constant no matter how many accesses the file holds. The file opens as
+// an IndexedFileSource with -decoders decode workers, so decode overlaps
+// the engine's work, and the -trace-cache-bytes cache lets every opened
+// source (the profiling pass included) share decoded segments. An MTR1 or
+// MTR2 file fails here, naming the converter.
 func (f *Flags) Apps(opts sim.Options) ([]*sim.App, error) {
 	if *f.Trace == "" {
 		return sim.PrepareApps(opts)
 	}
 	path, decoders, cache := *f.Trace, *f.Decoders, f.Cache()
 	app, err := sim.NewSourceApp(path, func() (trace.Source, error) {
-		return trace.OpenFileParallelCache(path, decoders, cache)
+		src, err := trace.OpenFileParallelCache(path, decoders, cache)
+		if err != nil {
+			return nil, err
+		}
+		return src, nil
 	}, *f.Nodes)
 	if err != nil {
 		return nil, err

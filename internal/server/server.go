@@ -194,7 +194,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Submit admits one run request. The config is validated first (the error
-// wraps the same typed sentinels a direct sim.Run returns); then, in
+// wraps the same typed sentinels a direct sim.Run returns), and a named
+// trace file must be one a run can read (its digest is computed from the
+// file's segment index, with the typed error opening it would give); then, in
 // order: an identical queued/running request coalesces (the same *Job is
 // returned), a cached digest is served as an already-done job, and
 // otherwise the job is enqueued — or rejected with ErrQueueFull when the
@@ -205,8 +207,14 @@ func (s *Server) Submit(cfg sim.RunConfig, timeout time.Duration, noCache bool) 
 		return nil, err
 	}
 	// In-process configs with runtime overrides have no digest; they skip
-	// coalescing and caching rather than failing.
-	digest, _ := cfg.Digest()
+	// coalescing and caching rather than failing. Any other digest error
+	// is a trace file no run could read (missing, truncated, corrupt, or a
+	// pre-index format), so the request is refused here, typed, instead of
+	// being queued to fail.
+	digest, err := cfg.Digest()
+	if err != nil && !errors.Is(err, sim.ErrNoDigest) {
+		return nil, err
+	}
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}

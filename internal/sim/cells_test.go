@@ -132,7 +132,11 @@ func TestNodeCountSweepValues(t *testing.T) {
 func TestSweepCacheAttach(t *testing.T) {
 	path := writeV3Trace(t, "MP3D", 16, 12_000)
 	app, err := NewSourceApp("MP3D", func() (trace.Source, error) {
-		return trace.OpenFileParallel(path, 1)
+		src, err := trace.OpenFileParallelCache(path, 1, nil)
+		if err != nil {
+			return nil, err
+		}
+		return src, nil
 	}, 16)
 	if err != nil {
 		t.Fatal(err)

@@ -52,6 +52,11 @@ var (
 	// ErrUnknownPlacement is wrapped by RunConfig.Validate when Placement
 	// names no placement policy.
 	ErrUnknownPlacement = errors.New("sim: unknown placement")
+	// ErrNoDigest is returned by RunConfig.Digest for configs carrying
+	// in-process overrides (OpenSource, PlacementPolicy, a synthesized
+	// policy): they have no stable identity, so callers skip result
+	// caching for them rather than fail.
+	ErrNoDigest = errors.New("sim: config with in-process overrides has no digest")
 )
 
 // RunConfig is the one declarative description of a single simulation run,
@@ -71,8 +76,10 @@ type RunConfig struct {
 	// Exactly one of Workload and TraceFile must be set (unless OpenSource
 	// supplies the trace).
 	Workload string `json:"workload,omitempty"`
-	// TraceFile is a trace to replay (.mtr or legacy format), decoded with
-	// prefetch. Mutually exclusive with Workload.
+	// TraceFile is a v3 .mtr trace to replay, decoded through its segment
+	// index. MTR1/MTR2 files are refused with an error naming the
+	// converter (`tracegen -in old.mtr -o new.mtr`). Mutually exclusive
+	// with Workload.
 	TraceFile string `json:"trace_file,omitempty"`
 
 	// Nodes is the processor count (0 = the paper's 16).
@@ -347,8 +354,7 @@ func (c RunConfig) timingConfig(geom memory.Geometry, pol core.Policy) timing.Co
 
 // openSource opens the config's trace: the in-process factory (whose
 // indexed file sources are pointed at Cache), the trace file (indexed
-// parallel decode for MTR3, prefetched sequential decode for older
-// versions), or the named workload generator.
+// parallel decode), or the named workload generator.
 func (c RunConfig) openSource() (trace.Source, error) {
 	switch {
 	case c.OpenSource != nil:
@@ -358,7 +364,11 @@ func (c RunConfig) openSource() (trace.Source, error) {
 		}
 		return src, err
 	case c.TraceFile != "":
-		return trace.OpenFileParallelCache(c.TraceFile, c.resolveDecoders(), c.Cache)
+		src, err := trace.OpenFileParallelCache(c.TraceFile, c.resolveDecoders(), c.Cache)
+		if err != nil {
+			return nil, err
+		}
+		return src, nil
 	default:
 		prof, err := workload.ProfileByName(c.Workload)
 		if err != nil {
@@ -423,18 +433,20 @@ func (c RunConfig) resolveDecoders() int {
 
 // digestVersion prefixes the digest material; bump it whenever a change
 // makes old cached results non-comparable (new semantics for an existing
-// field, a changed default, a different result encoding).
-const digestVersion = "migratory-runconfig/v1\n"
+// field, a changed default, a different result encoding, a different
+// trace identity).
+const digestVersion = "migratory-runconfig/v2\n"
 
 // Digest returns the content hash that keys the result cache: a SHA-256
-// over the versioned canonical JSON of the defaulted config, plus the trace
-// file's size and mtime when one is named (so a regenerated trace misses
-// rather than serving stale results). Configs carrying in-process overrides
-// (OpenSource, PlacementPolicy, a synthesized policy) have no stable
-// identity and return an error.
+// over the versioned canonical JSON of the defaulted config, plus the
+// trace file's content identity when one is named (see writeTraceIdentity),
+// so a rewritten trace misses rather than serving stale results. Configs
+// carrying in-process overrides return ErrNoDigest. A trace file that no
+// run could read (missing, truncated, corrupt, or MTR1/MTR2) returns the
+// error opening it would.
 func (c RunConfig) Digest() (string, error) {
 	if c.OpenSource != nil || c.PlacementPolicy != nil || c.policy != nil {
-		return "", errors.New("sim: config with in-process overrides has no digest")
+		return "", ErrNoDigest
 	}
 	// Decode parallelism cannot change the result, so it must not change
 	// the cache key: strip it before hashing (omitempty then drops the
@@ -448,13 +460,40 @@ func (c RunConfig) Digest() (string, error) {
 	io.WriteString(h, digestVersion)
 	h.Write(blob)
 	if c.TraceFile != "" {
-		fi, err := os.Stat(c.TraceFile)
-		if err != nil {
+		if err := writeTraceIdentity(h, c.TraceFile); err != nil {
 			return "", err
 		}
-		fmt.Fprintf(h, "\ntrace %d %d", fi.Size(), fi.ModTime().UnixNano())
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// writeTraceIdentity writes the content identity of the v3 trace at path
+// to h: its header, its record count, and each segment's count, start
+// address and CRC from the segment index. The CRCs cover every record
+// byte, so a rewrite changes the identity even when it keeps the file's
+// size and mtime. Reading the index makes every check the indexed reader
+// makes at open, so a trace no run could read fails here with the same
+// typed error.
+func writeTraceIdentity(h io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	idx, err := trace.ReadIndex(f, fi.Size())
+	if err != nil {
+		return fmt.Errorf("sim: trace file %s: %w", path, err)
+	}
+	hdr := idx.Header
+	fmt.Fprintf(h, "\ntrace %d %d %d %d", hdr.BlockSize, hdr.PageSize, hdr.Nodes, idx.Records)
+	for _, seg := range idx.Segments {
+		fmt.Fprintf(h, "\nseg %d %d %d", seg.Count, seg.StartAddr, seg.CRC)
+	}
+	return nil
 }
 
 // DirectoryResult is the directory engine's outcome.

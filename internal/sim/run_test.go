@@ -178,8 +178,8 @@ func TestDigestStability(t *testing.T) {
 
 	overridden := sparse
 	overridden.PlacementPolicy = placementStub{}
-	if _, err := overridden.Digest(); err == nil {
-		t.Fatal("config with in-process override produced a digest")
+	if _, err := overridden.Digest(); !errors.Is(err, ErrNoDigest) {
+		t.Fatalf("config with in-process override: Digest = %v, want ErrNoDigest", err)
 	}
 }
 

@@ -94,9 +94,10 @@ func TestStreamedBusEquivalence(t *testing.T) {
 	}
 }
 
-// TestFileSourceSweepEquivalence drives Table2 from an .mtr file on disk
-// and from the same trace in memory: identical counters, so the recorded
-// format is a faithful transport.
+// TestFileSourceSweepEquivalence drives Table2 from a v3 .mtr file on
+// disk, read through the indexed reader, and from the same trace in
+// memory: identical counters, so the recorded format is a faithful
+// transport.
 func TestFileSourceSweepEquivalence(t *testing.T) {
 	opts := testOpts("Water")
 	opts.Length = 20_000
@@ -126,7 +127,11 @@ func TestFileSourceSweepEquivalence(t *testing.T) {
 	}
 
 	fileApp, err := NewSourceApp("Water", func() (trace.Source, error) {
-		return trace.OpenFile(path)
+		src, err := trace.OpenFileParallelCache(path, 2, nil)
+		if err != nil {
+			return nil, err
+		}
+		return src, nil
 	}, opts.Nodes)
 	if err != nil {
 		t.Fatal(err)

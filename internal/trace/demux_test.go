@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 
@@ -182,89 +181,5 @@ func TestPutBatchClampsOversizedBuffers(t *testing.T) {
 				len(buf), cap(buf), DefaultBatchSize, DefaultBatchSize)
 		}
 		PutBatch(buf)
-	}
-}
-
-func TestPrefetchSourceMatchesPlain(t *testing.T) {
-	accs := demuxTrace(2*DefaultBatchSize + 123)
-	p := NewPrefetchSource(NewSliceSource(accs))
-	defer p.Close()
-	got, err := ReadAll(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(accs) {
-		t.Fatalf("prefetch read %d accesses, want %d", len(got), len(accs))
-	}
-	for i := range accs {
-		if got[i] != accs[i] {
-			t.Fatalf("access %d: got %v, want %v", i, got[i], accs[i])
-		}
-	}
-	// The stream stays terminal after EOF.
-	if _, err := p.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("Next after EOF: %v, want io.EOF", err)
-	}
-}
-
-func TestPrefetchSourceReset(t *testing.T) {
-	accs := demuxTrace(DefaultBatchSize + 17)
-	p := NewPrefetchSource(NewSliceSource(accs))
-	defer p.Close()
-	for _, drained := range []int{3, len(accs), DefaultBatchSize} {
-		for i := 0; i < drained && i < len(accs); i++ {
-			if _, err := p.Next(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := p.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadAll(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(accs) {
-			t.Fatalf("after Reset: read %d accesses, want %d", len(got), len(accs))
-		}
-		if err := p.Reset(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestPrefetchSourceClose(t *testing.T) {
-	p := NewPrefetchSource(NewSliceSource(demuxTrace(4 * DefaultBatchSize)))
-	if _, err := p.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("Next after Close: %v, want io.EOF", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err) // idempotent
-	}
-}
-
-func TestPrefetchSourcePropagatesError(t *testing.T) {
-	srcErr := errors.New("short read")
-	p := NewPrefetchSource(&failAfter{n: 5, err: srcErr})
-	defer p.Close()
-	n := 0
-	for {
-		_, err := p.Next()
-		if err != nil {
-			if !errors.Is(err, srcErr) {
-				t.Fatalf("got %v, want %v", err, srcErr)
-			}
-			break
-		}
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("delivered %d accesses before the error, want 5", n)
 	}
 }

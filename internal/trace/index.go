@@ -39,9 +39,9 @@ package trace
 // segment carry a CRC, so a corrupt offset table surfaces as ErrCorrupt
 // rather than a silent short or misaligned read.
 //
-// Sequential readers (Decoder, FileSource) handle MTR3 by decoding the
-// record stream exactly like MTR2 and then validating the index
-// structurally; v1/v2 files carry no index and keep decoding as before.
+// MTR3 is the only format a run reads. Decoder, the sequential reference
+// reader, handles MTR3 by decoding the record stream exactly like MTR2 and
+// then validating the index structurally.
 
 import (
 	"encoding/binary"
@@ -75,10 +75,14 @@ const DefaultSegmentBytes = 64 << 10
 // near this limit is garbage.
 const maxIndexBytes = 1 << 26
 
-// ErrNoIndex is returned by ReadIndex and the indexed-source constructors
-// when the input is a valid trace format without a segment index (MTR1 or
-// MTR2): the caller should fall back to sequential decode.
+// ErrNoIndex is wrapped by ReadIndex and the indexed-source constructors
+// when the input is a pre-index trace format (MTR1 or MTR2). Runs cannot
+// read those; the error names the conversion command (ConvertCommand).
 var ErrNoIndex = errors.New("trace: no segment index (not an MTR3 file)")
+
+// ConvertCommand is the command that re-encodes an MTR1/MTR2 trace as
+// MTR3, named by every ErrNoIndex error.
+const ConvertCommand = "tracegen -in old.mtr -o new.mtr"
 
 // Segment describes one independently decodable slice of an MTR3 record
 // stream.
@@ -209,8 +213,8 @@ func parseIndexEntries(body []byte, headerEnd, indexOff int64) ([]Segment, uint6
 }
 
 // ReadIndex reads and validates the segment index of an MTR3 trace of the
-// given size. MTR1/MTR2 inputs return ErrNoIndex (fall back to sequential
-// decode); a missing or cut-off footer returns ErrTruncated; any
+// given size. MTR1/MTR2 inputs return an error wrapping ErrNoIndex that
+// names the converter; a missing or cut-off footer returns ErrTruncated; any
 // structural lie — bad index CRC, overlapping or gapped segments,
 // implausible entries, a trailer that disagrees — returns ErrCorrupt.
 func ReadIndex(r io.ReaderAt, size int64) (*Index, error) {
@@ -230,13 +234,17 @@ func ReadIndex(r io.ReaderAt, size int64) (*Index, error) {
 	switch m {
 	case magic3:
 	case magic2, magic:
-		return nil, ErrNoIndex
+		return nil, fmt.Errorf("%w: %s input; convert it with `%s`", ErrNoIndex, m[:], ConvertCommand)
 	default:
 		return nil, ErrBadMagic
 	}
 	pos := 4
 	var geom [3]uint64
 	for i, what := range []string{"header block size", "header page size", "header node count"} {
+		if _, n := binary.Uvarint(head[pos:]); n == 0 {
+			// head holds three full varints unless the file is shorter.
+			return nil, fmt.Errorf("trace: %d-byte input ends inside the %s: %w", size, what, ErrTruncated)
+		}
 		v, p, err := indexUvarint(head, pos, what)
 		if err != nil {
 			return nil, err
@@ -322,70 +330,46 @@ func verifySegment(data []byte, seg Segment) error {
 	return nil
 }
 
-// segmentDecoder decodes one segment's records out of its in-memory bytes.
-// The delta chain is seeded from the index entry's StartAddr, which is
-// what makes segments independent of one another.
-type segmentDecoder struct {
-	data  []byte
-	pos   int
-	prev  memory.Addr
-	left  uint64
-	nodes int
-	off   int64 // segment file offset, for error messages
-}
-
-func newSegmentDecoder(data []byte, seg Segment, nodes int) segmentDecoder {
-	return segmentDecoder{data: data, prev: seg.StartAddr, left: seg.Count, nodes: nodes, off: seg.Off}
-}
-
-// next fills buf with up to len(buf) records and reports how many remain
-// undecoded via d.left; when the count is exhausted it checks the segment
-// had no leftover bytes. All structural failures are ErrCorrupt: the bytes
-// already passed the CRC, so a short or overlong stream means the index
-// entry lied about the segment.
-func (d *segmentDecoder) next(buf []Access) (int, error) {
-	n := 0
-	data := d.data
-	for n < len(buf) {
-		if d.left == 0 {
-			if d.pos != len(data) {
-				return n, fmt.Errorf("trace: segment at %d: %d bytes after final record: %w", d.off, len(data)-d.pos, ErrCorrupt)
-			}
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
+// decodeRecords decodes the seg.Count records in data, the segment's
+// CRC-checked bytes, into out (exactly seg.Count long). The delta chain is
+// seeded from the index entry's StartAddr, which is what makes segments
+// independent of one another. All structural failures are ErrCorrupt: the
+// bytes already passed the CRC, so a short or overlong stream means the
+// index entry lied about the segment.
+func decodeRecords(data []byte, seg Segment, nodes int, out []Access) error {
+	pos := 0
+	prev := seg.StartAddr
+	for i := range out {
 		var head uint64
 		var hn int
-		if d.pos < len(data) && data[d.pos] < 0x80 {
-			head, hn = uint64(data[d.pos]), 1
-		} else if head, hn = binary.Uvarint(data[d.pos:]); hn <= 0 {
-			return n, fmt.Errorf("trace: segment at %d: bad record head varint: %w", d.off, ErrCorrupt)
+		if pos < len(data) && data[pos] < 0x80 {
+			head, hn = uint64(data[pos]), 1
+		} else if head, hn = binary.Uvarint(data[pos:]); hn <= 0 {
+			return fmt.Errorf("trace: segment at %d: bad record head varint: %w", seg.Off, ErrCorrupt)
 		}
 		if head == 0 {
-			return n, fmt.Errorf("trace: segment at %d: terminator inside segment: %w", d.off, ErrCorrupt)
+			return fmt.Errorf("trace: segment at %d: terminator inside segment: %w", seg.Off, ErrCorrupt)
 		}
 		kn := head - 1
 		node := kn >> 1
-		if node > 0xFF || (d.nodes > 0 && node >= uint64(d.nodes)) {
-			return n, fmt.Errorf("trace: segment at %d: impossible node %d: %w", d.off, node, ErrCorrupt)
+		if node > 0xFF || (nodes > 0 && node >= uint64(nodes)) {
+			return fmt.Errorf("trace: segment at %d: impossible node %d: %w", seg.Off, node, ErrCorrupt)
 		}
-		p := d.pos + hn
+		p := pos + hn
 		var enc uint64
 		var en int
 		if p < len(data) && data[p] < 0x80 {
 			enc, en = uint64(data[p]), 1
 		} else if enc, en = binary.Uvarint(data[p:]); en <= 0 {
-			return n, fmt.Errorf("trace: segment at %d: bad record address varint: %w", d.off, ErrCorrupt)
+			return fmt.Errorf("trace: segment at %d: bad record address varint: %w", seg.Off, ErrCorrupt)
 		}
 		delta := int64(enc>>1) ^ -int64(enc&1) // un-zigzag
-		addr := memory.Addr(int64(d.prev) + delta)
-		d.prev = addr
-		buf[n] = Access{Node: memory.NodeID(node), Kind: Kind(kn & 1), Addr: addr}
-		n++
-		d.pos = p + en
-		d.left--
+		prev = memory.Addr(int64(prev) + delta)
+		out[i] = Access{Node: memory.NodeID(node), Kind: Kind(kn & 1), Addr: prev}
+		pos = p + en
 	}
-	return n, nil
+	if pos != len(data) {
+		return fmt.Errorf("trace: segment at %d: %d bytes after final record: %w", seg.Off, len(data)-pos, ErrCorrupt)
+	}
+	return nil
 }

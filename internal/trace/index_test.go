@@ -78,21 +78,9 @@ func TestMTR3IndexRoundTrip(t *testing.T) {
 		if err := verifySegment(raw, seg); err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
-		dec := newSegmentDecoder(raw, seg, hdr.Nodes)
-		buf := make([]Access, DefaultBatchSize)
-		var got []Access
-		for {
-			n, err := dec.next(buf)
-			got = append(got, buf[:n]...)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				t.Fatalf("segment %d: %v", i, err)
-			}
-			if n == 0 {
-				break
-			}
+		got := make([]Access, seg.Count)
+		if err := decodeRecords(raw, seg, hdr.Nodes, got); err != nil {
+			t.Fatalf("segment %d: %v", i, err)
 		}
 		want := accs[seg.StartIndex : seg.StartIndex+seg.Count]
 		if len(got) != len(want) {
@@ -112,11 +100,7 @@ func TestMTR3IndexRoundTrip(t *testing.T) {
 
 	// The sequential decoder reads the same stream (and validates the
 	// index structurally on the way out).
-	src, err := NewFileSource(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(src)
+	got, err := readSequential(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,54 +114,27 @@ func TestMTR3IndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMTRVersionMatrix pins the compatibility contract: every format
-// version decodes to the same accesses through the sequential reader, and
-// OpenFileParallel picks the indexed path for v3 and the prefetch fallback
-// for v1/v2.
+// TestMTRVersionMatrix pins the format contract: the sequential reader
+// decodes all three versions to the same accesses, so it can convert any
+// of them; the one path opener reads v3 to those same accesses; and v1/v2
+// files, through the path opener and the in-memory one alike, fail with
+// ErrNoIndex naming the converter.
 func TestMTRVersionMatrix(t *testing.T) {
 	hdr := Header{BlockSize: 16, PageSize: 4096, Nodes: 8}
 	accs := indexTestAccesses(3000)
-	dir := t.TempDir()
-
-	write := func(name string, encode func(f *os.File) error) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := encode(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
+	v3img := encodeMTR3(t, hdr, accs, 2048)
+	var v1img bytes.Buffer
+	if err := WriteTo(&v1img, accs); err != nil {
+		t.Fatal(err)
 	}
-	v1 := write("v1.mtr", func(f *os.File) error {
-		return WriteTo(f, accs)
-	})
-	v2 := write("v2.mtr", func(f *os.File) error {
-		w := NewWriterOptions(f, hdr, WriterOptions{Version: 2})
-		for _, a := range accs {
-			if err := w.Write(a); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	})
-	v3 := write("v3.mtr", func(f *os.File) error {
-		w := NewWriterOptions(f, hdr, WriterOptions{Version: 3, SegmentBytes: 2048})
-		for _, a := range accs {
-			if err := w.Write(a); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	})
+	images := []struct {
+		name string
+		data []byte
+	}{{"v1", v1img.Bytes()}, {"v2", toMTR2(v3img)}, {"v3", v3img}}
 
-	check := func(name string, src Source) {
+	dir := t.TempDir()
+	check := func(name string, got []Access, err error) {
 		t.Helper()
-		got, err := ReadAll(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -189,35 +146,29 @@ func TestMTRVersionMatrix(t *testing.T) {
 				t.Fatalf("%s: access %d: %+v != %+v", name, i, got[i], accs[i])
 			}
 		}
+	}
+	for _, im := range images {
+		got, err := readSequential(im.data)
+		check(im.name+" sequential", got, err)
+
+		path := filepath.Join(dir, im.name+".mtr")
+		if err := os.WriteFile(path, im.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenFileParallelCache(path, 4, nil)
+		if im.name != "v3" {
+			wantConvertError(t, im.name+" path opener", err)
+			_, err = readIndexed(im.data)
+			wantConvertError(t, im.name+" in-memory opener", err)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s parallel: %v", im.name, err)
+		}
+		got, err = ReadAll(src)
+		check(im.name+" parallel", got, err)
 		if err := src.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
-		}
-	}
-
-	for _, tc := range []struct {
-		name, path string
-		indexed    bool
-	}{{"v1", v1, false}, {"v2", v2, false}, {"v3", v3, true}} {
-		fs, err := OpenFile(tc.path)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
-		}
-		check(tc.name+" sequential", fs)
-
-		src, err := OpenFileParallel(tc.path, 4)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", tc.name, err)
-		}
-		if _, ok := src.(*IndexedFileSource); ok != tc.indexed {
-			t.Fatalf("%s: OpenFileParallel returned %T, indexed=%v", tc.name, src, tc.indexed)
-		}
-		check(tc.name+" parallel", src)
-	}
-
-	// v1/v2 input through the indexed-only constructor is a typed refusal.
-	for _, path := range []string{v1, v2} {
-		if _, err := OpenIndexedFile(path, 2); !errors.Is(err, ErrNoIndex) {
-			t.Fatalf("OpenIndexedFile(%s): %v, want ErrNoIndex", path, err)
+			t.Fatalf("%s: close: %v", im.name, err)
 		}
 	}
 }
@@ -354,19 +305,8 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 	})
 
 	t.Run("not a v3 file", func(t *testing.T) {
-		var buf bytes.Buffer
-		w := NewWriterOptions(&buf, hdr, WriterOptions{Version: 2})
-		for _, a := range accs[:100] {
-			if err := w.Write(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := read(buf.Bytes()); !errors.Is(err, ErrNoIndex) {
-			t.Fatalf("v2: got %v, want ErrNoIndex", err)
-		}
+		err := read(toMTR2(encodeMTR3(t, hdr, accs[:100], 2048)))
+		wantConvertError(t, "v2", err)
 		if err := read([]byte("not a trace at all")); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("garbage: got %v, want ErrBadMagic", err)
 		}
@@ -485,8 +425,8 @@ func TestOpenFileParallelCorruptV3FailsLoudly(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileParallel(path, 2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("got %v, want a loud ErrCorrupt (no silent sequential fallback)", err)
+	if _, err := OpenFileParallelCache(path, 2, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want a loud ErrCorrupt", err)
 	}
 }
 

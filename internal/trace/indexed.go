@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,127 +10,90 @@ import (
 	"sync"
 )
 
-// segBufPool recycles the raw byte buffers segments are read into. All
-// segments of one file are near DefaultSegmentBytes, so the pool converges
-// on uniformly sized buffers.
-var segBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, DefaultSegmentBytes+DefaultSegmentBytes/4)
-		return &b
-	},
-}
-
-func getSegBuf(n int64) []byte {
-	b := *segBufPool.Get().(*[]byte)
-	if int64(cap(b)) < n {
-		return make([]byte, n)
+// segBufPool recycles the raw byte buffers segments are read into, and
+// slabPool the slabs uncached segments decode into. Both hold pointers, so
+// a Put allocates nothing. All segments of one file are near
+// DefaultSegmentBytes, so both pools converge on uniformly sized buffers;
+// a segment larger than a pooled buffer grows it.
+var (
+	segBufPool = sync.Pool{
+		New: func() any {
+			b := make([]byte, 0, DefaultSegmentBytes+DefaultSegmentBytes/4)
+			return &b
+		},
 	}
-	return b[:n]
-}
+	slabPool = sync.Pool{
+		New: func() any {
+			s := make([]Access, 0, slabCap)
+			return &s
+		},
+	}
+)
 
-func putSegBuf(b []byte) {
-	b = b[:0]
-	segBufPool.Put(&b)
+// slabCap is the most records a DefaultSegmentBytes segment can hold: it
+// closes within one record (at most 2*MaxVarintLen64 bytes) past the
+// target, and every record takes at least two bytes.
+const slabCap = (DefaultSegmentBytes + 2*binary.MaxVarintLen64) / 2
+
+// getPooled takes a buffer from pool, resized to n elements.
+func getPooled[T any](pool *sync.Pool, n int) *[]T {
+	p := pool.Get().(*[]T)
+	if cap(*p) < n {
+		*p = make([]T, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
 // readSegment pulls one segment's record bytes through the shared ReaderAt
 // and verifies them against the index entry. The returned buffer comes
-// from segBufPool; return it with putSegBuf.
-func readSegment(r io.ReaderAt, seg Segment) ([]byte, error) {
-	buf := getSegBuf(seg.Len)
+// from segBufPool; give it back with segBufPool.Put.
+func readSegment(r io.ReaderAt, seg Segment) (*[]byte, error) {
+	bp := getPooled[byte](&segBufPool, int(seg.Len))
+	buf := *bp
 	n, err := r.ReadAt(buf, seg.Off)
 	if err != nil && !(errors.Is(err, io.EOF) && int64(n) == seg.Len) {
-		putSegBuf(buf)
+		segBufPool.Put(bp)
 		return nil, fmt.Errorf("trace: reading segment at %d: %w", seg.Off, coalesceEOF(err))
 	}
 	if err := verifySegment(buf, seg); err != nil {
-		putSegBuf(buf)
+		segBufPool.Put(bp)
 		return nil, err
 	}
-	return buf, nil
+	return bp, nil
 }
 
-// segWindow is one decoded window of a segment, sized by the batch pool.
-type segWindow struct {
-	buf []Access
-	n   int
-}
-
-// decodeSegmentWindows decodes a whole segment into pooled
-// DefaultBatchSize windows.
-func decodeSegmentWindows(r io.ReaderAt, seg Segment, nodes int) ([]segWindow, error) {
-	data, err := readSegment(r, seg)
+// decodeSegmentSlab reads one segment, checks it against its index entry,
+// and decodes it into out, which holds exactly seg.Count accesses.
+func decodeSegmentSlab(r io.ReaderAt, seg Segment, nodes int, out []Access) error {
+	bp, err := readSegment(r, seg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer putSegBuf(data)
-	dec := newSegmentDecoder(data, seg, nodes)
-	wins := make([]segWindow, 0, int(seg.Count)/DefaultBatchSize+1)
-	for dec.left > 0 {
-		buf := GetBatch()
-		n, err := dec.next(buf)
-		if err != nil {
-			PutBatch(buf)
-			for _, w := range wins {
-				PutBatch(w.buf)
-			}
-			return nil, err
-		}
-		wins = append(wins, segWindow{buf: buf, n: n})
-	}
-	// dec.left reached zero inside next, which also verified no bytes
-	// trail the final record; a lying count with spare bytes errors there.
-	return wins, nil
+	defer segBufPool.Put(bp)
+	return decodeRecords(*bp, seg, nodes, out)
 }
 
-// decodeSegmentSlab decodes a whole segment into one freshly allocated
-// contiguous slab — the immutable form the SegmentCache shares across
-// consumers. Unlike decodeSegmentWindows the result owes nothing to the
-// batch pools, so cached slabs can never be recycled under a reader.
-func decodeSegmentSlab(r io.ReaderAt, seg Segment, nodes int) ([]Access, error) {
-	data, err := readSegment(r, seg)
-	if err != nil {
-		return nil, err
-	}
-	defer putSegBuf(data)
-	out := make([]Access, seg.Count)
-	dec := newSegmentDecoder(data, seg, nodes)
-	filled := 0
-	for dec.left > 0 {
-		n, err := dec.next(out[filled:])
-		if err != nil {
-			return nil, err
-		}
-		filled += n
-	}
-	// The slab is exactly Count long, so the loop exits the moment the last
-	// record lands and the trailing-bytes check inside next has not run;
-	// one extra read (which must report EOF) performs it.
-	var dummy [1]Access
-	if _, err := dec.next(dummy[:]); err != io.EOF {
-		return nil, err
-	}
-	return out[:filled], nil
-}
-
-// segEntry is one decoded segment queued for in-order delivery: either
-// pooled windows (uncached decode) or a pinned cache slab — never both.
+// segEntry is one decoded segment queued for in-order delivery. accs is
+// either a pooled slab (uncached decode) or the slab of a pinned cache
+// entry, never both.
 type segEntry struct {
-	wins []segWindow
-	pin  *PinnedSegment
+	accs []Access
+	slab *[]Access      // pooled backing of accs, when uncached
+	pin  *PinnedSegment // cache pin backing accs, when cached
 	err  error
 }
 
-// discard recycles or releases whatever the entry holds.
+// discard recycles the pooled slab or releases the cache pin. A pinned
+// cache slab is shared and immutable, so it never enters the pool.
 func (e *segEntry) discard() {
-	for _, w := range e.wins {
-		PutBatch(w.buf)
+	if e.slab != nil {
+		slabPool.Put(e.slab)
 	}
-	e.wins = nil
 	if e.pin != nil {
 		e.pin.Release()
-		e.pin = nil
 	}
+	*e = segEntry{}
 }
 
 // segPipe is the parallel decode pipeline behind IndexedFileSource's
@@ -142,7 +106,7 @@ func (e *segEntry) discard() {
 type segPipe struct {
 	r     io.ReaderAt
 	idx   *Index
-	cache *SegmentCache // nil = decode into pooled windows
+	cache *SegmentCache // nil = decode into pooled slabs
 	id    FileID        // cache identity, set when cache != nil
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -200,17 +164,7 @@ func (p *segPipe) worker() {
 		p.claim++
 		p.mu.Unlock()
 
-		var e segEntry
-		if p.cache != nil {
-			seg := p.idx.Segments[i]
-			pin, err := p.cache.Acquire(p.id, i, func() ([]Access, error) {
-				return decodeSegmentSlab(p.r, seg, p.idx.Header.Nodes)
-			})
-			e = segEntry{pin: pin, err: err}
-		} else {
-			wins, err := decodeSegmentWindows(p.r, p.idx.Segments[i], p.idx.Header.Nodes)
-			e = segEntry{wins: wins, err: err}
-		}
+		e := p.decode(i)
 		err := e.err
 		p.mu.Lock()
 		if p.stop {
@@ -230,8 +184,34 @@ func (p *segPipe) worker() {
 	}
 }
 
+// decode produces segment i's entry: through the cache when one is
+// attached (the slab stays pinned until the consumer releases it), else
+// into a pooled slab.
+func (p *segPipe) decode(i int) segEntry {
+	seg, nodes := p.idx.Segments[i], p.idx.Header.Nodes
+	if p.cache != nil {
+		pin, err := p.cache.Acquire(p.id, i, func() ([]Access, error) {
+			out := make([]Access, seg.Count)
+			if err := decodeSegmentSlab(p.r, seg, nodes, out); err != nil {
+				return nil, err
+			}
+			return out, nil
+		})
+		if err != nil {
+			return segEntry{err: err}
+		}
+		return segEntry{accs: pin.Accesses(), pin: pin}
+	}
+	slab := getPooled[Access](&slabPool, int(seg.Count))
+	if err := decodeSegmentSlab(p.r, seg, nodes, *slab); err != nil {
+		slabPool.Put(slab)
+		return segEntry{err: err}
+	}
+	return segEntry{accs: *slab, slab: slab}
+}
+
 // nextSegment blocks until the next in-order segment is decoded and
-// returns its entry (pooled windows or a pinned cache slab). It returns
+// returns its entry (a pooled or a pinned cache slab). It returns
 // io.EOF after the final segment and the decode error of the first bad
 // segment.
 func (p *segPipe) nextSegment() (segEntry, error) {
@@ -273,9 +253,9 @@ func (p *segPipe) halt() {
 
 // IndexedFileSource is a Source decoding an MTR3 trace through its segment
 // index: up to Decoders goroutines decode segments concurrently via a
-// shared io.ReaderAt, and the Source face reassembles them in segment
-// order, so consumers see exactly the sequential access stream — the
-// parallel successor of PrefetchSource's single decode-ahead goroutine.
+// shared io.ReaderAt, each into one slab, and the Source face reassembles
+// them in segment order, so consumers see exactly the sequential access
+// stream. It is the one reader every run uses.
 //
 // The decode pipeline starts lazily at the first read, and Reset returns
 // the source to the unstarted state. Sharded runs read it through the
@@ -295,9 +275,7 @@ type IndexedFileSource struct {
 	hasID  bool // file identity known (opened from a real path)
 
 	pipe *segPipe
-	wins []segWindow
-	pin  *PinnedSegment // pin backing cur when it is a cache slab
-	cur  []Access
+	cur  segEntry // the segment being read
 	pos  int
 	err  error
 }
@@ -305,8 +283,8 @@ type IndexedFileSource struct {
 // NewIndexedSource builds an IndexedFileSource over any io.ReaderAt (which
 // must be safe for concurrent ReadAt, as *os.File and *bytes.Reader are).
 // size is the total trace length in bytes. decoders bounds the concurrent
-// segment decoders; 0 means GOMAXPROCS. MTR1/MTR2 input fails with
-// ErrNoIndex; use FileSource for those.
+// segment decoders; 0 means GOMAXPROCS. MTR1/MTR2 input fails with an
+// error wrapping ErrNoIndex that names the converter.
 func NewIndexedSource(r io.ReaderAt, size int64, decoders int) (*IndexedFileSource, error) {
 	idx, err := ReadIndex(r, size)
 	if err != nil {
@@ -318,9 +296,14 @@ func NewIndexedSource(r io.ReaderAt, size int64, decoders int) (*IndexedFileSour
 	return &IndexedFileSource{r: r, idx: idx, decoders: decoders}, nil
 }
 
-// OpenIndexedFile opens path as an IndexedFileSource. The caller must
-// Close it. Non-MTR3 traces fail with ErrNoIndex.
-func OpenIndexedFile(path string, decoders int) (*IndexedFileSource, error) {
+// OpenFileParallelCache opens the MTR3 trace at path as an
+// IndexedFileSource with up to decoders (0 = GOMAXPROCS) concurrent
+// segment decoders and the shared decoded-segment cache attached (nil =
+// caching off). It is how the CLIs, sweeps, sim.Run and cohd open every
+// trace file. MTR1/MTR2 files fail with an error wrapping ErrNoIndex that
+// names the converter, and a v3 file with a damaged index fails with
+// ErrTruncated or ErrCorrupt. The caller must Close the source.
+func OpenFileParallelCache(path string, decoders int, cache *SegmentCache) (*IndexedFileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -337,7 +320,7 @@ func OpenIndexedFile(path string, decoders int) (*IndexedFileSource, error) {
 	}
 	src.closer = f
 	src.fileID, src.hasID = fileIDFor(path, fi)
-	return src, nil
+	return src.WithCache(cache), nil
 }
 
 // WithCache attaches the shared decoded-segment cache: subsequent segment
@@ -352,35 +335,6 @@ func (s *IndexedFileSource) WithCache(c *SegmentCache) *IndexedFileSource {
 	return s
 }
 
-// OpenFileParallel opens path with the best decode pipeline its format
-// supports: MTR3 files get an IndexedFileSource with up to decoders
-// (0 = GOMAXPROCS) concurrent segment decoders, while MTR1/MTR2 files fall
-// back to sequential decode behind a prefetch goroutine. This is how the
-// CLIs and sim.Run open -trace files; a v3 file with a damaged index fails
-// loudly here rather than silently degrading to the sequential path.
-func OpenFileParallel(path string, decoders int) (Source, error) {
-	return OpenFileParallelCache(path, decoders, nil)
-}
-
-// OpenFileParallelCache is OpenFileParallel with a shared decoded-segment
-// cache attached to indexed sources. Unindexed (v1/v2) files bypass the
-// cache entirely — they have no independently decodable segments — and a
-// nil cache behaves exactly like OpenFileParallel.
-func OpenFileParallelCache(path string, decoders int, cache *SegmentCache) (Source, error) {
-	src, err := OpenIndexedFile(path, decoders)
-	if err == nil {
-		return src.WithCache(cache), nil
-	}
-	if !errors.Is(err, ErrNoIndex) {
-		return nil, err
-	}
-	fs, err := OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewPrefetchSource(fs), nil
-}
-
 // Header returns the trace geometry header.
 func (s *IndexedFileSource) Header() Header { return s.idx.Header }
 
@@ -390,102 +344,59 @@ func (s *IndexedFileSource) Index() *Index { return s.idx }
 // Decoders returns the configured decoder-goroutine bound.
 func (s *IndexedFileSource) Decoders() int { return s.decoders }
 
-// advance recycles the drained window (or releases the drained cache pin)
-// and installs the next one, starting the pipeline on first use.
+// advance gives back the drained segment and installs the next one,
+// starting the pipeline on first use. Segments are never empty (the index
+// rejects zero-count entries), so every installed segment has an access.
 func (s *IndexedFileSource) advance() error {
-	if s.cur != nil {
-		if s.pin != nil {
-			// A pinned cache slab is shared and immutable: release the pin,
-			// never recycle the memory into the batch pools.
-			s.pin.Release()
-			s.pin = nil
-		} else {
-			PutBatch(s.cur)
-		}
-		s.cur = nil
-		s.pos = 0
+	s.cur.discard()
+	s.pos = 0
+	if s.err != nil {
+		return s.err
 	}
-	for {
-		if s.err != nil {
-			return s.err
-		}
-		if len(s.wins) == 0 {
-			if s.pipe == nil {
-				s.pipe = newSegPipe(s.r, s.idx, s.decoders, s.cache, s.fileID)
-			}
-			e, err := s.pipe.nextSegment()
-			if err != nil {
-				s.err = err
-				e.discard()
-				return err
-			}
-			if e.pin != nil {
-				if accs := e.pin.Accesses(); len(accs) > 0 {
-					s.pin = e.pin
-					s.cur = accs
-					s.pos = 0
-					return nil
-				}
-				e.pin.Release()
-				continue
-			}
-			s.wins = e.wins
-			continue
-		}
-		w := s.wins[0]
-		s.wins = s.wins[1:]
-		if w.n > 0 {
-			s.cur = w.buf[:w.n]
-			s.pos = 0
-			return nil
-		}
-		PutBatch(w.buf)
+	if s.pipe == nil {
+		s.pipe = newSegPipe(s.r, s.idx, s.decoders, s.cache, s.fileID)
 	}
+	e, err := s.pipe.nextSegment()
+	if err != nil {
+		s.err = err
+		e.discard()
+		return err
+	}
+	s.cur = e
+	return nil
 }
 
 // Next implements Source.
 func (s *IndexedFileSource) Next() (Access, error) {
-	if s.pos >= len(s.cur) {
+	if s.pos >= len(s.cur.accs) {
 		if err := s.advance(); err != nil {
 			return Access{}, err
 		}
 	}
-	a := s.cur[s.pos]
+	a := s.cur.accs[s.pos]
 	s.pos++
 	return a, nil
 }
 
 // NextBatch implements BatchReader.
 func (s *IndexedFileSource) NextBatch(buf []Access) (int, error) {
-	if s.pos >= len(s.cur) {
+	if s.pos >= len(s.cur.accs) {
 		if err := s.advance(); err != nil {
 			return 0, err
 		}
 	}
-	n := copy(buf, s.cur[s.pos:])
+	n := copy(buf, s.cur.accs[s.pos:])
 	s.pos += n
 	return n, nil
 }
 
-// drain quiesces the pipeline and recycles every in-flight buffer.
+// drain quiesces the pipeline and gives back every in-flight slab.
 func (s *IndexedFileSource) drain() {
 	if s.pipe != nil {
 		s.pipe.halt()
 		s.pipe = nil
 	}
-	for _, w := range s.wins {
-		PutBatch(w.buf)
-	}
-	s.wins = nil
-	if s.cur != nil {
-		if s.pin != nil {
-			s.pin.Release()
-			s.pin = nil
-		} else {
-			PutBatch(s.cur)
-		}
-		s.cur = nil
-	}
+	s.cur.discard()
 	s.pos = 0
 	s.err = nil
 }
@@ -498,7 +409,7 @@ func (s *IndexedFileSource) Reset() error {
 }
 
 // Close implements Source, closing the underlying file when the source
-// was opened by OpenIndexedFile.
+// was opened by OpenFileParallelCache.
 func (s *IndexedFileSource) Close() error {
 	s.drain()
 	s.err = io.EOF

@@ -1,8 +1,8 @@
 package trace
 
-// Streaming binary trace format, version 2 ("MTR2"):
+// Streaming binary trace record stream, shared by MTR2 and MTR3:
 //
-//	magic    [4]byte "MTR2"
+//	magic    [4]byte "MTR2" (or "MTR3", see index.go)
 //	header   uvarint blockSize   (0 = unspecified)
 //	         uvarint pageSize    (0 = unspecified)
 //	         uvarint nodes       (0 = unspecified)
@@ -16,20 +16,18 @@ package trace
 //
 // Consecutive accesses tend to be near one another in the address space, so
 // the zigzag deltas keep most records to two or three bytes versus MTR1's
-// fixed ten. More importantly the format streams: the decoder needs no
-// record count up front and holds O(1) state, and every truncation is
-// detectable without seeking — cutting the stream mid-varint leaves a byte
-// with the continuation bit set and no successor, cutting between records
-// removes the terminator/count trailer, and both cases surface as
-// ErrTruncated.
+// fixed ten. Every truncation is detectable: cutting the stream mid-varint
+// leaves a byte with the continuation bit set and no successor, cutting
+// between records removes the terminator/count trailer, and both cases
+// surface as ErrTruncated.
 //
-// The version-1 format (fixed-width records behind an up-front count, see
-// trace.go) remains readable: Decoder and FileSource accept any of the
-// three magics. Version 3 ("MTR3", see index.go) keeps this record stream
-// byte for byte and appends a segment index + footer after the trailer, so
-// segments can be decoded independently and in parallel; the sequential
-// decoder here reads v3 exactly like v2 and then validates the index
-// structurally.
+// Version 3 ("MTR3", see index.go) keeps this record stream byte for byte
+// and appends a segment index + footer after the trailer, so segments can
+// be decoded independently and in parallel. The Writer emits v3 only, and
+// v3 is the only format a run reads (IndexedFileSource). MTR2 and the
+// fixed-record MTR1 (trace.go) are conversion input: Decoder reads all
+// three sequentially, and `tracegen -in old.mtr -o new.mtr` re-encodes
+// them as v3.
 
 import (
 	"bufio"
@@ -39,7 +37,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"migratory/internal/memory"
 )
@@ -55,9 +52,9 @@ var ErrTruncated = errors.New("trace: truncated trace file")
 // disagrees with the trailer, or trailing garbage.
 var ErrCorrupt = errors.New("trace: corrupt trace file")
 
-// Header carries the trace geometry recorded in an MTR2 file. Zero fields
-// mean the writer did not specify them; version-1 files always decode to a
-// zero Header.
+// Header carries the trace geometry recorded in an MTR2/MTR3 file. Zero
+// fields mean the writer did not specify them; version-1 files always
+// decode to a zero Header.
 type Header struct {
 	BlockSize int // block size in bytes, 0 if unspecified
 	PageSize  int // page size in bytes, 0 if unspecified
@@ -79,19 +76,19 @@ func (h Header) Geometry() (memory.Geometry, bool) {
 
 // WriterOptions selects the output format of a Writer.
 type WriterOptions struct {
-	// Version is the trace format version: 0 (the latest, currently 3), 2,
-	// or 3. Version 2 omits the segment index, for readers predating it.
+	// Version is the trace format version: 0 (the latest) or 3, the only
+	// version written.
 	Version int
 	// SegmentBytes is the target encoded size of one segment (0 =
-	// DefaultSegmentBytes). Version 3 only. Segments close at the first
-	// record boundary at or past the target, so a segment can exceed it by
-	// one record's encoding.
+	// DefaultSegmentBytes). Segments close at the first record boundary at
+	// or past the target, so a segment can exceed it by one record's
+	// encoding.
 	SegmentBytes int
 }
 
-// Writer encodes accesses to the MTR3 format (or MTR2 on request). Close
-// must be called to emit the trailer — and, for v3, the segment index and
-// footer; a stream without them reads back as ErrTruncated.
+// Writer encodes accesses to the MTR3 format. Close must be called to emit
+// the trailer, the segment index and the footer; a stream without them
+// reads back as ErrTruncated.
 type Writer struct {
 	bw     *bufio.Writer
 	hdr    Header
@@ -100,9 +97,8 @@ type Writer struct {
 	err    error
 	closed bool
 
-	// v3 segmenting state. off tracks the file offset of every emitted
-	// byte; while inSeg, record bytes also feed the running segment CRC.
-	version  int
+	// Segmenting state. off tracks the file offset of every emitted byte;
+	// while inSeg, record bytes also feed the running segment CRC.
 	segBytes int64
 	off      int64
 	inSeg    bool
@@ -111,25 +107,19 @@ type Writer struct {
 	segs     []Segment
 }
 
-// NewWriter returns a Writer emitting to w in the latest format version
-// with default segmenting. The header is written immediately. Header
-// fields may be zero (unspecified), but a negative field or a Nodes beyond
-// memory.MaxNodes is rejected at the first Write.
+// NewWriter returns a Writer emitting to w with default segmenting. The
+// header is written immediately. Header fields may be zero (unspecified),
+// but a negative field or a Nodes beyond memory.MaxNodes is rejected at
+// the first Write.
 func NewWriter(w io.Writer, hdr Header) *Writer {
 	return NewWriterOptions(w, hdr, WriterOptions{})
 }
 
-// NewWriterOptions is NewWriter with an explicit format version and
-// segment target (the tracegen -mtr-version escape hatch).
+// NewWriterOptions is NewWriter with an explicit segment target.
 func NewWriterOptions(w io.Writer, hdr Header, opts WriterOptions) *Writer {
 	tw := &Writer{bw: bufio.NewWriter(w), hdr: hdr}
-	switch opts.Version {
-	case 0, 3:
-		tw.version = 3
-	case 2:
-		tw.version = 2
-	default:
-		tw.err = fmt.Errorf("trace: unsupported writer format version %d (want 2 or 3)", opts.Version)
+	if opts.Version != 0 && opts.Version != 3 {
+		tw.err = fmt.Errorf("trace: unsupported writer format version %d (want 3)", opts.Version)
 		return tw
 	}
 	tw.segBytes = int64(opts.SegmentBytes)
@@ -140,11 +130,7 @@ func NewWriterOptions(w io.Writer, hdr Header, opts WriterOptions) *Writer {
 		tw.err = fmt.Errorf("trace: invalid header %+v", hdr)
 		return tw
 	}
-	m := magic2
-	if tw.version == 3 {
-		m = magic3
-	}
-	tw.emit(m[:])
+	tw.emit(magic3[:])
 	tw.putUvarint(uint64(hdr.BlockSize))
 	tw.putUvarint(uint64(hdr.PageSize))
 	tw.putUvarint(uint64(hdr.Nodes))
@@ -201,7 +187,7 @@ func (w *Writer) Write(a Access) error {
 		w.err = fmt.Errorf("trace: access node %d outside header node count %d", a.Node, w.hdr.Nodes)
 		return w.err
 	}
-	if w.version == 3 && !w.inSeg {
+	if !w.inSeg {
 		// Open a segment at the current record boundary. StartAddr is the
 		// running delta base, so an indexed reader can decode the segment
 		// without replaying anything before it.
@@ -214,17 +200,15 @@ func (w *Writer) Write(a Access) error {
 	w.putUvarint(uint64(delta<<1) ^ uint64(delta>>63)) // zigzag
 	w.prev = a.Addr
 	w.count++
-	if w.inSeg {
-		w.seg.Count++
-		if w.off-w.seg.Off >= w.segBytes {
-			w.closeSegment()
-		}
+	w.seg.Count++
+	if w.off-w.seg.Off >= w.segBytes {
+		w.closeSegment()
 	}
 	return w.err
 }
 
-// Close writes the trailer — and, for v3, the segment index and footer —
-// then flushes. It does not close the underlying io.Writer.
+// Close writes the trailer, the segment index and the footer, then
+// flushes. It does not close the underlying io.Writer.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
@@ -236,24 +220,22 @@ func (w *Writer) Close() error {
 	w.closeSegment()
 	w.emit([]byte{0})
 	w.putUvarint(w.count)
-	if w.version == 3 {
-		indexOff := w.off
-		body := make([]byte, 0, 16+len(w.segs)*5*binary.MaxVarintLen64/2)
-		body = binary.AppendUvarint(body, uint64(len(w.segs)))
-		for _, s := range w.segs {
-			body = binary.AppendUvarint(body, uint64(s.Off))
-			body = binary.AppendUvarint(body, uint64(s.Len))
-			body = binary.AppendUvarint(body, s.Count)
-			body = binary.AppendUvarint(body, uint64(s.StartAddr))
-			body = binary.AppendUvarint(body, uint64(s.CRC))
-		}
-		w.emit(body)
-		var foot [footerSize]byte
-		binary.LittleEndian.PutUint64(foot[0:8], uint64(indexOff))
-		binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(body))
-		copy(foot[12:16], footerMagic[:])
-		w.emit(foot[:])
+	indexOff := w.off
+	body := make([]byte, 0, 16+len(w.segs)*5*binary.MaxVarintLen64/2)
+	body = binary.AppendUvarint(body, uint64(len(w.segs)))
+	for _, s := range w.segs {
+		body = binary.AppendUvarint(body, uint64(s.Off))
+		body = binary.AppendUvarint(body, uint64(s.Len))
+		body = binary.AppendUvarint(body, s.Count)
+		body = binary.AppendUvarint(body, uint64(s.StartAddr))
+		body = binary.AppendUvarint(body, uint64(s.CRC))
 	}
+	w.emit(body)
+	var foot [footerSize]byte
+	binary.LittleEndian.PutUint64(foot[0:8], uint64(indexOff))
+	binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(body))
+	copy(foot[12:16], footerMagic[:])
+	w.emit(foot[:])
 	if w.err != nil {
 		return w.err
 	}
@@ -281,17 +263,18 @@ func Copy(w *Writer, r Reader) (int, error) {
 	}
 }
 
-// Decoder streams accesses out of a binary trace (MTR3, MTR2, or the
-// legacy MTR1 format) with O(1) record-decode state. MTR3 input decodes
-// sequentially here — the segment index after the trailer is validated
-// structurally, then discarded; IndexedFileSource is the reader that puts
-// it to work.
+// Decoder reads a binary trace (MTR3, MTR2, or the legacy MTR1 format)
+// sequentially, one record at a time, with every structural check the
+// formats allow. It is not how runs read traces (they need MTR3, through
+// IndexedFileSource): it is the input side of converting pre-index traces
+// to MTR3, and the independent reference the indexed reader is tested
+// against. MTR3 input decodes like MTR2, then its segment index is
+// validated structurally and discarded.
 type Decoder struct {
 	br        *bufio.Reader
 	hdr       Header
 	legacy    bool   // MTR1 input
 	indexed   bool   // MTR3 input: a segment index follows the trailer
-	idxOK     bool   // MTR3 index already validated once on this stream
 	remaining uint64 // MTR1: records left
 	prev      memory.Addr
 	count     uint64
@@ -302,68 +285,45 @@ type Decoder struct {
 // positioned at the first record.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	d := &Decoder{br: bufio.NewReader(r)}
-	if err := d.init(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// init reads the magic and header and resets all per-stream decode state.
-// It is called both by NewDecoder and when a FileSource rewinds, so a Reset
-// reuses the Decoder and its bufio buffer instead of reallocating them.
-func (d *Decoder) init() error {
-	// Peek/Discard instead of ReadFull into a local: the local would escape
-	// through the io.Reader interface, costing one allocation per Reset.
-	win, err := d.br.Peek(4)
-	if err != nil {
-		return fmt.Errorf("trace: reading magic: %w", coalesceEOF(err))
-	}
 	var m [4]byte
-	copy(m[:], win)
-	d.br.Discard(4)
-	d.hdr = Header{}
-	d.legacy = false
-	d.indexed = false
-	d.remaining = 0
-	d.prev = 0
-	d.count = 0
-	d.done = false
+	if _, err := io.ReadFull(d.br, m[:]); err != nil {
+		return nil, fmt.Errorf("trace: reading magic: %w", coalesceEOF(err))
+	}
 	switch m {
 	case magic2, magic3:
 		d.indexed = m == magic3
 		bs, err := d.uvarint("header block size")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ps, err := d.uvarint("header page size")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nodes, err := d.uvarint("header node count")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		const maxGeom = 1 << 30
 		if bs > maxGeom || ps > maxGeom || nodes > memory.MaxNodes {
-			return fmt.Errorf("trace: implausible header (block %d, page %d, nodes %d): %w", bs, ps, nodes, ErrCorrupt)
+			return nil, fmt.Errorf("trace: implausible header (block %d, page %d, nodes %d): %w", bs, ps, nodes, ErrCorrupt)
 		}
 		d.hdr = Header{BlockSize: int(bs), PageSize: int(ps), Nodes: int(nodes)}
 	case magic:
 		d.legacy = true
-		hdr, err := d.br.Peek(8)
-		if err != nil {
-			return fmt.Errorf("trace: reading count: %w", coalesceEOF(err))
+		var cnt [8]byte
+		if _, err := io.ReadFull(d.br, cnt[:]); err != nil {
+			return nil, fmt.Errorf("trace: reading count: %w", coalesceEOF(err))
 		}
-		d.remaining = binary.LittleEndian.Uint64(hdr)
-		d.br.Discard(8)
+		d.remaining = binary.LittleEndian.Uint64(cnt[:])
 		const sanityMax = 1 << 32
 		if d.remaining > sanityMax {
-			return fmt.Errorf("trace: implausible record count %d: %w", d.remaining, ErrCorrupt)
+			return nil, fmt.Errorf("trace: implausible record count %d: %w", d.remaining, ErrCorrupt)
 		}
 	default:
-		return ErrBadMagic
+		return nil, ErrBadMagic
 	}
-	return nil
+	return d, nil
 }
 
 // coalesceEOF folds the two flavors of premature end-of-input into
@@ -434,17 +394,7 @@ func (d *Decoder) finishTrailer() error {
 // The stream gives no random access, so the validation is structural: the
 // footer magic and index CRC must check out, the entries must parse, tile
 // the record region for this header, and sum to the count just verified.
-//
-// The validation result is sticky: when a FileSource resets and replays the
-// same bytes, later passes discard the tail without re-parsing it, keeping
-// the steady-state Reset+drain loop allocation-free.
 func (d *Decoder) finishIndex() error {
-	if d.idxOK {
-		if _, err := io.Copy(io.Discard, d.br); err != nil {
-			return fmt.Errorf("trace: reading segment index: %w", err)
-		}
-		return nil
-	}
 	rest, err := io.ReadAll(io.LimitReader(d.br, maxIndexBytes+1))
 	if err != nil {
 		return fmt.Errorf("trace: reading segment index: %w", err)
@@ -480,7 +430,6 @@ func (d *Decoder) finishIndex() error {
 	if total != d.count {
 		return fmt.Errorf("trace: segment index total %d != %d records decoded: %w", total, d.count, ErrCorrupt)
 	}
-	d.idxOK = true
 	return nil
 }
 
@@ -519,104 +468,6 @@ func (d *Decoder) Next() (Access, error) {
 	return Access{Node: memory.NodeID(node), Kind: Kind(kn & 1), Addr: addr}, nil
 }
 
-// DecodeBatch fills buf with up to len(buf) accesses, implementing the
-// BatchReader contract. The hot path decodes varints straight out of the
-// bufio window via Peek/Discard — no per-byte io.ByteReader calls and no
-// per-record error-context formatting — and falls back to Next only to
-// cross a buffer refill boundary.
-func (d *Decoder) DecodeBatch(buf []Access) (int, error) {
-	if d.done {
-		return 0, io.EOF
-	}
-	n := 0
-	if d.legacy {
-		for n < len(buf) {
-			a, err := d.nextLegacy()
-			if err != nil {
-				return n, err
-			}
-			buf[n] = a
-			n++
-		}
-		return n, nil
-	}
-	// A record is two varints of at most MaxVarintLen64 bytes each; as long
-	// as that many bytes are buffered, both decode without boundary checks.
-	// Peeking the whole buffered window (not just one record's worth)
-	// amortizes the Peek/Discard bookkeeping over the hundreds of records a
-	// bufio buffer holds, leaving two varint decodes per record.
-	const maxRec = 2 * binary.MaxVarintLen64
-	prev := d.prev
-	for n < len(buf) {
-		avail := d.br.Buffered()
-		if avail < maxRec {
-			if win, _ := d.br.Peek(maxRec); len(win) < maxRec {
-				// Near a refill or the end of input: take the careful path.
-				d.prev = prev
-				a, err := d.Next()
-				if err != nil {
-					return n, err
-				}
-				prev = d.prev
-				buf[n] = a
-				n++
-				continue
-			}
-			avail = d.br.Buffered()
-		}
-		win, _ := d.br.Peek(avail)
-		off := 0
-		for n < len(buf) && off+maxRec <= len(win) {
-			// Single-byte varints dominate (heads fit one byte for up to 127
-			// nodes, and delta-encoded addresses are usually small), so check
-			// the continuation bit inline before calling binary.Uvarint.
-			var head uint64
-			var hn int
-			if b := win[off]; b < 0x80 {
-				head, hn = uint64(b), 1
-			} else if head, hn = binary.Uvarint(win[off:]); hn <= 0 {
-				d.br.Discard(off)
-				d.prev = prev
-				return n, d.recordErr("head", errors.New("overlong varint"))
-			}
-			if head == 0 {
-				d.br.Discard(off + hn)
-				d.prev = prev
-				if err := d.finishTrailer(); err != nil {
-					return n, err
-				}
-				return n, io.EOF
-			}
-			kn := head - 1
-			node := kn >> 1
-			if node > 0xFF || (d.hdr.Nodes > 0 && node >= uint64(d.hdr.Nodes)) {
-				d.br.Discard(off)
-				d.prev = prev
-				return n, fmt.Errorf("trace: record %d has impossible node %d: %w", d.count, node, ErrCorrupt)
-			}
-			var enc uint64
-			var en int
-			if b := win[off+hn]; b < 0x80 {
-				enc, en = uint64(b), 1
-			} else if enc, en = binary.Uvarint(win[off+hn:]); en <= 0 {
-				d.br.Discard(off)
-				d.prev = prev
-				return n, d.recordErr("address", errors.New("overlong varint"))
-			}
-			delta := int64(enc>>1) ^ -int64(enc&1) // un-zigzag
-			addr := memory.Addr(int64(prev) + delta)
-			prev = addr
-			buf[n] = Access{Node: memory.NodeID(node), Kind: Kind(kn & 1), Addr: addr}
-			n++
-			d.count++
-			off += hn + en
-		}
-		d.br.Discard(off)
-	}
-	d.prev = prev
-	return n, nil
-}
-
 func (d *Decoder) nextLegacy() (Access, error) {
 	if d.remaining == 0 {
 		d.done = true
@@ -633,70 +484,4 @@ func (d *Decoder) nextLegacy() (Access, error) {
 		Kind: Kind(rec[1]),
 		Addr: memory.Addr(binary.LittleEndian.Uint64(rec[2:])),
 	}, nil
-}
-
-// FileSource is a Source decoding a binary trace (MTR1, MTR2, or MTR3 —
-// the latter sequentially, ignoring its segment index) from a seekable
-// stream, typically a file. Reset seeks back to the start and re-reads the
-// header, so the two-pass placement/simulation workflow works without ever
-// materializing the trace. For parallel segment decode of MTR3 files, see
-// IndexedFileSource and OpenFileParallel.
-type FileSource struct {
-	r      io.ReadSeeker
-	dec    *Decoder
-	closer io.Closer // non-nil when OpenFile owns the descriptor
-}
-
-// OpenFile opens path as a FileSource. The caller must Close it.
-func OpenFile(path string) (*FileSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	src, err := NewFileSource(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	src.closer = f
-	return src, nil
-}
-
-// NewFileSource wraps an existing seekable stream. The stream must be
-// positioned at the start of the trace; Close does not close it.
-func NewFileSource(r io.ReadSeeker) (*FileSource, error) {
-	dec, err := NewDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	return &FileSource{r: r, dec: dec}, nil
-}
-
-// Header returns the geometry header (zero for legacy MTR1 files).
-func (s *FileSource) Header() Header { return s.dec.Header() }
-
-// Next implements Source.
-func (s *FileSource) Next() (Access, error) { return s.dec.Next() }
-
-// NextBatch implements BatchReader via Decoder.DecodeBatch.
-func (s *FileSource) NextBatch(buf []Access) (int, error) { return s.dec.DecodeBatch(buf) }
-
-// Reset implements Source by seeking back to the start of the stream. The
-// Decoder and its buffer are reused across Resets, so the two-pass
-// placement/simulation workflow allocates no per-pass decode state.
-func (s *FileSource) Reset() error {
-	if _, err := s.r.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	s.dec.br.Reset(s.r)
-	return s.dec.init()
-}
-
-// Close implements Source, closing the underlying file when the source was
-// created by OpenFile.
-func (s *FileSource) Close() error {
-	if s.closer != nil {
-		return s.closer.Close()
-	}
-	return nil
 }

@@ -299,9 +299,6 @@ func TestIndexedSourceCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		if _, ok := src.(*IndexedFileSource); !ok {
-			t.Fatalf("expected an indexed source for an MTR3 file, got %T", src)
-		}
 		got, err := ReadAll(src)
 		if err != nil {
 			t.Fatal(err)
@@ -346,7 +343,7 @@ func TestSegmentCacheReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.(*IndexedFileSource).Reset(); err != nil {
+	if err := src.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	second, err := ReadAll(src)

@@ -181,7 +181,7 @@ func PutBatch(buf []Access) {
 // simulator in the repository consumes traces through this interface, so a
 // trace never has to be materialized as a slice: it may live in memory
 // (SliceSource), be generated lazily (workload.Source), or be decoded from
-// a binary file (FileSource).
+// an indexed .mtr file (IndexedFileSource).
 //
 // Next returns io.EOF after the final access. Reset rewinds the stream to
 // the first access; trace-driven simulation is two-pass (page placement,
@@ -264,24 +264,24 @@ func ReadAll(r Reader) ([]Access, error) {
 	}
 }
 
-// Binary trace format:
+// Legacy binary trace format, version 1:
 //
 //	magic   [4]byte  "MTR1"
 //	count   uint64   number of records
 //	records          count * (node uint8, kind uint8, addr uint64), little endian
 //
-// The format is deliberately trivial: traces are an interchange artifact
-// between cmd/tracegen and the simulators, not an archival format.
+// The format is deliberately trivial. No run reads it: Decoder reads
+// it as conversion input, and WriteTo is its encoder.
 
 var magic = [4]byte{'M', 'T', 'R', '1'}
 
 const recordSize = 1 + 1 + 8
 
-// ErrBadMagic is returned by ReadFrom when the input does not begin with
-// the trace file magic.
+// ErrBadMagic is returned by the readers when the input does not begin
+// with any trace file magic.
 var ErrBadMagic = errors.New("trace: bad magic (not a trace file)")
 
-// WriteTo encodes accesses to w in the binary trace format.
+// WriteTo encodes accesses to w in the legacy MTR1 format.
 func WriteTo(w io.Writer, accesses []Access) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(magic[:]); err != nil {
@@ -302,38 +302,4 @@ func WriteTo(w io.Writer, accesses []Access) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadFrom decodes a binary trace written by WriteTo.
-func ReadFrom(r io.Reader) ([]Access, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	count := binary.LittleEndian.Uint64(hdr[:])
-	const sanityMax = 1 << 32
-	if count > sanityMax {
-		return nil, fmt.Errorf("trace: implausible record count %d: %w", count, ErrCorrupt)
-	}
-	out := make([]Access, 0, count)
-	var rec [recordSize]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d of %d: %w", i, count, err)
-		}
-		out = append(out, Access{
-			Node: memory.NodeID(rec[0]),
-			Kind: Kind(rec[1]),
-			Addr: memory.Addr(binary.LittleEndian.Uint64(rec[2:])),
-		})
-	}
-	return out, nil
 }

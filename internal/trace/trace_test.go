@@ -95,7 +95,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteTo(&buf, accs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrom(&buf)
+	got, err := readSequential(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +109,16 @@ func TestBinaryRoundTripEmpty(t *testing.T) {
 	if err := WriteTo(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrom(&buf)
+	got, err := readSequential(buf.Bytes())
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty round trip = %v, %v", got, err)
 	}
 }
 
+// The TestReadFrom* tests pin the MTR1 read path, which Decoder provides as
+// conversion input.
 func TestReadFromBadMagic(t *testing.T) {
-	_, err := ReadFrom(bytes.NewReader([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00")))
+	_, err := readSequential([]byte("XXXX\x00\x00\x00\x00\x00\x00\x00\x00"))
 	if !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic error: %v", err)
 	}
@@ -129,16 +131,16 @@ func TestReadFromTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := ReadFrom(bytes.NewReader(full[:len(full)-cut])); err == nil {
-			t.Fatalf("truncating %d bytes: no error", cut)
+		if _, err := readSequential(full[:len(full)-cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncating %d bytes: %v, want ErrTruncated", cut, err)
 		}
 	}
 }
 
 func TestReadFromImplausibleCount(t *testing.T) {
 	raw := append([]byte("MTR1"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, err := ReadFrom(bytes.NewReader(raw)); err == nil {
-		t.Fatal("implausible count accepted")
+	if _, err := readSequential(raw); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("implausible count: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -163,7 +165,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteTo(&buf, accs); err != nil {
 			return false
 		}
-		got, err := ReadFrom(&buf)
+		got, err := readSequential(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -204,7 +204,7 @@ func TestTraceWriterRoundTripAPI(t *testing.T) {
 	}
 
 	full := buf.Bytes()
-	src, err := NewFileTraceSource(bytes.NewReader(full))
+	src, err := NewIndexedTraceSource(bytes.NewReader(full), int64(len(full)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestTraceWriterRoundTripAPI(t *testing.T) {
 		t.Fatalf("round trip: %d != %d", len(got), len(accs))
 	}
 
-	cut, err := NewFileTraceSource(bytes.NewReader(full[:len(full)/2]))
+	cut, err := NewIndexedTraceSource(bytes.NewReader(full[:len(full)/2]), int64(len(full)/2), 2)
 	if err == nil {
 		_, err = ReadTrace(cut)
 	}
