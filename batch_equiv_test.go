@@ -4,8 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
+
+	"migratory/internal/core"
+	"migratory/internal/directory"
+	"migratory/internal/memory"
+	"migratory/internal/placement"
+	"migratory/internal/snoop"
+	"migratory/internal/workload"
 )
 
 // noBatch hides a source's NextBatch method, forcing FillTraceBatch (and
@@ -171,6 +179,37 @@ func TestBatchedTimingEquivalence(t *testing.T) {
 				batched.StallCycles != unbatched.StallCycles ||
 				batched.ContentionCycles != unbatched.ContentionCycles {
 				t.Errorf("%s/%s: %+v != %+v", pol, name, batched, unbatched)
+			}
+		}
+	}
+}
+
+// TestBatchKernelsMatchCheckedAccess runs every built-in app profile
+// through each engine's unchecked batch kernel (RunSource with no probe
+// and no coherence checker, where the MRU memo and the inline hit paths
+// retire most accesses) and through a 2-shard run, and compares both with
+// the checked per-access run: every directory policy and bus protocol, on
+// a finite cache that evicts and on an infinite one.
+func TestBatchKernelsMatchCheckedAccess(t *testing.T) {
+	geom := memory.MustGeometry(16, 4096)
+	protocols := []snoop.Protocol{snoop.MESI, snoop.Adaptive, snoop.AdaptiveMigrateFirst,
+		snoop.Symmetry, snoop.Berkeley, snoop.UpdateOnce}
+	for _, prof := range workload.Profiles() {
+		accs, err := workload.Generate(prof, 16, 1993, 4_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cacheBytes := range []int{2 << 10, 0} {
+			for _, pol := range append(core.Policies(), core.Stenstrom) {
+				checkDirectoryKernels(t, fmt.Sprintf("%s/%dB/%s", prof.Name, cacheBytes, pol.Name), directory.Config{
+					Nodes: 16, Geometry: geom, CacheBytes: cacheBytes,
+					Policy: pol, Placement: placement.NewRoundRobin(16),
+				}, accs, 2)
+			}
+			for _, p := range protocols {
+				checkSnoopKernels(t, fmt.Sprintf("%s/%dB/%s", prof.Name, cacheBytes, p), snoop.Config{
+					Nodes: 16, Geometry: geom, CacheBytes: cacheBytes, Protocol: p,
+				}, accs, 2)
 			}
 		}
 	}

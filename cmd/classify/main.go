@@ -61,13 +61,9 @@ func main() {
 
 	fmt.Println("On-line detection vs off-line ground truth (shared blocks only):")
 	fmt.Println()
-	var all []sim.Accuracy
-	for _, app := range apps {
-		rows, err := sim.ClassifierAccuracyApp(app, opts, *cache)
-		if err != nil {
-			cliutil.FatalRun(run, "classify", "%v", err)
-		}
-		all = append(all, rows...)
+	all, err := sim.ClassifierAccuracyApps(apps, opts, *cache)
+	if err != nil {
+		cliutil.FatalRun(run, "classify", "%v", err)
 	}
 	if err := sim.RenderAccuracy(all).Render(os.Stdout); err != nil {
 		cliutil.Fatal("classify", "%v", err)

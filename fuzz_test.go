@@ -2,7 +2,9 @@ package migratory
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"migratory/internal/core"
+	"migratory/internal/cost"
 	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/placement"
@@ -40,11 +43,13 @@ func fuzzSeeds(f *testing.F) {
 		seed[i] = byte(i*7 + 3)
 	}
 	f.Add(seed)
+	f.Add([]byte{0x01, 0x00, 0x01, 0x00, 0x00, 0x00}) // write miss, dirty write hit, read hit
 }
 
 // FuzzDirectoryProtocols hammers every directory policy with arbitrary
-// traces, checking the structural invariants and that no processor ever
-// observes a stale value.
+// traces, checking the structural invariants, that no processor ever
+// observes a stale value, and that the unchecked batch kernel counts
+// exactly what the checked per-access path does.
 func FuzzDirectoryProtocols(f *testing.F) {
 	fuzzSeeds(f)
 	geom := memory.MustGeometry(16, 4096)
@@ -52,27 +57,15 @@ func FuzzDirectoryProtocols(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		accs := decodeAccesses(data, 5, 12)
 		for _, pol := range policies {
-			sys, err := directory.New(directory.Config{
+			checkDirectoryKernels(t, pol.Name, directory.Config{
 				Nodes: 5, Geometry: geom, CacheBytes: 128, Assoc: 2,
 				Policy: pol, Placement: placement.NewRoundRobin(5),
-				CheckCoherence: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, a := range accs {
-				if err := sys.Access(a); err != nil {
-					t.Fatalf("%s: access %d (%v): %v", pol.Name, i, a, err)
-				}
-			}
-			if err := sys.CheckInvariants(); err != nil {
-				t.Fatalf("%s: %v", pol.Name, err)
-			}
+			}, accs, 1)
 		}
 	})
 }
 
-// FuzzSnoopProtocols is the bus-side twin, covering all five protocols and
+// FuzzSnoopProtocols is the bus-side twin, covering all six protocols and
 // a hysteresis variant.
 func FuzzSnoopProtocols(f *testing.F) {
 	fuzzSeeds(f)
@@ -88,23 +81,136 @@ func FuzzSnoopProtocols(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		accs := decodeAccesses(data, 5, 12)
 		for _, v := range variants {
-			sys, err := snoop.New(snoop.Config{
+			checkSnoopKernels(t, fmt.Sprintf("%s/h%d", v.p, v.h), snoop.Config{
 				Nodes: 5, Geometry: geom, CacheBytes: 128, Assoc: 2,
-				Protocol: v.p, Hysteresis: v.h, CheckCoherence: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, a := range accs {
-				if err := sys.Access(a); err != nil {
-					t.Fatalf("%s/h%d: access %d (%v): %v", v.p, v.h, i, a, err)
-				}
-			}
-			if err := sys.CheckInvariants(); err != nil {
-				t.Fatalf("%s/h%d: %v", v.p, v.h, err)
-			}
+				Protocol: v.p, Hysteresis: v.h,
+			}, accs, 1)
 		}
 	})
+}
+
+// checkDirectoryKernels is the reference comparison for the directory
+// engine's batch kernel. It runs accs one Access at a time under
+// CheckCoherence (which keeps runBatch off its fast paths) and checks the
+// structural invariants. It then runs them through RunSource with no
+// checker and no probe, and, when shards > 1, through a set-sharded run,
+// and demands the same counters, messages per operation and cache
+// statistics from each.
+func checkDirectoryKernels(t *testing.T, name string, cfg directory.Config, accs []trace.Access, shards int) {
+	t.Helper()
+	checked := cfg
+	checked.CheckCoherence = true
+	ref, err := directory.New(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range accs {
+		if err := ref.Access(a); err != nil {
+			t.Fatalf("%s: access %d (%v): %v", name, i, a, err)
+		}
+	}
+	if err := ref.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	type results interface {
+		Counters() directory.Counters
+		Messages() cost.Msgs
+		MessagesByOp(cost.Op) cost.Msgs
+		CacheStats() (hits, misses, evictions uint64)
+		RunSource(context.Context, trace.Source) error
+	}
+	fast, err := directory.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]results{"batch": fast}
+	if shards > 1 {
+		sh, err := directory.NewSharded(cfg, shards, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[fmt.Sprintf("x%d", shards)] = sh
+	}
+	for mode, sys := range runs {
+		if err := sys.RunSource(nil, trace.NewSliceSource(accs)); err != nil {
+			t.Fatalf("%s %s: %v", name, mode, err)
+		}
+		if got, want := sys.Counters(), ref.Counters(); got != want {
+			t.Fatalf("%s %s: counters %+v, checked per-access run %+v", name, mode, got, want)
+		}
+		if got, want := sys.Messages(), ref.Messages(); got != want {
+			t.Fatalf("%s %s: messages %+v, checked per-access run %+v", name, mode, got, want)
+		}
+		for op := cost.ReadMiss; op <= cost.WriteBack; op++ {
+			if got, want := sys.MessagesByOp(op), ref.MessagesByOp(op); got != want {
+				t.Fatalf("%s %s: %s messages %+v, checked per-access run %+v", name, mode, op, got, want)
+			}
+		}
+		gh, gm, ge := sys.CacheStats()
+		wh, wm, we := ref.CacheStats()
+		if gh != wh || gm != wm || ge != we {
+			t.Fatalf("%s %s: cache stats %d/%d/%d, checked per-access run %d/%d/%d", name, mode, gh, gm, ge, wh, wm, we)
+		}
+	}
+}
+
+// checkSnoopKernels is checkDirectoryKernels for the bus engine: bus
+// transaction counts, hits, migrations and accesses must match the checked
+// per-access run.
+func checkSnoopKernels(t *testing.T, name string, cfg snoop.Config, accs []trace.Access, shards int) {
+	t.Helper()
+	checked := cfg
+	checked.CheckCoherence = true
+	ref, err := snoop.New(checked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range accs {
+		if err := ref.Access(a); err != nil {
+			t.Fatalf("%s: access %d (%v): %v", name, i, a, err)
+		}
+	}
+	if err := ref.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	type results interface {
+		Counts() snoop.Counts
+		Hits() (read, write uint64)
+		Migrations() uint64
+		Accesses() uint64
+		RunSource(context.Context, trace.Source) error
+	}
+	fast, err := snoop.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]results{"batch": fast}
+	if shards > 1 {
+		sh, err := snoop.NewSharded(cfg, shards, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[fmt.Sprintf("x%d", shards)] = sh
+	}
+	for mode, sys := range runs {
+		if err := sys.RunSource(nil, trace.NewSliceSource(accs)); err != nil {
+			t.Fatalf("%s %s: %v", name, mode, err)
+		}
+		if got, want := sys.Counts(), ref.Counts(); got != want {
+			t.Fatalf("%s %s: counts %+v, checked per-access run %+v", name, mode, got, want)
+		}
+		gr, gw := sys.Hits()
+		wr, ww := ref.Hits()
+		if gr != wr || gw != ww {
+			t.Fatalf("%s %s: hits %d/%d, checked per-access run %d/%d", name, mode, gr, gw, wr, ww)
+		}
+		if got, want := sys.Migrations(), ref.Migrations(); got != want {
+			t.Fatalf("%s %s: migrations %d, checked per-access run %d", name, mode, got, want)
+		}
+		if got, want := sys.Accesses(), ref.Accesses(); got != want {
+			t.Fatalf("%s %s: accesses %d, checked per-access run %d", name, mode, got, want)
+		}
+	}
 }
 
 // FuzzMTRRoundTrip encodes arbitrary traces in the .mtr format and decodes

@@ -123,8 +123,20 @@ type Cache struct {
 	setMask    memory.BlockID
 	shardShift uint                   // log2(Shards); global set index >> shardShift & setMask = local set
 	infinite   *memory.BlockMap[Line] // used when cfg.SizeBytes == 0
-	clock      uint64
-	victim     Line // the last line Insert evicted
+	clock      uint64                 // advanced before every LRU stamp
+	victim     Line                   // the last line Insert evicted
+
+	// mru memoizes the line of the last Lookup hit or Insert, holding
+	// mruBlock; nil when that line was invalidated. A node's next access
+	// usually names the same block, and a memo hit skips the set scan (or
+	// the BlockMap probe) and the LRU stamp. Eliding the stamp is exact:
+	// the memo line already holds the largest stamp among the cache's
+	// valid lines, and Insert compares stamps only within a set, so every
+	// victim choice is unchanged (DESIGN.md §7). A memo hit does not
+	// advance the clock either: stamps only order lines, and the clock
+	// still advances before every stamp.
+	mru      *Line
+	mruBlock memory.BlockID
 
 	// Stats.
 	hits      uint64
@@ -211,12 +223,25 @@ func (c *Cache) find(ch *setChunk, base int, b memory.BlockID) int {
 
 // Lookup returns the line holding block b, touching LRU state, or nil if
 // the block is not cached. The returned pointer stays valid until the line
-// is evicted or invalidated.
+// is evicted or invalidated. A repeat of the last hit or insert is served
+// from the MRU memo by this body, small enough for the compiler to inline
+// into the engines' loops; everything else takes lookupSet.
 func (c *Cache) Lookup(b memory.BlockID) *Line {
+	if c.mruBlock == b && c.mru != nil {
+		c.hits++
+		return c.mru
+	}
+	return c.lookupSet(b)
+}
+
+// lookupSet is Lookup past the memo: the set scan (or the BlockMap probe
+// of an infinite cache), which stamps and memoizes a hit.
+func (c *Cache) lookupSet(b memory.BlockID) *Line {
 	c.clock++
 	if c.infinite != nil {
 		if l := c.infinite.Get(b); l != nil {
 			c.hits++
+			c.mru, c.mruBlock = l, b
 			return l
 		}
 		c.misses++
@@ -226,15 +251,17 @@ func (c *Cache) Lookup(b memory.BlockID) *Line {
 	if i := c.find(ch, base, b); i >= 0 {
 		ch.tags[i].used = c.clock
 		c.hits++
-		return &ch.lines[i]
+		c.mru, c.mruBlock = &ch.lines[i], b
+		return c.mru
 	}
 	c.misses++
 	return nil
 }
 
-// Peek returns the line holding block b without touching LRU state or
-// hit/miss statistics. Protocol engines use it when servicing remote
-// requests (a remote read miss probing this cache is not a local access).
+// Peek returns the line holding block b without touching LRU state, the
+// MRU memo, or hit/miss statistics. Protocol engines use it when servicing
+// remote requests (a remote read miss probing this cache is not a local
+// access).
 func (c *Cache) Peek(b memory.BlockID) *Line {
 	if c.infinite != nil {
 		return c.infinite.Get(b)
@@ -262,6 +289,7 @@ func (c *Cache) Insert(b memory.BlockID, st State) (line, victim *Line) {
 			panic(fmt.Sprintf("cache: Insert of present block %d", b))
 		}
 		*l = Line{Block: b, State: st}
+		c.mru, c.mruBlock = l, b
 		return l, nil
 	}
 	ch, base := c.locate(b)
@@ -294,13 +322,18 @@ func (c *Cache) Insert(b memory.BlockID, st State) (line, victim *Line) {
 	}
 	tags[target] = tagEntry{block: b, used: c.clock}
 	ch.lines[base+target] = Line{Block: b, State: st}
-	return &ch.lines[base+target], victim
+	// Repointing the memo here means an evicted line is never the memo.
+	c.mru, c.mruBlock = &ch.lines[base+target], b
+	return c.mru, victim
 }
 
 // Invalidate removes block b if present, returning whether it was present.
 // Invalidation (a coherence action, not a replacement) does not count as an
 // eviction.
 func (c *Cache) Invalidate(b memory.BlockID) bool {
+	if c.mruBlock == b {
+		c.mru = nil
+	}
 	if c.infinite != nil {
 		return c.infinite.Delete(b)
 	}

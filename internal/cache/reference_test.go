@@ -238,3 +238,109 @@ func TestNewAllocatesLazily(t *testing.T) {
 		t.Fatalf("New(1 MB, 16 B) allocates %d bytes before its first insert, want < 64 KB", per)
 	}
 }
+
+// TestMemoAgainstReferenceModel drives repeat-heavy streams, the shape the
+// MRU-line memo serves, against the reference model. About three lookups
+// in four repeat the previous block; the rest mix in the two ways a memo
+// can go stale: invalidating the MRU block and then looking it up again,
+// and inserts that fill the MRU line's set until it is evicted. Every
+// lookup's outcome and line, every victim, and the hit, miss and eviction
+// totals must match, for finite caches at associativity 1, 2 and 4, an
+// infinite cache (whose Invalidate is the BlockMap delete path) and one
+// shard of a 4-way set-sharded cache.
+func TestMemoAgainstReferenceModel(t *testing.T) {
+	const sets = 16 // sets per shard
+	cases := []struct {
+		name   string
+		assoc  int // 0 = infinite
+		shards int
+	}{
+		{"assoc1", 1, 1},
+		{"assoc2", 2, 1},
+		{"assoc4", 4, 1},
+		{"infinite", 0, 1},
+		{"shards4", 4, 4},
+	}
+	for _, tc := range cases {
+		for seed := int64(0); seed < 8; seed++ {
+			checkMemo(t, tc.name, tc.assoc, tc.shards, sets, seed)
+		}
+	}
+}
+
+func checkMemo(t *testing.T, name string, assoc, shards, sets int, seed int64) {
+	t.Helper()
+	idx := int(seed) % shards
+	cfg := Config{BlockSize: 16, Shards: shards, ShardIndex: idx}
+	ref := newRef(1, 1<<30) // infinite: one set that never fills
+	if assoc > 0 {
+		cfg.SizeBytes, cfg.Assoc = sets*shards*assoc*16, assoc
+		ref = newRef(sets*shards, assoc)
+	}
+	c := New(cfg)
+	// block maps a draw to the k-th block routed to this shard; stride is
+	// the draw distance between two blocks of the same set.
+	block := func(k int) memory.BlockID { return memory.BlockID(k*shards + idx) }
+	stride := sets
+	var hits, misses uint64
+	fail := func(op int, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s seed %d op %d: "+format, append([]any{name, seed, op}, args...)...)
+	}
+	// access looks b up in both models and inserts it on a miss.
+	access := func(op int, b memory.BlockID) {
+		t.Helper()
+		l := c.Lookup(b)
+		refHit := ref.lookup(b)
+		if (l != nil) != refHit {
+			fail(op, "lookup(%d) hit=%v, ref %v", b, l != nil, refHit)
+		}
+		if l != nil {
+			hits++
+			if l.Block != b {
+				fail(op, "lookup(%d) returned the line of block %d", b, l.Block)
+			}
+			return
+		}
+		misses++
+		l, victim := c.Insert(b, 0)
+		refVictim, refEvicted := ref.insert(b)
+		if l.Block != b || (victim != nil) != refEvicted || (victim != nil && victim.Block != refVictim) {
+			fail(op, "insert(%d) = %d, victim %+v, ref %d/%v", b, l.Block, victim, refVictim, refEvicted)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	span := 3 * sets * max(assoc, 1)
+	k := rng.Intn(span) // draw of the previous lookup: the MRU block
+	for op := 0; op < 6000; op++ {
+		switch r := rng.Intn(100); {
+		case r < 75: // repeat the previous block
+			access(op, block(k))
+		case r < 85: // a fresh block
+			k = rng.Intn(span)
+			access(op, block(k))
+		case r < 90: // invalidate the MRU block, then look it up again
+			if got, want := c.Invalidate(block(k)), ref.invalidate(block(k)); got != want {
+				fail(op, "invalidate(%d) = %v, ref %v", block(k), got, want)
+			}
+			access(op, block(k))
+		case r < 95: // fill the MRU line's set, then come back to it
+			for j := 1; j <= max(assoc, 1); j++ {
+				access(op, block(k+j*stride))
+			}
+			access(op, block(k))
+		default: // peek anywhere: neither reads nor moves the memo
+			b := block(rng.Intn(span))
+			if got, want := c.Peek(b) != nil, ref.present(b); got != want {
+				fail(op, "peek(%d) = %v, ref %v", b, got, want)
+			}
+		}
+	}
+	h, m, e := c.Stats()
+	if h != hits || m != misses || int(e) != ref.evictions {
+		t.Fatalf("%s seed %d: stats %d/%d/%d hits/misses/evictions, ref %d/%d/%d", name, seed, h, m, e, hits, misses, ref.evictions)
+	}
+	if c.Len() != lenRef(ref) {
+		t.Fatalf("%s seed %d: len %d, ref %d", name, seed, c.Len(), lenRef(ref))
+	}
+}

@@ -415,10 +415,13 @@ func (s *System) RunSource(ctx context.Context, src trace.Source) error {
 
 // runBatch feeds one chunk of accesses through the system; the context
 // check lives with the caller, outside the per-access loop. The body
-// specializes the dominant case — a read hit with no probe attached and no
-// coherence checking — so the steady-state kernel is a geometry shift, one
-// cache lookup, and two counter increments, with the loop-invariant nil
-// checks hoisted out of the per-access path.
+// specializes the dominant cases — with no probe attached and no coherence
+// checking, a read hit, or a silent write hit on a line this node already
+// owns dirty — so the steady-state kernel is a geometry shift, one cache
+// lookup (usually the MRU memo), and two counter increments, with the
+// loop-invariant nil checks hoisted out of the per-access path. The write
+// hit skips dispatch's entryFor: the entry's flagDirty already mirrors the
+// dirty owner line (DESIGN.md §7), so there is nothing to update.
 func (s *System) runBatch(batch []trace.Access, base int) error {
 	fast := s.probe == nil && s.versions == nil
 	for i := range batch {
@@ -433,10 +436,17 @@ func (s *System) runBatch(batch []trace.Access, base int) error {
 		}
 		b := s.cfg.Geometry.Block(a.Addr)
 		line := s.caches[a.Node].Lookup(b)
-		if fast && a.Kind == trace.Read && line != nil {
-			s.n.ReadHits++
-			s.lastOp = OpInfo{Hit: true}
-			continue
+		if fast && line != nil {
+			if a.Kind == trace.Read {
+				s.n.ReadHits++
+				s.lastOp = OpInfo{Hit: true}
+				continue
+			}
+			if line.State == PermWrite && line.Dirty {
+				s.n.WriteHits++
+				s.lastOp = OpInfo{Hit: true, Write: true}
+				continue
+			}
 		}
 		if err := s.dispatch(a, b, line); err != nil {
 			return fmt.Errorf("access %d (%v): %w", base+i, a, err)

@@ -59,23 +59,36 @@ func ClassifierAccuracy(app string, opts Options, cacheBytes int) ([]Accuracy, e
 }
 
 // ClassifierAccuracyApp is ClassifierAccuracy over a caller-prepared app
-// (an external trace wrapped with NewApp or NewSourceApp). The off-line
-// ground truth comes from one streaming pass; each policy's run opens its
-// own source.
+// (an external trace wrapped with NewApp or NewSourceApp): the one-app case
+// of ClassifierAccuracyApps.
 func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accuracy, error) {
+	return ClassifierAccuracyApps([]*App{prepared}, opts, cacheBytes)
+}
+
+// ClassifierAccuracyApps scores every adaptive policy on every prepared
+// app, returning the rows app by app in policy order. The off-line ground
+// truths come from one streaming pass per app, fanned out over the worker
+// pool; then every app's policy cells run through one pool, so no app
+// waits behind another's barrier. Each run opens its own source.
+func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accuracy, error) {
 	opts = opts.withDefaults()
-	// The ground-truth pass opens its source the way every cell's run does.
-	src, err := RunConfig{OpenSource: prepared.Open, Cache: opts.Cache}.openSource()
+	truths := make([]map[memory.BlockID]trace.BlockPattern, len(apps))
+	err := runIndexed(opts.ctx(), len(apps), opts.workers(), func(i int) error {
+		// The ground-truth pass opens its source the way every cell's run does.
+		src, err := RunConfig{OpenSource: apps[i].Open, Cache: opts.Cache}.openSource()
+		if err != nil {
+			return err
+		}
+		truth, err := trace.ClassifyBlocksSource(src, memory.MustGeometry(16, PageSize))
+		cerr := src.Close()
+		if err != nil {
+			return err
+		}
+		truths[i] = truth
+		return cerr
+	})
 	if err != nil {
 		return nil, err
-	}
-	truth, err := trace.ClassifyBlocksSource(src, memory.MustGeometry(16, PageSize))
-	cerr := src.Close()
-	if err != nil {
-		return nil, err
-	}
-	if cerr != nil {
-		return nil, cerr
 	}
 
 	var adaptive []core.Policy
@@ -84,23 +97,27 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 			adaptive = append(adaptive, pol)
 		}
 	}
-	cfgs := make([]RunConfig, len(adaptive))
-	for i := range adaptive {
+	np := len(adaptive)
+	cfgs := make([]RunConfig, len(apps)*np)
+	for i := range cfgs {
+		app := apps[i/np]
 		cfgs[i] = RunConfig{
 			Engine:          EngineDirectory,
 			Nodes:           opts.Nodes,
 			CacheBytes:      cacheBytes,
 			Shards:          opts.Shards,
 			Cache:           opts.Cache,
-			OpenSource:      prepared.Open,
-			PlacementPolicy: prepared.Placement,
-			policy:          &adaptive[i],
+			OpenSource:      app.Open,
+			PlacementPolicy: app.Placement,
+			policy:          &adaptive[i%np],
 		}
 	}
-	out := make([]Accuracy, len(adaptive))
+	out := make([]Accuracy, len(cfgs))
 	err = runCells(opts, cfgs,
-		func(i int) string { return prepared.Name + "/" + adaptive[i].Name },
-		func(i int, res *RunResult) { out[i] = score(prepared.Name, adaptive[i], truth, res.EverMigratory()) })
+		func(i int) string { return apps[i/np].Name + "/" + adaptive[i%np].Name },
+		func(i int, res *RunResult) {
+			out[i] = score(apps[i/np].Name, adaptive[i%np], truths[i/np], res.EverMigratory())
+		})
 	if err != nil {
 		return nil, err
 	}

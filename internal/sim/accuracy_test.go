@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,33 @@ func TestClassifierAccuracyOnMigratoryWorkload(t *testing.T) {
 func TestClassifierAccuracyUnknownApp(t *testing.T) {
 	if _, err := ClassifierAccuracy("nope", testOpts(), 0); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestClassifierAccuracyAppsMatchesPerApp pins the one-pool accuracy
+// section: scoring several apps in one call, with their cells sharing a
+// pool, returns exactly the rows of one sequential call per app, in app
+// order.
+func TestClassifierAccuracyAppsMatchesPerApp(t *testing.T) {
+	opts := testOpts("MP3D", "Water", "Cholesky")
+	opts.Length = 20_000
+	apps, err := PrepareApps(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Accuracy
+	for _, app := range apps {
+		rows, err := ClassifierAccuracyApp(app, withParallelism(opts, 1), 4<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rows...)
+	}
+	got, err := ClassifierAccuracyApps(apps, withParallelism(opts, 4), 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("one pool = %+v\nper app = %+v", got, want)
 	}
 }

@@ -468,12 +468,10 @@ func (c RunConfig) Digest() (string, error) {
 }
 
 // writeTraceIdentity writes the content identity of the v3 trace at path
-// to h: its header, its record count, and each segment's count, start
-// address and CRC from the segment index. The CRCs cover every record
-// byte, so a rewrite changes the identity even when it keeps the file's
-// size and mtime. Reading the index makes every check the indexed reader
-// makes at open, so a trace no run could read fails here with the same
-// typed error.
+// to h (trace.Index.WriteIdentity), so a rewrite changes the digest even
+// when it keeps the file's size and mtime. Reading the index makes every
+// check the indexed reader makes at open, so a trace no run could read
+// fails here with the same typed error.
 func writeTraceIdentity(h io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -488,11 +486,7 @@ func writeTraceIdentity(h io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("sim: trace file %s: %w", path, err)
 	}
-	hdr := idx.Header
-	fmt.Fprintf(h, "\ntrace %d %d %d %d", hdr.BlockSize, hdr.PageSize, hdr.Nodes, idx.Records)
-	for _, seg := range idx.Segments {
-		fmt.Fprintf(h, "\nseg %d %d %d", seg.Count, seg.StartAddr, seg.CRC)
-	}
+	idx.WriteIdentity(h)
 	return nil
 }
 

@@ -114,6 +114,20 @@ type Index struct {
 	Records uint64
 }
 
+// WriteIdentity writes the trace's content identity to w: its header, its
+// record count, and each segment's count, start address and CRC. The CRCs
+// cover every record byte, so a rewrite of the records changes the
+// identity even when it keeps the file's size and mtime. RunConfig.Digest
+// hashes it into the result-cache key, and FileID carries its SHA-256 into
+// the segment-cache key.
+func (idx *Index) WriteIdentity(w io.Writer) {
+	hdr := idx.Header
+	fmt.Fprintf(w, "\ntrace %d %d %d %d", hdr.BlockSize, hdr.PageSize, hdr.Nodes, idx.Records)
+	for _, seg := range idx.Segments {
+		fmt.Fprintf(w, "\nseg %d %d %d", seg.Count, seg.StartAddr, seg.CRC)
+	}
+}
+
 // uvarintLen returns the encoded length of v as a uvarint.
 func uvarintLen(v uint64) int {
 	n := 1

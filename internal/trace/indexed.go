@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -320,6 +321,9 @@ func OpenFileParallelCache(path string, decoders int, cache *SegmentCache) (*Ind
 	}
 	src.closer = f
 	src.fileID, src.hasID = fileIDFor(path, fi)
+	h := sha256.New()
+	src.idx.WriteIdentity(h)
+	copy(src.fileID.Index[:], h.Sum(nil))
 	return src.WithCache(cache), nil
 }
 

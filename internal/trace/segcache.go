@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
@@ -18,15 +19,20 @@ const DefaultTraceCacheBytes = 256 << 20
 const accessFootprint = 16
 
 // FileID identifies one on-disk trace file instance for cache keying:
-// device and inode pin the file object, size and mtime pin its content
-// generation, so a rewritten or truncated trace can never serve segments
-// decoded from its previous bytes. On platforms without dev/ino the Ino
-// field carries a hash of the absolute path instead (see fileid_other.go).
+// device and inode pin the file object; size, mtime and the index identity
+// pin its content generation, so a rewritten or truncated trace can never
+// serve segments decoded from its previous bytes, even when the rewrite
+// keeps its size and its mtime is restored. On platforms without dev/ino
+// the Ino field carries a hash of the absolute path instead (see
+// fileid_other.go).
 type FileID struct {
 	Dev     uint64
 	Ino     uint64
 	Size    int64
 	MTimeNs int64
+	// Index is the SHA-256 of the segment index's content identity
+	// (Index.WriteIdentity), whose per-segment CRCs cover every record.
+	Index [sha256.Size]byte
 }
 
 // segCacheKey is one decoded segment's cache identity.

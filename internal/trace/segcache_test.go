@@ -385,3 +385,63 @@ func TestFileIDChangesWithContent(t *testing.T) {
 		t.Fatal("rewritten file (different size) kept the same FileID")
 	}
 }
+
+// TestSegmentCacheFencesRestoredMTime rewrites one record's kind in place
+// (same length, same inode) and restores the file's mtime, so dev/ino,
+// size and mtime all match the cached generation. A reopen through the
+// same cache must still return the new records: the segment CRCs in the
+// index identity tell the two generations apart.
+func TestSegmentCacheFencesRestoredMTime(t *testing.T) {
+	before := testAccs(5_000)
+	after := append([]Access(nil), before...)
+	after[4321].Kind ^= 1
+	dir := t.TempDir()
+	path := writeSegmentedMTR(t, dir, before, 2<<10)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewSegmentCache(64 << 20)
+	read := func() []Access {
+		t.Helper()
+		src, err := OpenFileParallelCache(path, 2, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		got, err := ReadAll(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := read(); !reflect.DeepEqual(got, before) {
+		t.Fatal("first replay does not match the written trace")
+	}
+
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSegmentedMTR(t, dir, after, 2<<10) // same path, rewritten in place
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh) != len(old) || bytes.Equal(fresh, old) {
+		t.Fatalf("rewrite is %d bytes (was %d) and equal=%v: want a same-length change", len(fresh), len(old), bytes.Equal(fresh, old))
+	}
+	if err := os.Chtimes(path, fi.ModTime(), fi.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+
+	got := read()
+	if len(got) != len(after) {
+		t.Fatalf("replay after rewrite decoded %d records, want %d", len(got), len(after))
+	}
+	for i := range after {
+		if got[i] != after[i] {
+			t.Fatalf("record %d after rewrite: got %v, want %v (stale cached segment)", i, got[i], after[i])
+		}
+	}
+}
