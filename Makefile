@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardDemux$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentIndex$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCacheKey$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheAgainstReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 
 # Exported-API compatibility gate: compares the root package against
 # APIDIFF_BASE (default HEAD~1) with golang.org/x/exp/cmd/apidiff, failing

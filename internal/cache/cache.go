@@ -10,8 +10,11 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"migratory/internal/memory"
 )
@@ -21,19 +24,24 @@ import (
 // meaning of Dirty.
 type State uint8
 
-// Line is one cache entry: 16 bytes and no pointers, so a chunk of lines
-// is never scanned by the garbage collector. Protocol engines mutate
-// State, Dirty and Aux in place through the pointer returned by
-// Lookup/Insert. The coherence checker's data values live beside the
-// caches, in Versions.
+// Line is one cache entry's protocol payload: 3 bytes and no pointers.
+// The block it holds is the way's tag, kept beside it in the set, so a
+// line does not repeat it. Protocol engines mutate State, Dirty and Aux in
+// place through the pointer returned by Lookup/Insert. The coherence
+// checker's data values live beside the caches, in Versions.
 type Line struct {
-	Block memory.BlockID
 	State State
 	Dirty bool
 	// Aux is protocol-defined auxiliary per-line state (for example, the
 	// small hysteresis counter the paper suggests for adaptive snooping
 	// protocols, §2.1). The cache itself never touches it.
 	Aux uint8
+}
+
+// Victim is the line an Insert evicted, with the block it held.
+type Victim struct {
+	Block memory.BlockID
+	Line
 }
 
 // Config describes one cache.
@@ -102,39 +110,38 @@ func (c Config) Validate() error {
 // Cache is a single node's private cache. The zero value is not usable;
 // construct with New.
 //
-// Finite caches store tags and line payloads in parallel arrays: the
-// Lookup/Peek scan touches only the compact tag entries (16 bytes per way,
-// so a 4-way set's tags share one hardware cache line), and the fat Line
-// payload is dereferenced only on a hit. Profiles of the sweep hot loop
-// show the tag scan as the single largest per-access cost, which makes its
-// memory footprint worth this layout.
+// A finite cache stores each set as assoc consecutive 16-byte ways, each
+// holding its tag, its LRU stamp and its line, so a 4-way set is one
+// 64-byte hardware cache line. The set scan of Lookup, Peek and Insert is
+// the largest per-access cost of the sweep hot loop, and a hit finds its
+// line in the same hardware line as its tag.
 //
-// Both arrays are split into chunks of chunkSets consecutive sets, each
-// allocated on the first Insert into one of its sets. A trace's shared
-// footprint is often far smaller than the configured capacity (the paper's
-// 1 MB caches over a few-hundred-KB footprint), so a cache costs memory in
-// proportion to the sets it actually fills, not to its size. A set in an
-// unallocated chunk is empty: Lookup, Peek and Invalidate miss there.
+// Ways are allocated in chunks of chunkSets consecutive sets, each on the
+// first Insert into one of its sets. A trace's shared footprint is often
+// far smaller than the configured capacity (the paper's 1 MB caches over a
+// few-hundred-KB footprint), so a cache costs memory in proportion to the
+// sets it actually fills, not to its size. A set in an unallocated chunk
+// is empty: Lookup, Peek and Invalidate miss there.
 type Cache struct {
 	cfg        Config
-	chunks     []setChunk // nil for infinite caches
-	chunkLen   int        // ways per chunk: min(sets, chunkSets) * assoc
+	chunks     [][]way // nil for infinite caches; a chunk is nil until its first Insert
+	chunkLen   int     // ways per chunk: min(sets, chunkSets) * assoc
 	assoc      int
 	setMask    memory.BlockID
 	shardShift uint                   // log2(Shards); global set index >> shardShift & setMask = local set
 	infinite   *memory.BlockMap[Line] // used when cfg.SizeBytes == 0
-	clock      uint64                 // advanced before every LRU stamp
-	victim     Line                   // the last line Insert evicted
+	clock      uint32                 // the last LRU stamp handed out; see tick
+	victim     Victim                 // the last line Insert evicted
 
 	// mru memoizes the line of the last Lookup hit or Insert, holding
 	// mruBlock; nil when that line was invalidated. A node's next access
 	// usually names the same block, and a memo hit skips the set scan (or
 	// the BlockMap probe) and the LRU stamp. Eliding the stamp is exact:
-	// the memo line already holds the largest stamp among the cache's
-	// valid lines, and Insert compares stamps only within a set, so every
-	// victim choice is unchanged (DESIGN.md §7). A memo hit does not
-	// advance the clock either: stamps only order lines, and the clock
-	// still advances before every stamp.
+	// the memo line already holds the largest stamp in its set (every
+	// stamp of a line repoints the memo at it), and Insert compares stamps
+	// only within a set, so every victim choice is unchanged (DESIGN.md
+	// §7). A memo hit does not advance the clock either: stamps only order
+	// lines, and the clock still advances before every stamp.
 	mru      *Line
 	mruBlock memory.BlockID
 
@@ -145,26 +152,21 @@ type Cache struct {
 }
 
 // chunkSetBits sets the allocation granule of a finite cache: 64 sets, so
-// a 4-way, 16-byte-block chunk models 4 KB of data in 12 KB of tags and
-// lines, against 3 MB for a whole 1 MB cache.
+// a 4-way, 16-byte-block chunk models 4 KB of data in 4 KB of ways
+// (256 ways of 16 bytes), against 1 MB of ways for a whole 1 MB cache.
 const (
 	chunkSetBits = 6
 	chunkSets    = 1 << chunkSetBits
 )
 
-// setChunk holds chunkSets consecutive sets; tags and lines are nil until
-// the chunk's first Insert.
-type setChunk struct {
-	tags  []tagEntry // len == chunkLen once allocated
-	lines []Line     // parallel to tags
-}
-
-// tagEntry is the scanned portion of one way. used doubles as the validity
-// flag: the clock is incremented before every stamp, so a live line always
-// has used != 0, and Invalidate just zeroes it.
-type tagEntry struct {
+// way is one slot of a set: 16 bytes and no pointers. used doubles as the
+// validity flag: the clock advances before every stamp and never hands
+// out 0, so a live line always has used != 0, and Invalidate just zeroes
+// it.
+type way struct {
 	block memory.BlockID
-	used  uint64 // LRU timestamp; 0 means the way is empty
+	used  uint32 // LRU stamp; 0 means the way is empty
+	line  Line
 }
 
 // New builds a cache from cfg. It panics if cfg is invalid; callers
@@ -186,7 +188,7 @@ func New(cfg Config) *Cache {
 		nsets /= cfg.Shards
 		c.shardShift = uint(bits.TrailingZeros(uint(cfg.Shards)))
 	}
-	c.chunks = make([]setChunk, (nsets+chunkSets-1)/chunkSets)
+	c.chunks = make([][]way, (nsets+chunkSets-1)/chunkSets)
 	c.chunkLen = min(nsets, chunkSets) * cfg.Assoc
 	c.assoc = cfg.Assoc
 	c.setMask = memory.BlockID(nsets - 1)
@@ -199,26 +201,63 @@ func (c *Cache) Config() Config { return c.cfg }
 // Infinite reports whether the cache has unbounded capacity.
 func (c *Cache) Infinite() bool { return c.infinite != nil }
 
-// locate returns the chunk holding block b's set and the index of the
-// set's first way within that chunk.
-func (c *Cache) locate(b memory.BlockID) (*setChunk, int) {
+// locate returns the index of the chunk holding block b's set and the
+// index of the set's first way within that chunk.
+func (c *Cache) locate(b memory.BlockID) (chunk, base int) {
 	set := int((b >> c.shardShift) & c.setMask)
-	return &c.chunks[set>>chunkSetBits], (set & (chunkSets - 1)) * c.assoc
+	return set >> chunkSetBits, (set & (chunkSets - 1)) * c.assoc
 }
 
-// find returns the way index of block b within its set's chunk, or -1 if
-// the block is not cached (an unallocated chunk holds nothing).
-func (c *Cache) find(ch *setChunk, base int, b memory.BlockID) int {
-	if ch.tags == nil {
-		return -1
+// find returns the way holding block b, or nil if the block is not cached
+// (an unallocated chunk holds nothing).
+func (c *Cache) find(b memory.BlockID) *way {
+	ci, base := c.locate(b)
+	ch := c.chunks[ci]
+	if ch == nil {
+		return nil
 	}
-	tags := ch.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i].block == b && tags[i].used != 0 {
-			return base + i
+	set := ch[base : base+c.assoc]
+	for i := range set {
+		if set[i].block == b && set[i].used != 0 {
+			return &set[i]
 		}
 	}
-	return -1
+	return nil
+}
+
+// tick returns the next LRU stamp. Stamps are 32 bits, so before the
+// clock would wrap, renumber re-stamps every set's valid ways 1..k in
+// stamp order and restarts the clock at the largest of those ranks. That
+// is exact because Insert compares stamps only within one set: every set
+// keeps its order, and every later stamp is larger than all of them.
+func (c *Cache) tick() uint32 {
+	if c.clock == math.MaxUint32 {
+		c.renumber()
+	}
+	c.clock++
+	return c.clock
+}
+
+// renumber replaces each set's valid stamps by their ranks 1..k and sets
+// the clock to the largest rank in the cache.
+func (c *Cache) renumber() {
+	c.clock = 0
+	order := make([]*way, 0, c.assoc)
+	for _, ch := range c.chunks {
+		for base := 0; base < len(ch); base += c.assoc {
+			order = order[:0]
+			for i := base; i < base+c.assoc; i++ {
+				if ch[i].used != 0 {
+					order = append(order, &ch[i])
+				}
+			}
+			slices.SortFunc(order, func(x, y *way) int { return cmp.Compare(x.used, y.used) })
+			for r, w := range order {
+				w.used = uint32(r + 1)
+			}
+			c.clock = max(c.clock, uint32(len(order)))
+		}
+	}
 }
 
 // Lookup returns the line holding block b, touching LRU state, or nil if
@@ -237,25 +276,20 @@ func (c *Cache) Lookup(b memory.BlockID) *Line {
 // lookupSet is Lookup past the memo: the set scan (or the BlockMap probe
 // of an infinite cache), which stamps and memoizes a hit.
 func (c *Cache) lookupSet(b memory.BlockID) *Line {
-	c.clock++
+	var l *Line
 	if c.infinite != nil {
-		if l := c.infinite.Get(b); l != nil {
-			c.hits++
-			c.mru, c.mruBlock = l, b
-			return l
-		}
+		l = c.infinite.Get(b)
+	} else if w := c.find(b); w != nil {
+		w.used = c.tick()
+		l = &w.line
+	}
+	if l == nil {
 		c.misses++
 		return nil
 	}
-	ch, base := c.locate(b)
-	if i := c.find(ch, base, b); i >= 0 {
-		ch.tags[i].used = c.clock
-		c.hits++
-		c.mru, c.mruBlock = &ch.lines[i], b
-		return c.mru
-	}
-	c.misses++
-	return nil
+	c.hits++
+	c.mru, c.mruBlock = l, b
+	return l
 }
 
 // Peek returns the line holding block b without touching LRU state, the
@@ -266,9 +300,8 @@ func (c *Cache) Peek(b memory.BlockID) *Line {
 	if c.infinite != nil {
 		return c.infinite.Get(b)
 	}
-	ch, base := c.locate(b)
-	if i := c.find(ch, base, b); i >= 0 {
-		return &ch.lines[i]
+	if w := c.find(b); w != nil {
+		return &w.line
 	}
 	return nil
 }
@@ -277,53 +310,51 @@ func (c *Cache) Peek(b memory.BlockID) *Line {
 // set if necessary. It returns a pointer to the inserted line and, if an
 // eviction occurred, a pointer to a copy of the victim. The copy lives in
 // the cache and stays valid until the next Insert, so an eviction
-// allocates nothing. (A victim returned by value costs more: Go spills a
-// five-field struct through memory on every call, evicting or not.)
-// Inserting a block that is already present panics: protocol engines must
-// Lookup first.
-func (c *Cache) Insert(b memory.BlockID, st State) (line, victim *Line) {
-	c.clock++
+// allocates nothing. (A victim returned by value costs more: Go spills the
+// struct through memory on every call, evicting or not.) Inserting a
+// block that is already present panics: protocol engines must Lookup
+// first.
+func (c *Cache) Insert(b memory.BlockID, st State) (line *Line, victim *Victim) {
 	if c.infinite != nil {
 		l, created := c.infinite.GetOrCreate(b)
 		if !created {
 			panic(fmt.Sprintf("cache: Insert of present block %d", b))
 		}
-		*l = Line{Block: b, State: st}
+		*l = Line{State: st}
 		c.mru, c.mruBlock = l, b
 		return l, nil
 	}
-	ch, base := c.locate(b)
-	if ch.tags == nil {
-		ch.tags = make([]tagEntry, c.chunkLen)
-		ch.lines = make([]Line, c.chunkLen)
+	ci, base := c.locate(b)
+	if c.chunks[ci] == nil {
+		c.chunks[ci] = make([]way, c.chunkLen)
 	}
-	tags := ch.tags[base : base+c.assoc]
+	set := c.chunks[ci][base : base+c.assoc]
 	free, lru := -1, -1
-	for i := range tags {
-		if tags[i].used == 0 {
+	for i := range set {
+		if set[i].used == 0 {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if tags[i].block == b {
+		if set[i].block == b {
 			panic(fmt.Sprintf("cache: Insert of present block %d", b))
 		}
-		if lru < 0 || tags[i].used < tags[lru].used {
+		if lru < 0 || set[i].used < set[lru].used {
 			lru = i
 		}
 	}
 	target := free
 	if target < 0 {
 		target = lru
-		c.victim = ch.lines[base+target]
+		c.victim = Victim{Block: set[target].block, Line: set[target].line}
 		victim = &c.victim
 		c.evictions++
 	}
-	tags[target] = tagEntry{block: b, used: c.clock}
-	ch.lines[base+target] = Line{Block: b, State: st}
+	w := &set[target]
+	*w = way{block: b, used: c.tick(), line: Line{State: st}}
 	// Repointing the memo here means an evicted line is never the memo.
-	c.mru, c.mruBlock = &ch.lines[base+target], b
+	c.mru, c.mruBlock = &w.line, b
 	return c.mru, victim
 }
 
@@ -337,9 +368,8 @@ func (c *Cache) Invalidate(b memory.BlockID) bool {
 	if c.infinite != nil {
 		return c.infinite.Delete(b)
 	}
-	ch, base := c.locate(b)
-	if i := c.find(ch, base, b); i >= 0 {
-		ch.tags[i].used = 0
+	if w := c.find(b); w != nil {
+		w.used = 0
 		return true
 	}
 	return false
@@ -351,9 +381,9 @@ func (c *Cache) Len() int {
 		return c.infinite.Len()
 	}
 	n := 0
-	for ci := range c.chunks {
-		for _, t := range c.chunks[ci].tags {
-			if t.used != 0 {
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if ch[i].used != 0 {
 				n++
 			}
 		}
@@ -370,10 +400,10 @@ func (c *Cache) Blocks() []memory.BlockID {
 		})
 		return out
 	}
-	for ci := range c.chunks {
-		for _, t := range c.chunks[ci].tags {
-			if t.used != 0 {
-				out = append(out, t.block)
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if ch[i].used != 0 {
+				out = append(out, ch[i].block)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func TestLookupInsertInvalidate(t *testing.T) {
 	if ev != nil {
 		t.Fatal("eviction from empty cache")
 	}
-	if l.Block != 5 || l.State != 2 || l.Dirty {
+	if l.State != 2 || l.Dirty || l.Aux != 0 {
 		t.Fatalf("inserted line = %+v", l)
 	}
 	got := c.Lookup(5)
@@ -100,8 +100,8 @@ func TestLRUEviction(t *testing.T) {
 	if ev == nil || ev.Block != 4 {
 		t.Fatalf("evicted %+v; want block 4", ev)
 	}
-	if l.Block != 8 {
-		t.Fatalf("inserted %+v", l)
+	if c.Peek(8) != l {
+		t.Fatalf("Peek(8) is not the line Insert(8) returned")
 	}
 	if c.Peek(0) == nil || c.Peek(8) == nil || c.Peek(4) != nil {
 		t.Fatal("post-eviction contents wrong")
@@ -271,13 +271,20 @@ func TestLRUWithinSetProperty(t *testing.T) {
 	}
 }
 
-// TestLineLayout guards the line's size and keeps it free of pointers, so
-// the caches' line chunks are never scanned by the garbage collector.
+// TestLineLayout guards the layout of a set: a 3-byte line inside a
+// 16-byte way, so a 4-way set fills one 64-byte hardware cache line, and
+// both free of pointers, so a cache's chunks are never scanned by the
+// garbage collector.
 func TestLineLayout(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 16 {
-		t.Errorf("Line is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(Line{}); n != 3 {
+		t.Errorf("Line is %d bytes, want 3", n)
 	}
-	if memory.HasPointers(reflect.TypeOf(Line{})) {
-		t.Error("Line contains pointers")
+	if n := unsafe.Sizeof(way{}); n != 16 {
+		t.Errorf("way is %d bytes, want 16", n)
+	}
+	for _, v := range []any{Line{}, way{}} {
+		if typ := reflect.TypeOf(v); memory.HasPointers(typ) {
+			t.Errorf("%v contains pointers", typ)
+		}
 	}
 }

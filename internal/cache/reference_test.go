@@ -48,6 +48,34 @@ func (r *refCache) insert(b memory.BlockID) (victim memory.BlockID, evicted bool
 	return victim, evicted
 }
 
+func (r *refCache) present(b memory.BlockID) bool {
+	return slices.Contains(r.sets[r.set(b)], b)
+}
+
+// insertTagged inserts block b and tags its line with b's low 16 bits,
+// through State and Aux. A line no longer records its block, so the tag is
+// how a test tells the right line from a wrong one.
+func insertTagged(c *Cache, b memory.BlockID) (*Line, *Victim) {
+	l, victim := c.Insert(b, State(b>>8))
+	l.Aux = uint8(b)
+	return l, victim
+}
+
+// tagged reports whether l carries block b's tag.
+func tagged(l *Line, b memory.BlockID) bool {
+	return l != nil && l.State == State(b>>8) && l.Aux == uint8(b)
+}
+
+// victimOK reports whether an insert's victim matches the reference
+// model's: present exactly when the model evicted, naming the same block,
+// and carrying that block's own line.
+func victimOK(victim *Victim, refVictim memory.BlockID, refEvicted bool) bool {
+	if victim == nil {
+		return !refEvicted
+	}
+	return refEvicted && victim.Block == refVictim && tagged(&victim.Line, refVictim)
+}
+
 func (r *refCache) invalidate(b memory.BlockID) bool {
 	s := r.set(b)
 	for i, x := range r.sets[s] {
@@ -76,19 +104,20 @@ func TestAgainstReferenceModel(t *testing.T) {
 			b := memory.BlockID(rng.Intn(64))
 			switch rng.Intn(3) {
 			case 0: // access: lookup, insert on miss
-				hit := c.Lookup(b) != nil
+				l := c.Lookup(b)
+				hit := l != nil
 				refHit := ref.lookup(b)
 				if hit != refHit {
 					t.Fatalf("seed %d op %d: lookup(%d) = %v, ref %v", seed, op, b, hit, refHit)
 				}
+				if hit && !tagged(l, b) {
+					t.Fatalf("seed %d op %d: lookup(%d) returned line %+v of another block", seed, op, b, *l)
+				}
 				if !hit {
-					_, victim := c.Insert(b, 0)
+					_, victim := insertTagged(c, b)
 					refVictim, refEvicted := ref.insert(b)
-					if (victim != nil) != refEvicted {
-						t.Fatalf("seed %d op %d: insert(%d) evicted=%v, ref %v", seed, op, b, victim != nil, refEvicted)
-					}
-					if victim != nil && victim.Block != refVictim {
-						t.Fatalf("seed %d op %d: insert(%d) victim %d, ref %d", seed, op, b, victim.Block, refVictim)
+					if !victimOK(victim, refVictim, refEvicted) {
+						t.Fatalf("seed %d op %d: insert(%d) victim %+v, ref %d/%v", seed, op, b, victim, refVictim, refEvicted)
 					}
 				}
 			case 1: // invalidate
@@ -98,15 +127,9 @@ func TestAgainstReferenceModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: invalidate(%d) = %v, ref %v", seed, op, b, got, want)
 				}
 			case 2: // peek must not disturb LRU
-				present := c.Peek(b) != nil
-				var refPresent bool
-				for _, x := range ref.sets[ref.set(b)] {
-					if x == b {
-						refPresent = true
-					}
-				}
-				if present != refPresent {
-					t.Fatalf("seed %d op %d: peek(%d) = %v, ref %v", seed, op, b, present, refPresent)
+				l := c.Peek(b)
+				if present := l != nil; present != ref.present(b) || present && !tagged(l, b) {
+					t.Fatalf("seed %d op %d: peek(%d) = %+v, ref present %v", seed, op, b, l, ref.present(b))
 				}
 			}
 		}
@@ -162,16 +185,17 @@ func checkChunked(t *testing.T, assoc, shards, sets int, seed int64) {
 		b := block(rng.Intn(span))
 		switch rng.Intn(3) {
 		case 0:
-			hit := c.Lookup(b) != nil
-			if hit != ref.lookup(b) {
-				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: lookup(%d) = %v", assoc, shards, sets, seed, op, b, hit)
+			l := c.Lookup(b)
+			hit := l != nil
+			if hit != ref.lookup(b) || hit && !tagged(l, b) {
+				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: lookup(%d) = %+v", assoc, shards, sets, seed, op, b, l)
 			}
 			if !hit {
-				l, victim := c.Insert(b, 0)
+				_, victim := insertTagged(c, b)
 				refVictim, refEvicted := ref.insert(b)
-				if l.Block != b || (victim != nil) != refEvicted || (victim != nil && victim.Block != refVictim) {
-					t.Fatalf("assoc %d shards %d sets %d seed %d op %d: insert(%d) = %d, victim %+v, ref %d/%v",
-						assoc, shards, sets, seed, op, b, l.Block, victim, refVictim, refEvicted)
+				if !victimOK(victim, refVictim, refEvicted) {
+					t.Fatalf("assoc %d shards %d sets %d seed %d op %d: insert(%d) victim %+v, ref %d/%v",
+						assoc, shards, sets, seed, op, b, victim, refVictim, refEvicted)
 				}
 			}
 		case 1:
@@ -180,8 +204,8 @@ func checkChunked(t *testing.T, assoc, shards, sets int, seed int64) {
 			}
 		case 2: // probe anywhere in the shard, allocated chunk or not
 			b = block(rng.Intn(4 * sets * assoc))
-			if got, want := c.Peek(b) != nil, ref.present(b); got != want {
-				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: peek(%d) = %v, ref %v", assoc, shards, sets, seed, op, b, got, want)
+			if l := c.Peek(b); (l != nil) != ref.present(b) || l != nil && !tagged(l, b) {
+				t.Fatalf("assoc %d shards %d sets %d seed %d op %d: peek(%d) = %+v, ref present %v", assoc, shards, sets, seed, op, b, l, ref.present(b))
 			}
 		}
 	}
@@ -195,10 +219,6 @@ func checkChunked(t *testing.T, assoc, shards, sets int, seed int64) {
 	if c.Len() != len(want) || !slices.Equal(got, want) {
 		t.Fatalf("assoc %d shards %d sets %d seed %d: Len %d Blocks %v, ref %v", assoc, shards, sets, seed, c.Len(), got, want)
 	}
-}
-
-func (r *refCache) present(b memory.BlockID) bool {
-	return slices.Contains(r.sets[r.set(b)], b)
 }
 
 // TestEvictingInsertAllocatesNothing pins the cache-held victim copy:
@@ -224,7 +244,7 @@ func TestEvictingInsertAllocatesNothing(t *testing.T) {
 }
 
 // TestNewAllocatesLazily guards the footprint win: a 1 MB cache of
-// 16-byte blocks (64 K ways, 3 MB of tags and lines if allocated eagerly)
+// 16-byte blocks (64 K ways, 1 MB of ways if allocated eagerly)
 // costs only its chunk directory until something is inserted.
 func TestNewAllocatesLazily(t *testing.T) {
 	const rounds = 10
@@ -297,16 +317,16 @@ func checkMemo(t *testing.T, name string, assoc, shards, sets int, seed int64) {
 		}
 		if l != nil {
 			hits++
-			if l.Block != b {
-				fail(op, "lookup(%d) returned the line of block %d", b, l.Block)
+			if !tagged(l, b) {
+				fail(op, "lookup(%d) returned line %+v of another block", b, *l)
 			}
 			return
 		}
 		misses++
-		l, victim := c.Insert(b, 0)
+		_, victim := insertTagged(c, b)
 		refVictim, refEvicted := ref.insert(b)
-		if l.Block != b || (victim != nil) != refEvicted || (victim != nil && victim.Block != refVictim) {
-			fail(op, "insert(%d) = %d, victim %+v, ref %d/%v", b, l.Block, victim, refVictim, refEvicted)
+		if !victimOK(victim, refVictim, refEvicted) {
+			fail(op, "insert(%d) victim %+v, ref %d/%v", b, victim, refVictim, refEvicted)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -331,8 +351,8 @@ func checkMemo(t *testing.T, name string, assoc, shards, sets int, seed int64) {
 			access(op, block(k))
 		default: // peek anywhere: neither reads nor moves the memo
 			b := block(rng.Intn(span))
-			if got, want := c.Peek(b) != nil, ref.present(b); got != want {
-				fail(op, "peek(%d) = %v, ref %v", b, got, want)
+			if l := c.Peek(b); (l != nil) != ref.present(b) || l != nil && !tagged(l, b) {
+				fail(op, "peek(%d) = %+v, ref present %v", b, l, ref.present(b))
 			}
 		}
 	}

@@ -782,7 +782,7 @@ func (s *System) insert(n memory.NodeID, b memory.BlockID, st cache.State) *cach
 // evict processes the replacement of a victim line from node n's cache:
 // a write-back for dirty lines, a clean-drop notification otherwise
 // (§3.3 charges both, even the arguably-asynchronous notifications).
-func (s *System) evict(n memory.NodeID, victim *cache.Line) {
+func (s *System) evict(n memory.NodeID, victim *cache.Victim) {
 	b := victim.Block
 	e := s.entryFor(b)
 	home := s.home(b)

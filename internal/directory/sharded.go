@@ -139,11 +139,6 @@ func (s *System) runStamped(batch []trace.Access, steps []uint64) error {
 	return nil
 }
 
-// shardOf returns the shard owning block b.
-func (sh *Sharded) shardOf(b memory.BlockID) *System {
-	return sh.shards[uint64(b)&sh.routeMask()]
-}
-
 // Messages returns the Table 1 message counts summed over all shards.
 func (sh *Sharded) Messages() cost.Msgs {
 	m := sh.mergedMsgs()

@@ -24,7 +24,7 @@ type BlockMap[V any] struct {
 }
 
 const (
-	// blockChunkBits sets the allocation granule: 1024 entries (16 KB of
+	// blockChunkBits sets the allocation granule: 1024 entries (3 KB of
 	// infinite-cache lines). Every infinite-cache node and directory pays
 	// for whole chunks, and the generated workloads touch a few thousand
 	// blocks each, so a smaller granule tracks their footprint closely.
