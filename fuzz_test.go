@@ -3,6 +3,7 @@ package migratory
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/placement"
+	"migratory/internal/sim"
 	"migratory/internal/snoop"
 	"migratory/internal/trace"
 )
@@ -85,6 +87,96 @@ func FuzzSnoopProtocols(f *testing.F) {
 				Nodes: 5, Geometry: geom, CacheBytes: 128, Assoc: 2,
 				Protocol: v.p, Hysteresis: v.h,
 			}, accs, 1)
+		}
+	})
+}
+
+// FuzzEvictionFreeBound checks the footprint bound the sweeps use to run a
+// finite cache as the infinite one. Over arbitrary traces and caches of
+// one to four sets, whenever sim.Footprint calls a cache eviction-free the
+// finite run must evict nothing (no cache evictions, write-backs or clean
+// drops) and its RunResult must marshal to the infinite run's bytes, under
+// every directory policy and bus protocol.
+func FuzzEvictionFreeBound(f *testing.F) {
+	fuzzSeeds(f)
+	// P0 writes block 0, reads block 1, reads block 0: two blocks in one
+	// set, so a one-line cache must evict, write back and miss again.
+	f.Add([]byte{0x01, 0x00, 0x00, 0x01, 0x00, 0x00})
+	const nodes = 4
+	geom := memory.MustGeometry(16, 4096)
+	policies := append(core.Policies(), core.Stenstrom)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accs := decodeAccesses(data, nodes, 12)
+		fp, err := sim.NewFootprint(context.Background(), trace.NewSliceSource(accs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		result := func(cfg sim.RunConfig) []byte {
+			cfg.Nodes, cfg.OpenSource = nodes, func() (trace.Source, error) { return trace.NewSliceSource(accs), nil }
+			res, err := sim.Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, _ := json.Marshal(res)
+			return blob
+		}
+		infinite := make(map[string][]byte) // by policy or protocol name
+		infiniteResult := func(cfg sim.RunConfig) []byte {
+			name := cfg.Policy + cfg.Protocol
+			if infinite[name] == nil {
+				infinite[name] = result(cfg)
+			}
+			return infinite[name]
+		}
+		for _, assoc := range []int{1, 2, 4} {
+			for _, sets := range []int{1, 2, 4} {
+				cb := sets * assoc * 16
+				if !fp.EvictionFree(cb, 16, assoc) {
+					continue
+				}
+				for _, pol := range policies {
+					name := fmt.Sprintf("%s/%dx%d", pol.Name, sets, assoc)
+					sys, err := directory.New(directory.Config{
+						Nodes: nodes, Geometry: geom, CacheBytes: cb, Assoc: assoc,
+						Policy: pol, Placement: placement.NewRoundRobin(nodes),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.RunSource(nil, trace.NewSliceSource(accs)); err != nil {
+						t.Fatal(err)
+					}
+					c := sys.Counters()
+					if _, _, ev := sys.CacheStats(); ev+c.WriteBacks+c.CleanDrops != 0 {
+						t.Fatalf("%s: %d evictions, %d write-backs, %d clean drops in an eviction-free cache", name, ev, c.WriteBacks, c.CleanDrops)
+					}
+					cfg := sim.RunConfig{Engine: sim.EngineDirectory, Policy: pol.Name, Placement: sim.PlacementRoundRobin}
+					want := infiniteResult(cfg)
+					cfg.CacheBytes, cfg.Assoc = cb, assoc
+					if got := result(cfg); !bytes.Equal(got, want) {
+						t.Fatalf("%s: finite result differs from the infinite one:\n%s\n%s", name, got, want)
+					}
+				}
+				for _, p := range snoop.Protocols() {
+					name := fmt.Sprintf("%s/%dx%d", p, sets, assoc)
+					sys, err := snoop.New(snoop.Config{Nodes: nodes, Geometry: geom, CacheBytes: cb, Assoc: assoc, Protocol: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.RunSource(nil, trace.NewSliceSource(accs)); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, ev := sys.CacheStats(); ev+sys.Counts().WriteBack != 0 {
+						t.Fatalf("%s: %d evictions, %d write-backs in an eviction-free cache", name, ev, sys.Counts().WriteBack)
+					}
+					cfg := sim.RunConfig{Engine: sim.EngineBus, Protocol: p.String()}
+					want := infiniteResult(cfg)
+					cfg.CacheBytes, cfg.Assoc = cb, assoc
+					if got := result(cfg); !bytes.Equal(got, want) {
+						t.Fatalf("%s: finite result differs from the infinite one:\n%s\n%s", name, got, want)
+					}
+				}
+			}
 		}
 	})
 }

@@ -772,6 +772,7 @@ func (s *System) writeHitUpgrade(n memory.NodeID, b memory.BlockID, line *cache.
 
 // insert places a block in node n's cache, handling any replacement.
 func (s *System) insert(n memory.NodeID, b memory.BlockID, st cache.State) *cache.Line {
+	// n is always the node whose access missed: the eviction-free bound relies on it (DESIGN.md §7).
 	line, victim := s.caches[n].Insert(b, st)
 	if victim != nil {
 		s.evict(n, victim)

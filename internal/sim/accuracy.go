@@ -113,7 +113,7 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 		}
 	}
 	out := make([]Accuracy, len(cfgs))
-	err = runCells(opts, cfgs,
+	err = runCells(opts, cfgs, nil,
 		func(i int) string { return apps[i/np].Name + "/" + adaptive[i%np].Name },
 		func(i int, res *RunResult) {
 			out[i] = score(apps[i/np].Name, adaptive[i%np], truths[i/np], res.EverMigratory())

@@ -78,7 +78,7 @@ func ExecutionTimeApps(apps []*App, opts Options, policy core.Policy, cacheBytes
 		}
 	}
 	results := make([]timing.Result, len(cfgs))
-	err := runCells(opts, cfgs,
+	err := runCells(opts, cfgs, nil,
 		func(i int) string { return apps[i/2].Name + "/" + pols[i%2].Name },
 		func(i int, res *RunResult) { results[i] = *res.Timing })
 	if err != nil {

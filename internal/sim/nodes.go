@@ -73,7 +73,7 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 		}
 	}
 	msgs := make([]cost.Msgs, len(cfgs))
-	err = runCells(opts, cfgs,
+	err = runCells(opts, cfgs, nil,
 		func(i int) string {
 			return fmt.Sprintf("%s/%s (%d nodes)", app, pols[i%len(pols)].Name, nodeCounts[i/len(pols)])
 		},

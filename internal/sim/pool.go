@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"migratory/internal/core"
+	"migratory/internal/telemetry"
+	"migratory/internal/trace"
 )
 
 // The sweeps of §4 are embarrassingly parallel: every (app, policy, cache,
@@ -97,30 +101,245 @@ func runIndexed(ctx context.Context, n, workers int, fn func(i int) error) error
 // runCells is the one executor behind every §4 sweep: it runs each cell
 // through Run on the worker pool, so the drivers only expand their axes
 // into cells and fold the results back into their row types. fold(i, res)
-// runs on the cell's worker as soon as cell i finishes, so a sweep keeps
+// runs on a worker as soon as cell i's result is known, so a sweep keeps
 // only what its rows need rather than every cell's engine. runCells owns
 // the sweep's progress counters (CellsTotal grows by len(cells) up front,
 // CellsDone by one per finished cell), returns ctx.Err() ahead of any cell
 // error, and wraps a cell's error with label(i), the cell's "app/variant".
-func runCells(opts Options, cells []RunConfig, label func(i int) string, fold func(i int, res *RunResult)) error {
+//
+// apps[i], when apps is non-nil and apps[i] is, declares cell i App-backed:
+// it replays that App's trace under that App's placement. Such a
+// directory or bus cell is shared (see planCells): cells that must compute
+// the same result run once, and a result an earlier sweep finished is
+// reused. Cells with probes never share, and the drivers whose folds read
+// the live engine (accuracy) or that run the timing model pass no apps.
+func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) string, fold func(i int, res *RunResult)) error {
 	ctx := opts.ctx()
-	if opts.Stats != nil {
-		opts.Stats.CellsTotal.Add(uint64(len(cells)))
+	st := opts.Stats
+	if st != nil {
+		st.CellsTotal.Add(uint64(len(cells)))
 	}
-	return runIndexed(ctx, len(cells), opts.workers(), func(i int) error {
-		res, err := Run(ctx, cells[i])
+	reuse := func(i int, res *RunResult) {
+		fold(i, res)
+		creditReused(st, res)
+	}
+	jobs, err := planCells(opts, cells, apps, reuse)
+	if err != nil {
+		return err
+	}
+	return runIndexed(ctx, len(jobs), opts.workers(), func(j int) error {
+		jb := jobs[j]
+		res, err := Run(ctx, jb.cfg)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
-			return fmt.Errorf("%s: %w", label(i), err)
+			return fmt.Errorf("%s: %w", label(jb.cell), err)
 		}
-		fold(i, res)
-		if opts.Stats != nil {
-			opts.Stats.CellsDone.Add(1)
+		fold(jb.cell, res)
+		if st != nil {
+			st.CellsDone.Add(1)
+		}
+		if jb.app != nil {
+			jb.app.remember(jb.key, res)
+			for _, d := range jb.dups {
+				reuse(d, res)
+			}
 		}
 		return nil
 	})
+}
+
+// cellJob is one simulation runCells schedules: cell's config (with a
+// never-evicting cache replaced by the infinite one) and, for a shared
+// cell, its App, its key there, and the duplicate cells its result also
+// answers.
+type cellJob struct {
+	cell int
+	cfg  RunConfig
+	app  *App
+	key  cellKey
+	dups []int
+}
+
+// cellKey names a shared cell's result within its App: the engine and
+// every RunConfig field that can change what the engine computes over the
+// App's trace and placement. Shards, Decoders, Cache and Stats cannot, so
+// they are left out, as Digest leaves out Decoders. A cache that never
+// evicts is keyed as the infinite cache it is equivalent to: CacheBytes 0
+// and no associativity.
+type cellKey struct {
+	engine, protocol string
+	policy           core.Policy
+	nodes            int
+	cacheBytes       int
+	blockSize        int
+	assoc            int
+	hysteresis       int
+	dirPointers      int
+	freeDrops        bool
+}
+
+// planCells turns a sweep's cells into the jobs that must run. Every
+// shared cell is keyed first. A finite cache is keyed as infinite when its
+// App's footprint proves it never evicts; the footprints of the Apps that
+// need one are resolved up front, one App per worker. Then a cell whose
+// key the App has remembered from an earlier sweep is answered at once
+// through reuse(i, res), and cells sharing a key within this sweep become
+// one job whose result folds into all of them, so no worker waits on
+// another.
+func planCells(opts Options, cells []RunConfig, apps []*App, reuse func(i int, res *RunResult)) ([]cellJob, error) {
+	ctx := opts.ctx()
+	shared := make([]bool, len(cells))
+	var needFootprint []*App
+	seen := make(map[*App]bool)
+	for i, cfg := range cells {
+		if apps == nil || apps[i] == nil || cfg.Probes != nil || cfg.Engine == EngineTiming {
+			continue
+		}
+		if cfg.withDefaults().Validate() != nil {
+			continue // Run reports the error
+		}
+		shared[i] = true
+		if cfg.CacheBytes != 0 && !seen[apps[i]] {
+			seen[apps[i]] = true
+			needFootprint = append(needFootprint, apps[i])
+		}
+	}
+	err := runIndexed(ctx, len(needFootprint), opts.workers(), func(j int) error {
+		if _, err := needFootprint[j].footprintOf(ctx, opts.Cache); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return fmt.Errorf("%s: %w", needFootprint[j].Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	type boundKey struct {
+		app                      *App
+		cacheBytes, block, assoc int
+	}
+	bounds := make(map[boundKey]bool)
+	type jobKey struct {
+		app *App
+		key cellKey
+	}
+	first := make(map[jobKey]int)
+	var jobs []cellJob
+	for i, cfg := range cells {
+		if !shared[i] {
+			jobs = append(jobs, cellJob{cell: i, cfg: cfg})
+			continue
+		}
+		app := apps[i]
+		c := cfg.withDefaults()
+		if c.CacheBytes != 0 {
+			bk := boundKey{app, c.CacheBytes, c.BlockSize, c.Assoc}
+			free, ok := bounds[bk]
+			if !ok {
+				fp, _ := app.footprintOf(ctx, opts.Cache) // resolved above, so kept: no error
+				free = fp.EvictionFree(c.CacheBytes, c.BlockSize, c.Assoc)
+				bounds[bk] = free
+			}
+			if free {
+				cfg.CacheBytes, cfg.Assoc = 0, 0
+				c.CacheBytes = 0
+			}
+		}
+		if c.CacheBytes == 0 {
+			c.Assoc = 0 // an infinite cache has no sets
+		}
+		pol, _ := c.resolvePolicy() // Validate passed; the bus engine's is the zero Policy
+		key := cellKey{
+			engine: c.Engine, protocol: c.Protocol, policy: pol, nodes: c.Nodes,
+			cacheBytes: c.CacheBytes, blockSize: c.BlockSize, assoc: c.Assoc,
+			hysteresis: c.Hysteresis, dirPointers: c.DirPointers, freeDrops: c.FreeDropNotifications,
+		}
+		if res := app.recall(key); res != nil {
+			reuse(i, res)
+			continue
+		}
+		if j, ok := first[jobKey{app, key}]; ok {
+			jobs[j].dups = append(jobs[j].dups, i)
+			continue
+		}
+		first[jobKey{app, key}] = len(jobs)
+		jobs = append(jobs, cellJob{cell: i, cfg: cfg, app: app, key: key})
+	}
+	return jobs, nil
+}
+
+// creditReused accounts a cell answered by another run's result: the
+// cell's accesses, classifier transitions and migrations, as its own run
+// would have pushed them, so sweep totals do not depend on sharing, plus
+// the reuse counters and the cell's completion.
+func creditReused(st *telemetry.RunStats, res *RunResult) {
+	if st == nil {
+		return
+	}
+	st.Accesses.Add(res.Accesses)
+	switch {
+	case res.Directory != nil:
+		c := res.Directory.Counters
+		st.Transitions.Add(c.Classifications + c.Declassified)
+		st.Migrations.Add(c.Migrations)
+	case res.Bus != nil:
+		st.Migrations.Add(res.Bus.Migrations)
+	}
+	st.CellsReused.Add(1)
+	st.AccessesReused.Add(res.Accesses)
+	st.CellsDone.Add(1)
+}
+
+// footprintOf returns the App's footprint, streaming one pass over the
+// trace the first time a sweep needs it. fpMu makes the pass single-flight
+// across concurrent sweeps; a failed pass is not kept, so a later sweep
+// tries again.
+func (a *App) footprintOf(ctx context.Context, cache *trace.SegmentCache) (*Footprint, error) {
+	a.fpMu.Lock()
+	defer a.fpMu.Unlock()
+	if a.footprint != nil {
+		return a.footprint, nil
+	}
+	// The pass opens its source the way every cell's run does.
+	src, err := RunConfig{OpenSource: a.Open, Cache: cache}.openSource()
+	if err != nil {
+		return nil, err
+	}
+	fp, err := NewFootprint(ctx, src)
+	cerr := src.Close()
+	if err != nil {
+		return nil, err
+	}
+	if cerr != nil {
+		return nil, cerr
+	}
+	a.footprint = fp
+	return fp, nil
+}
+
+// recall returns the App's remembered result for key, or nil.
+func (a *App) recall(key cellKey) *RunResult {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.memo[key]
+}
+
+// remember keeps a finished cell's result for later sweeps, without the
+// live engine it carries.
+func (a *App) remember(key cellKey, res *RunResult) {
+	kept := *res
+	kept.dir = nil
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.memo == nil {
+		a.memo = make(map[cellKey]*RunResult)
+	}
+	a.memo[key] = &kept
 }
 
 // workers resolves an Options.Parallelism value (0 = GOMAXPROCS) to a

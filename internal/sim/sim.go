@@ -11,6 +11,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
@@ -131,6 +132,15 @@ type App struct {
 	Name      string
 	Placement placement.Policy
 	open      func() (trace.Source, error)
+
+	// fpMu serializes the footprint pass; footprint is nil until a sweep
+	// first needs it (footprintOf).
+	fpMu      sync.Mutex
+	footprint *Footprint
+	// mu guards memo, the finished results of this App's shared sweep
+	// cells by key (runCells).
+	mu   sync.Mutex
+	memo map[cellKey]*RunResult
 }
 
 // Open returns a fresh source positioned at the first access. The caller
@@ -358,6 +368,7 @@ func directorySweep(opts Options, apps []*App, cacheSizes, blockSizes []int, gro
 	// run of len(Policies) cells is one row.
 	var cells []dirCell
 	var cfgs []RunConfig
+	var cellApps []*App
 	for _, app := range apps {
 		for _, gv := range sw.GroupValues {
 			cacheBytes, blockSize := gv, 16
@@ -366,12 +377,12 @@ func directorySweep(opts Options, apps []*App, cacheSizes, blockSizes []int, gro
 			}
 			for _, pol := range opts.Policies {
 				d := newDirCell(app, opts, pol, cacheBytes, blockSize)
-				cells, cfgs = append(cells, d), append(cfgs, d.cfg)
+				cells, cfgs, cellApps = append(cells, d), append(cfgs, d.cfg), append(cellApps, app)
 			}
 		}
 	}
 	out := make([]Cell, len(cells))
-	err := runCells(opts, cfgs,
+	err := runCells(opts, cfgs, cellApps,
 		func(i int) string { return cells[i].App + "/" + cells[i].Policy.Name },
 		func(i int, res *RunResult) { out[i] = cells[i].done(res) })
 	if err != nil {
@@ -508,6 +519,7 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 	// run of len(protocols) cells is one row.
 	var cells []BusCell
 	var cfgs []RunConfig
+	var cellApps []*App
 	var probes []*[]obs.Probe
 	for _, app := range apps {
 		for _, cb := range cacheSizes {
@@ -515,6 +527,7 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 				factory, built := shardProbes(opts, app.Name, p.String(), cb, 16)
 				cells = append(cells, BusCell{App: app.Name, Protocol: p, CacheBytes: cb})
 				probes = append(probes, built)
+				cellApps = append(cellApps, app)
 				cfgs = append(cfgs, RunConfig{
 					Engine:     EngineBus,
 					Nodes:      opts.Nodes,
@@ -529,7 +542,7 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 			}
 		}
 	}
-	err := runCells(opts, cfgs,
+	err := runCells(opts, cfgs, cellApps,
 		func(i int) string { return cells[i].App + "/" + cells[i].Protocol.String() },
 		func(i int, res *RunResult) {
 			cells[i].Counts, cells[i].Probe = res.Bus.Counts, mergeShardProbes(*probes[i])

@@ -139,6 +139,18 @@ func (sh *Sharded) Hits() (read, write uint64) {
 	return
 }
 
+// CacheStats aggregates hit/miss/eviction counts over every node cache of
+// every shard.
+func (sh *Sharded) CacheStats() (hits, misses, evictions uint64) {
+	for _, s := range sh.shards {
+		h, m, e := s.CacheStats()
+		hits += h
+		misses += m
+		evictions += e
+	}
+	return
+}
+
 // CheckInvariants verifies every shard's structural invariants.
 func (sh *Sharded) CheckInvariants() error {
 	for i, s := range sh.shards {

@@ -352,6 +352,17 @@ func (s *System) Migrations() uint64 { return s.migrations }
 // Hits returns read-hit and write-hit counts that needed no bus traffic.
 func (s *System) Hits() (read, write uint64) { return s.readHits, s.writeHits }
 
+// CacheStats aggregates hit/miss/eviction counts over all node caches.
+func (s *System) CacheStats() (hits, misses, evictions uint64) {
+	for _, c := range s.caches {
+		h, m, e := c.Stats()
+		hits += h
+		misses += m
+		evictions += e
+	}
+	return
+}
+
 // Run feeds a whole trace through the system.
 func (s *System) Run(accesses []trace.Access) error {
 	return s.RunSource(nil, trace.NewSliceSource(accesses))
@@ -757,6 +768,7 @@ func (s *System) writeUpdate(n memory.NodeID, b memory.BlockID, line *cache.Line
 
 // insert places the block, writing back a dirty victim.
 func (s *System) insert(n memory.NodeID, b memory.BlockID, st cache.State) *cache.Line {
+	// n is always the node whose access missed: the eviction-free bound relies on it (DESIGN.md §7).
 	line, victim := s.caches[n].Insert(b, st)
 	s.addHolder(b, n)
 	if victim != nil {

@@ -171,13 +171,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
 
-	counter("migratory_accesses_total", "Trace accesses processed by the engines.", float64(sm.Accesses))
+	counter("migratory_accesses_total", "Trace accesses covered by completed cells (simulated or reused).", float64(sm.Accesses))
 	counter("migratory_batches_total", "Access batches delivered to the engines.", float64(sm.Batches))
 	counter("migratory_classifier_transitions_total", "Classifier verdict flips (classify + declassify).", float64(sm.Transitions))
 	counter("migratory_migrations_total", "Read misses served by migrating the block.", float64(sm.Migrations))
 	counter("migratory_probe_events_total", "Typed obs events forwarded by attached StatsProbes.", float64(sm.Events))
 	counter("migratory_cells_done_total", "Sweep simulation cells completed.", float64(sm.CellsDone))
 	gauge("migratory_cells_total", "Sweep simulation cells scheduled (0 = not a sweep).", float64(sm.CellsTotal))
+	counter("migratory_cells_reused_total", "Completed sweep cells answered by an identical cell's result.", float64(sm.CellsReused))
+	counter("migratory_accesses_reused_total", "Accesses of the reused cells (part of migratory_accesses_total).", float64(sm.AccessesReused))
 	counter("migratory_demux_batches_total", "Routed shard batches delivered by the demux stage.", float64(sm.DemuxBatches))
 	counter("migratory_demux_stalls_total", "Shard-batch hand-offs that blocked on a full queue.", float64(sm.DemuxStalls))
 	counter("migratory_demux_stall_seconds_total", "Producer time spent blocked on full shard queues.", float64(sm.DemuxStallNs)/1e9)

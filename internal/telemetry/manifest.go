@@ -43,13 +43,18 @@ type Manifest struct {
 	// Extra carries tool-specific settings (table number, cache list, ...).
 	Extra map[string]any `json:"extra,omitempty"`
 
-	// Outcome fields, sealed by Finish.
+	// Outcome fields, sealed by Finish. Accesses covers every completed
+	// cell; CellsReused and AccessesReused count the cells (and their share
+	// of Accesses) answered by an identical cell's result instead of a
+	// simulation.
 	Start          time.Time `json:"start"`
 	End            time.Time `json:"end"`
 	WallSeconds    float64   `json:"wall_seconds"`
 	Accesses       uint64    `json:"accesses"`
 	Throughput     float64   `json:"accesses_per_sec"`
 	CellsDone      uint64    `json:"cells_done,omitempty"`
+	CellsReused    uint64    `json:"cells_reused,omitempty"`
+	AccessesReused uint64    `json:"accesses_reused,omitempty"`
 	Transitions    uint64    `json:"transitions,omitempty"`
 	Migrations     uint64    `json:"migrations,omitempty"`
 	PeakRSSBytes   uint64    `json:"peak_rss_bytes"`
@@ -125,6 +130,8 @@ func (m *Manifest) Finish(final Sample, err error) {
 		m.Throughput = float64(final.Accesses) / m.WallSeconds
 	}
 	m.CellsDone = final.CellsDone
+	m.CellsReused = final.CellsReused
+	m.AccessesReused = final.AccessesReused
 	m.Transitions = final.Transitions
 	m.Migrations = final.Migrations
 	m.PeakRSSBytes = peakRSSBytes()

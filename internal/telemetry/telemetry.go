@@ -37,10 +37,13 @@ const MaxQueueShards = 64
 // every field is a pure sum (or an instantaneous gauge), so the aggregate
 // view stays meaningful under sweep parallelism and set-sharding alike.
 type RunStats struct {
-	// Accesses counts trace accesses fully processed by the engines.
+	// Accesses counts the trace accesses covered by completed cells: those
+	// the engines processed, plus those of every cell answered by another
+	// run's result (AccessesReused), so the total does not depend on how
+	// many cells a sweep could share.
 	Accesses atomic.Uint64
 	// Batches counts engine-delivered access batches; the average batch
-	// fill is Accesses/Batches.
+	// fill is (Accesses-AccessesReused)/Batches.
 	Batches atomic.Uint64
 	// Transitions counts classifier verdict flips (classify + declassify)
 	// observed by the directory engines.
@@ -56,6 +59,12 @@ type RunStats struct {
 	// not sweeps, in which case ETA reporting is suppressed.
 	CellsDone  atomic.Uint64
 	CellsTotal atomic.Uint64
+	// CellsReused counts completed cells that did not simulate: a sweep
+	// answered them with the result of an identical cell, run in the same
+	// sweep or kept from an earlier one. AccessesReused is their share of
+	// Accesses.
+	CellsReused    atomic.Uint64
+	AccessesReused atomic.Uint64
 
 	// DemuxBatches counts routed shard batches handed to consumers;
 	// DemuxStalls counts the hand-offs that blocked on a full shard queue
@@ -117,14 +126,18 @@ type Sample struct {
 	Events      uint64 `json:"events"`
 	CellsDone   uint64 `json:"cells_done"`
 	CellsTotal  uint64 `json:"cells_total"`
+	// CellsReused and AccessesReused mirror the RunStats counters.
+	CellsReused    uint64 `json:"cells_reused"`
+	AccessesReused uint64 `json:"accesses_reused"`
 
 	// Rate is the instantaneous throughput (accesses/second since the
 	// previous sample); CumulativeRate averages over the whole run.
 	Rate           float64 `json:"accesses_per_sec"`
 	CumulativeRate float64 `json:"accesses_per_sec_cumulative"`
-	// AvgBatchFill is Accesses/Batches — how full the delivered batches
-	// run (a low fill on an .mtr replay means the decode stage, not the
-	// engine, is the bottleneck).
+	// AvgBatchFill is the simulated accesses (Accesses-AccessesReused)
+	// per batch — how full the delivered batches run (a low fill on an
+	// .mtr replay means the decode stage, not the engine, is the
+	// bottleneck).
 	AvgBatchFill float64 `json:"avg_batch_fill"`
 
 	DemuxBatches uint64  `json:"demux_batches"`
@@ -236,21 +249,26 @@ func (s *Sampler) Latest() Sample {
 func (s *Sampler) Snapshot() Sample {
 	now := time.Now()
 	st := s.stats
+	// A reused cell is credited to Accesses before AccessesReused, so
+	// loading AccessesReused first keeps it within the Accesses read next.
+	reused := st.AccessesReused.Load()
 	sm := Sample{
-		Time:         now,
-		Elapsed:      now.Sub(s.start),
-		Accesses:     st.Accesses.Load(),
-		Batches:      st.Batches.Load(),
-		Transitions:  st.Transitions.Load(),
-		Migrations:   st.Migrations.Load(),
-		Events:       st.Events.Load(),
-		CellsDone:    st.CellsDone.Load(),
-		CellsTotal:   st.CellsTotal.Load(),
-		DemuxBatches: st.DemuxBatches.Load(),
-		DemuxStalls:  st.DemuxStalls.Load(),
-		DemuxStallNs: st.DemuxStallNs.Load(),
-		QueueDepths:  st.QueueDepths(),
-		Cache:        SnapshotCacheStats(),
+		Time:           now,
+		Elapsed:        now.Sub(s.start),
+		Accesses:       st.Accesses.Load(),
+		Batches:        st.Batches.Load(),
+		Transitions:    st.Transitions.Load(),
+		Migrations:     st.Migrations.Load(),
+		Events:         st.Events.Load(),
+		CellsDone:      st.CellsDone.Load(),
+		CellsTotal:     st.CellsTotal.Load(),
+		CellsReused:    st.CellsReused.Load(),
+		AccessesReused: reused,
+		DemuxBatches:   st.DemuxBatches.Load(),
+		DemuxStalls:    st.DemuxStalls.Load(),
+		DemuxStallNs:   st.DemuxStallNs.Load(),
+		QueueDepths:    st.QueueDepths(),
+		Cache:          SnapshotCacheStats(),
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -262,7 +280,7 @@ func (s *Sampler) Snapshot() Sample {
 	sm.Goroutines = runtime.NumGoroutine()
 
 	if sm.Batches > 0 {
-		sm.AvgBatchFill = float64(sm.Accesses) / float64(sm.Batches)
+		sm.AvgBatchFill = float64(sm.Accesses-sm.AccessesReused) / float64(sm.Batches)
 	}
 	if sec := sm.Elapsed.Seconds(); sec > 0 {
 		sm.CumulativeRate = float64(sm.Accesses) / sec

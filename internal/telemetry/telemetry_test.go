@@ -131,13 +131,15 @@ func TestManifestWriteAndParse(t *testing.T) {
 
 	var st RunStats
 	st.Accesses.Add(1000)
+	st.CellsReused.Add(2)
+	st.AccessesReused.Add(400)
 	s := NewSampler(&st, time.Hour)
 	time.Sleep(time.Millisecond)
 	m.Finish(s.Snapshot(), nil)
 	if m.Outcome != "ok" {
 		t.Fatalf("Outcome = %q, want ok", m.Outcome)
 	}
-	if m.Accesses != 1000 || m.WallSeconds <= 0 || m.Throughput <= 0 {
+	if m.Accesses != 1000 || m.WallSeconds <= 0 || m.Throughput <= 0 || m.CellsReused != 2 || m.AccessesReused != 400 {
 		t.Fatalf("outcome fields not sealed: %+v", m)
 	}
 
@@ -157,7 +159,7 @@ func TestManifestWriteAndParse(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v", err)
 	}
-	if back.Tool != m.Tool || back.Accesses != 1000 || back.Nodes != 32 {
+	if back.Tool != m.Tool || back.Accesses != 1000 || back.Nodes != 32 || back.CellsReused != 2 || back.AccessesReused != 400 {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
 }
@@ -175,6 +177,8 @@ func TestServerEndpoints(t *testing.T) {
 	var st RunStats
 	st.Accesses.Add(12345)
 	st.Batches.Add(3)
+	st.CellsReused.Add(4)
+	st.AccessesReused.Add(345)
 	st.QueueDepth[1].Add(2)
 	s := NewSampler(&st, time.Hour)
 	man := NewManifest("srv-test")
@@ -210,6 +214,9 @@ func TestServerEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"migratory_accesses_total 12345",
 		"migratory_batches_total 3",
+		"migratory_cells_reused_total 4",
+		"migratory_accesses_reused_total 345",
+		"migratory_batch_fill_avg 4000",
 		"migratory_shard_queue_depth{shard=\"1\"} 2",
 		"go_goroutines",
 		"# TYPE migratory_accesses_total counter",
