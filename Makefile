@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentCacheKey$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheAgainstReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEvictionFreeBound$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzSilentFold$$' -fuzztime $(FUZZTIME) .
 
 # Exported-API compatibility gate: compares the root package against
 # APIDIFF_BASE (default HEAD~1) with golang.org/x/exp/cmd/apidiff, failing

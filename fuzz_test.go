@@ -678,3 +678,157 @@ func FuzzSegmentCacheKey(f *testing.F) {
 		}
 	})
 }
+
+// decodeRuns turns fuzzer bytes into a trace of single-node runs, the
+// shape folding acts on: 2 bytes per run. The first byte holds the kind,
+// the node (of 4), a run length of 1 to 8 and whether the run's kinds
+// alternate; the second picks an address over three 256-byte regions,
+// odd low bits included, so runs share blocks of 64 and 256 bytes without
+// sharing a 16-byte granule.
+func decodeRuns(data []byte) []trace.Access {
+	var accs []trace.Access
+	for i := 0; i+1 < len(data); i += 2 {
+		a := trace.Access{
+			Node: memory.NodeID(data[i] >> 1 & 3),
+			Kind: trace.Kind(data[i] & 1),
+			Addr: memory.Addr(int(data[i+1]) % 72 * 11),
+		}
+		for r := int(data[i]>>3&7) + 1; r > 0; r-- {
+			accs = append(accs, a)
+			if data[i]&0x40 != 0 {
+				a.Kind ^= 1
+			}
+			a.Addr = a.Addr&^15 | memory.Addr(r*5)&15
+		}
+	}
+	return accs
+}
+
+// FuzzSilentFold checks that folding silent repeats is exact. For traces
+// of single-node runs it requires that the folded form expands back to
+// the trace record for record, and that replaying only the kept accesses
+// (their batch kernels crediting the folded repeats) gives the full
+// trace's RunResult bytes and cache statistics. It covers every directory
+// policy and bus protocol, caches of one to four sets and infinite ones,
+// blocks of 16, 64 and 256 bytes, and one and two shards.
+func FuzzSilentFold(f *testing.F) {
+	fuzzSeeds(f)
+	// Alternating read/write runs by three nodes over two regions: fails
+	// when writes fold before the node has written the granule.
+	f.Add([]byte{0x78, 0x05, 0x7f, 0x18, 0x3d, 0x05, 0x7b, 0x30, 0x79, 0x18})
+	// A node writes inside another's 64-byte block but not its granule:
+	// fails when other nodes are judged by the granule, not the region.
+	f.Add([]byte("\a200720"))
+	// Repeated writes to an UpdateOnce line another node shares: fails
+	// when folded writes are credited without the silent-write predicate.
+	f.Add([]byte("0XZX"))
+	// A sharer evicts an UpdateOnce line between a node's write to it and
+	// that node's next write: fails when the folded write is dispatched
+	// at the kept access, before the eviction.
+	f.Add([]byte("C#7X70RX720"))
+	const nodes = 4
+	policies := append(core.Policies(), core.Stenstrom)
+	type cacheShape struct{ sets, assoc int }
+	shapes := []cacheShape{{0, 0}, {1, 2}, {2, 1}, {4, 2}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accs := append(decodeRuns(data), decodeAccesses(data, nodes, 12)...)
+		folded, err := trace.Fold(accs, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := folded.Expand(); len(accs) > 0 && !reflect.DeepEqual(got, accs) {
+			t.Fatalf("Expand(Fold(t)) differs from t:\n%v\n%v", got, accs)
+		}
+		full := func() (trace.Source, error) { return trace.NewSliceSource(accs), nil }
+		kept := func() (trace.Source, error) { return folded.OpenKept(), nil }
+		for _, block := range []int{16, 64, 256} {
+			geom := memory.MustGeometry(block, 4096)
+			for _, sh := range shapes {
+				cb := sh.sets * sh.assoc * block
+				shards := directory.ResolveShards(2, cb, block, sh.assoc)
+				for _, sc := range []int{1, shards} {
+					for _, pol := range policies {
+						name := fmt.Sprintf("%s/%dB/%dx%d/x%d", pol.Name, block, sh.sets, sh.assoc, sc)
+						cfg := sim.RunConfig{Engine: sim.EngineDirectory, Nodes: nodes, Policy: pol.Name, Placement: sim.PlacementRoundRobin,
+							CacheBytes: cb, Assoc: sh.assoc, BlockSize: block, Shards: sc}
+						checkFoldedRun(t, name, cfg, full, kept, false)
+						stats := func(open func() (trace.Source, error)) [3]uint64 {
+							sys, err := directory.NewSharded(directory.Config{Nodes: nodes, Geometry: geom, CacheBytes: cb, Assoc: sh.assoc,
+								Policy: pol, Placement: placement.NewRoundRobin(nodes)}, sc, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							src, _ := open()
+							if err := sys.RunSource(nil, src); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							h, m, e := sys.CacheStats()
+							return [3]uint64{h, m, e}
+						}
+						if got, want := stats(kept), stats(full); got != want {
+							t.Fatalf("%s: folded cache stats %v, full %v", name, got, want)
+						}
+					}
+					for _, p := range snoop.Protocols() {
+						name := fmt.Sprintf("%s/%dB/%dx%d/x%d", p, block, sh.sets, sh.assoc, sc)
+						cfg := sim.RunConfig{Engine: sim.EngineBus, Nodes: nodes, Protocol: p.String(),
+							CacheBytes: cb, Assoc: sh.assoc, BlockSize: block, Shards: sc}
+						// UpdateOnce cells replay the exact trace
+						// (sim.RunBusApps): a kept run there must match or
+						// refuse the trace.
+						if !checkFoldedRun(t, name, cfg, full, kept, p == snoop.UpdateOnce) {
+							continue
+						}
+						stats := func(open func() (trace.Source, error)) [3]uint64 {
+							sys, err := snoop.NewSharded(snoop.Config{Nodes: nodes, Geometry: geom, CacheBytes: cb, Assoc: sh.assoc, Protocol: p}, sc, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							src, _ := open()
+							if err := sys.RunSource(nil, src); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							h, m, e := sys.CacheStats()
+							return [3]uint64{h, m, e}
+						}
+						if got, want := stats(kept), stats(full); got != want {
+							t.Fatalf("%s: folded cache stats %v, full %v", name, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkFoldedRun runs cfg over the full trace and over the kept accesses
+// of its folded form and requires equal RunResult bytes. With mayRefuse
+// the kept run may instead fail with trace.ErrFolded, and checkFoldedRun
+// reports whether it ran.
+func checkFoldedRun(t *testing.T, name string, cfg sim.RunConfig, full, kept func() (trace.Source, error), mayRefuse bool) bool {
+	t.Helper()
+	result := func(open func() (trace.Source, error)) ([]byte, error) {
+		cfg.OpenSource = open
+		res, err := sim.Run(context.Background(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		blob, _ := json.Marshal(res)
+		return blob, nil
+	}
+	got, err := result(kept)
+	if mayRefuse && errors.Is(err, trace.ErrFolded) {
+		return false
+	}
+	if err != nil {
+		t.Fatalf("%s: kept run: %v", name, err)
+	}
+	want, err := result(full)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: folded run differs from the full run:\n%s\n%s", name, got, want)
+	}
+	return true
+}

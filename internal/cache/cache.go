@@ -292,6 +292,13 @@ func (c *Cache) lookupSet(b memory.BlockID) *Line {
 	return l
 }
 
+// CreditHits counts n more hits without looking anything up. The engines'
+// batch kernels use it for the silent repeats a folded trace carries on
+// the access before them (trace.Folded): each repeat would have been a
+// memo hit on the block that access left newest, which counts a hit and
+// changes nothing else.
+func (c *Cache) CreditHits(n uint64) { c.hits += n }
+
 // Peek returns the line holding block b without touching LRU state, the
 // MRU memo, or hit/miss statistics. Protocol engines use it when servicing
 // remote requests (a remote read miss probing this cache is not a local

@@ -264,6 +264,9 @@ type System struct {
 	stats     *telemetry.RunStats
 	statTrans uint64
 	statMig   uint64
+	// folded counts the folded repeats credit retired; statFolded is the
+	// part already pushed to stats.
+	folded, statFolded uint64
 	// invalHist counts ownership-acquiring operations by how many remote
 	// copies they invalidated (the cache-invalidation-pattern analysis of
 	// Weber & Gupta, the paper's reference [23], which motivates the whole
@@ -422,6 +425,11 @@ func (s *System) RunSource(ctx context.Context, src trace.Source) error {
 // loop-invariant nil checks hoisted out of the per-access path. The write
 // hit skips dispatch's entryFor: the entry's flagDirty already mirrors the
 // dirty owner line (DESIGN.md §7), so there is nothing to update.
+//
+// An access of a folded trace carries the silent repeats that followed it
+// (trace.Folded); each branch retires them with credit once the access
+// itself is done. The check sits inside each branch, so the paths an
+// unfolded trace takes keep their shape.
 func (s *System) runBatch(batch []trace.Access, base int) error {
 	fast := s.probe == nil && s.versions == nil
 	for i := range batch {
@@ -440,32 +448,64 @@ func (s *System) runBatch(batch []trace.Access, base int) error {
 			if a.Kind == trace.Read {
 				s.n.ReadHits++
 				s.lastOp = OpInfo{Hit: true}
+				if a.Fold != 0 {
+					s.credit(a)
+				}
 				continue
 			}
 			if line.State == PermWrite && line.Dirty {
 				s.n.WriteHits++
 				s.lastOp = OpInfo{Hit: true, Write: true}
+				if a.Fold != 0 {
+					s.credit(a)
+				}
 				continue
 			}
 		}
 		if err := s.dispatch(a, b, line); err != nil {
 			return fmt.Errorf("access %d (%v): %w", base+i, a, err)
 		}
+		if a.Fold != 0 {
+			if !fast {
+				return fmt.Errorf("access %d (%v): directory: probed or checked run: %w", base+i, a, trace.ErrFolded)
+			}
+			s.credit(a)
+		}
 	}
 	s.noteBatch(len(batch))
 	return nil
 }
 
-// noteBatch pushes one processed batch into the attached telemetry
-// counters: the access count directly, the classifier counters as deltas
-// against what was last pushed (they are plain uint64s on the per-access
-// path; the atomics are touched once per batch).
+// credit retires the silent repeats folded into a, which runBatch has just
+// serviced. Each would have been a hit on the line a left newest in its
+// node's cache — a read hit, or a write hit on a line the node already
+// holds PermWrite and dirty — so each counts one access, one read or write
+// hit and one cache hit, and changes nothing else (DESIGN.md §7).
+func (s *System) credit(a trace.Access) {
+	r, w := uint64(a.FoldedReads()), uint64(a.FoldedWrites())
+	s.n.Accesses += r + w
+	s.n.ReadHits += r
+	s.n.WriteHits += w
+	s.caches[a.Node].CreditHits(r + w)
+	s.folded += r + w
+}
+
+// noteBatch pushes one processed batch of n delivered records into the
+// attached telemetry counters: the accesses they cover (the records plus
+// the repeats folded into them) directly, the classifier counters as
+// deltas against what was last pushed (they are plain uint64s on the
+// per-access path; the atomics are touched once per batch).
 func (s *System) noteBatch(n int) {
 	st := s.stats
 	if st == nil {
 		return
 	}
-	st.Accesses.Add(uint64(n))
+	folded := s.folded - s.statFolded
+	s.statFolded = s.folded
+	st.Accesses.Add(uint64(n) + folded)
+	if folded != 0 {
+		st.AccessesFolded.Add(folded)
+	}
 	st.Batches.Add(1)
 	if t := s.n.Classifications + s.n.Declassified; t != s.statTrans {
 		st.Transitions.Add(t - s.statTrans)
@@ -477,10 +517,14 @@ func (s *System) noteBatch(n int) {
 	}
 }
 
-// Access applies a single shared-memory reference.
+// Access applies a single shared-memory reference. It refuses an access
+// of a folded trace (trace.ErrFolded): its folded repeats would be lost.
 func (s *System) Access(a trace.Access) error {
 	if int(a.Node) >= s.cfg.Nodes {
 		return fmt.Errorf("directory: node %d out of range (%d nodes)", a.Node, s.cfg.Nodes)
+	}
+	if a.Fold != 0 {
+		return fmt.Errorf("directory: %v: %w", a, trace.ErrFolded)
 	}
 	s.n.Accesses++
 	if s.probe != nil {

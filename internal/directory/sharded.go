@@ -121,7 +121,7 @@ func (s *System) runShardBatch(b trace.ShardBatch) error {
 func (s *System) runStamped(batch []trace.Access, steps []uint64) error {
 	for i := range batch {
 		a := batch[i]
-		if int(a.Node) >= s.cfg.Nodes {
+		if int(a.Node) >= s.cfg.Nodes || a.Fold != 0 {
 			return fmt.Errorf("access %d (%v): %w", steps[i], a, s.Access(a))
 		}
 		s.n.Accesses++

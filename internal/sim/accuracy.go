@@ -107,7 +107,7 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 			CacheBytes:      cacheBytes,
 			Shards:          opts.Shards,
 			Cache:           opts.Cache,
-			OpenSource:      app.Open,
+			OpenSource:      app.cellSource(nil, 0),
 			PlacementPolicy: app.Placement,
 			policy:          &adaptive[i%np],
 		}

@@ -1,0 +1,245 @@
+package sim
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"migratory/internal/core"
+	"migratory/internal/directory"
+	"migratory/internal/memory"
+	"migratory/internal/obs"
+	"migratory/internal/snoop"
+	"migratory/internal/telemetry"
+	"migratory/internal/timing"
+	"migratory/internal/trace"
+	"migratory/internal/workload"
+)
+
+// TestFoldTwin renders the Table 2, Table 3, bus and accuracy sections of
+// the report over folded apps and again with folding off, and requires the
+// same bytes: every cell the kept accesses drive must report exactly what
+// the full trace gives.
+func TestFoldTwin(t *testing.T) {
+	opts := Options{Length: 20000}
+	render := func(folded bool) []byte {
+		t.Helper()
+		apps, err := PrepareApps(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range apps {
+			if (app.folded != nil) != folded {
+				t.Fatalf("%s: folded %v, want %v", app.Name, app.folded != nil, folded)
+			}
+		}
+		var b bytes.Buffer
+		sw2, err := Table2Apps(apps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw3, err := Table3Apps(apps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus, err := RunBusApps(apps, opts, nil, busSweepProtocols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := ClassifierAccuracyApps(apps, opts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []func() error{
+			func() error { return sw2.Render().Render(&b) },
+			func() error { return sw2.CostRatioTable().Render(&b) },
+			func() error { return sw3.Render().Render(&b) },
+			func() error { return sw3.CostRatioTable().Render(&b) },
+			func() error { return bus.Render().Render(&b) },
+			func() error { return RenderAccuracy(acc).Render(&b) },
+		} {
+			if err := r(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Bytes()
+	}
+	folded := render(true)
+	noFold = true
+	defer func() { noFold = false }()
+	if plain := render(false); !bytes.Equal(folded, plain) {
+		t.Fatalf("folded report differs from the unfolded one:\n%s\n---\n%s", folded, plain)
+	}
+}
+
+// foldedApp prepares a short MP3D app and checks that it is folded.
+func foldedApp(t *testing.T, opts Options) *App {
+	t.Helper()
+	app, err := PrepareApp("MP3D", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if app.folded == nil {
+		t.Fatal("prepared app is not folded")
+	}
+	return app
+}
+
+// TestFoldedAppOpenIsExact checks that a prepared App's Open replays the
+// generated trace record for record, and that its kept accesses with
+// their folds cover every access.
+func TestFoldedAppOpenIsExact(t *testing.T) {
+	opts := Options{Length: 30000}.withDefaults()
+	app := foldedApp(t, opts)
+	prof, _ := workload.ProfileByName("MP3D")
+	want, err := workload.Generate(prof, opts.Nodes, opts.Seed, opts.Length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := app.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ReadAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("App.Open differs from the generated trace")
+	}
+	kept := app.folded.Kept()
+	covered := len(kept)
+	for _, k := range kept {
+		covered += int(k.FoldedReads() + k.FoldedWrites())
+	}
+	if covered != len(want) || len(kept) >= len(want) {
+		t.Fatalf("%d kept accesses cover %d of %d", len(kept), covered, len(want))
+	}
+}
+
+// TestCellSourceChoosesForm pins which cells replay the kept accesses:
+// unprobed directory and bus cells with blocks of 16 to 256 bytes. A
+// 512-byte block reads the exact trace, and its result matches a run over
+// the generated slice.
+func TestCellSourceChoosesForm(t *testing.T) {
+	opts := Options{Length: 20000}.withDefaults()
+	app := foldedApp(t, opts)
+	isKept := func(open func() (trace.Source, error)) bool {
+		src, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, ok := src.(*trace.SliceSource)
+		return ok && ss.Len() == len(app.folded.Kept())
+	}
+	for _, block := range []int{0, 16, 64, 256} {
+		if !isKept(app.cellSource(nil, block)) {
+			t.Fatalf("%d-byte blocks: unprobed cell does not read the kept accesses", block)
+		}
+	}
+	if isKept(app.cellSource(nil, 512)) {
+		t.Fatal("512-byte blocks read the kept accesses")
+	}
+	if isKept(app.cellSource(func(int) obs.Probe { return nil }, 16)) {
+		t.Fatal("a probed cell reads the kept accesses")
+	}
+
+	prof, _ := workload.ProfileByName("MP3D")
+	accs, err := workload.Generate(prof, opts.Nodes, opts.Seed, opts.Length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noFold = true
+	plain := NewApp("MP3D", accs, opts.Nodes)
+	noFold = false
+	for _, pol := range []core.Policy{core.Conventional, core.Basic} {
+		got, err := RunDirectoryCell(app, opts, pol, 0, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunDirectoryCell(plain, opts, pol, 0, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Msgs != want.Msgs || got.Counters != want.Counters {
+			t.Fatalf("%s 512-byte cell: %+v, want %+v", pol.Name, got.Counters, want.Counters)
+		}
+	}
+}
+
+// TestRefusedTraceFails checks that preparing a folded App over a trace
+// naming a node at or beyond the App's node count fails with the folder's
+// refusal, worded like the engines' own out-of-range error.
+func TestRefusedTraceFails(t *testing.T) {
+	accs := []trace.Access{{Node: 0, Kind: trace.Read, Addr: 0}, {Node: 5, Kind: trace.Write, Addr: 16}}
+	app, err := NewFoldedApp("bad", trace.NewSliceSource(accs), 4, len(accs))
+	if app != nil || !errors.Is(err, trace.ErrUnfoldable) || !strings.Contains(err.Error(), "node 5 out of range (4 nodes)") {
+		t.Fatalf("NewFoldedApp = %v, %v; want the folder's out-of-range refusal", app, err)
+	}
+}
+
+// TestEnginesRefuseFoldedAccess checks that the single-access entry points
+// of the three engines reject an access carrying folded repeats with
+// trace.ErrFolded rather than drop the repeats.
+func TestEnginesRefuseFoldedAccess(t *testing.T) {
+	folded := trace.Access{Node: 1, Kind: trace.Read, Addr: 32, Fold: 2}
+	geom := memory.MustGeometry(16, PageSize)
+	cfg := RunConfig{Engine: EngineDirectory, Nodes: 4, Policy: "basic", Placement: PlacementRoundRobin}.withDefaults()
+	pol, _ := cfg.resolvePolicy()
+	pl, _ := cfg.placementFor()
+	dir, err := directory.New(cfg.directoryConfig(geom, pol, pl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dir.Access(folded); !errors.Is(err, trace.ErrFolded) {
+		t.Fatalf("directory Access = %v, want ErrFolded", err)
+	}
+	bus, err := snoop.New(snoop.Config{Nodes: 4, Geometry: geom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Access(folded); !errors.Is(err, trace.ErrFolded) {
+		t.Fatalf("snoop Access = %v, want ErrFolded", err)
+	}
+	tc := RunConfig{Engine: EngineTiming, Nodes: 4, Policy: "basic"}.withDefaults()
+	_, err = timing.RunSource(context.Background(), trace.NewSliceSource([]trace.Access{folded}), tc.timingConfig(geom, pol))
+	if !errors.Is(err, trace.ErrFolded) {
+		t.Fatalf("timing RunSource = %v, want ErrFolded", err)
+	}
+	// A probed run of the kept accesses is refused too.
+	app := foldedApp(t, Options{Length: 5000}.withDefaults())
+	_, err = Run(context.Background(), RunConfig{
+		Engine: EngineBus, Protocol: "mesi", Nodes: 16,
+		OpenSource: func() (trace.Source, error) { return app.folded.OpenKept(), nil },
+		Probes:     func(int) obs.Probe { return obs.FuncProbe(func(obs.Event) {}) },
+	})
+	if !errors.Is(err, trace.ErrFolded) {
+		t.Fatalf("probed bus run of kept accesses = %v, want ErrFolded", err)
+	}
+}
+
+// TestFoldedTelemetry checks the accounting of a folded sweep: Accesses
+// covers every access, AccessesFolded the credited repeats, and the
+// average batch fill counts delivered records only.
+func TestFoldedTelemetry(t *testing.T) {
+	var st telemetry.RunStats
+	opts := Options{Length: 20000, Apps: []string{"MP3D"}, Stats: &st, Policies: []core.Policy{core.Basic}}
+	app := foldedApp(t, opts)
+	if _, err := Table3Apps([]*App{app}, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Accesses.Load(), uint64(len(Table3BlockSizes)*20000); got != want {
+		t.Fatalf("Accesses %d, want %d", got, want)
+	}
+	folded := st.AccessesFolded.Load()
+	if folded == 0 || folded >= st.Accesses.Load() {
+		t.Fatalf("AccessesFolded %d of %d", folded, st.Accesses.Load())
+	}
+	s := telemetry.NewSampler(&st, 0).Snapshot()
+	if want := float64(s.Accesses-s.AccessesReused-s.AccessesFolded) / float64(s.Batches); s.AvgBatchFill != want {
+		t.Fatalf("AvgBatchFill %v, want %v", s.AvgBatchFill, want)
+	}
+}

@@ -67,7 +67,7 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 			Nodes:           nodeCounts[i/len(pols)],
 			Shards:          opts.Shards,
 			Cache:           opts.Cache,
-			OpenSource:      prep.Open,
+			OpenSource:      prep.cellSource(nil, 0),
 			PlacementPolicy: prep.Placement,
 			policy:          &pols[i%len(pols)],
 		}

@@ -128,10 +128,20 @@ func (o Options) withDefaults() Options {
 // usage-based placement computed from a profiling pass over it. Every
 // simulation cell of a sweep opens its own source, so cells can run
 // concurrently and a streaming app never materializes its trace.
+//
+// An App from PrepareApp (without Stream) or NewFoldedApp holds its trace
+// folded (trace.Folded): the kept accesses, which carry the silent repeats
+// folded into them, and a 2-byte replay tape. Unprobed directory and bus
+// cells replay the kept accesses (cellSource); Open replays the exact
+// trace.
 type App struct {
 	Name      string
 	Placement placement.Policy
 	open      func() (trace.Source, error)
+	// folded is the App's trace in folded form; nil for an App built by
+	// NewApp or NewSourceApp (a slice, a -trace file, a -stream
+	// generator), whose cells all replay open's source.
+	folded *trace.Folded
 
 	// fpMu serializes the footprint pass; footprint is nil until a sweep
 	// first needs it (footprintOf).
@@ -143,33 +153,53 @@ type App struct {
 	memo map[cellKey]*RunResult
 }
 
-// Open returns a fresh source positioned at the first access. The caller
-// must Close it. Concurrent opens are safe; each returned source is for a
-// single goroutine.
+// Open returns a fresh source positioned at the first access: the exact
+// trace, whatever form the App holds it in. The caller must Close it.
+// Concurrent opens are safe; each returned source is for a single
+// goroutine.
 func (a *App) Open() (trace.Source, error) { return a.open() }
+
+// cellSource returns the source factory for a directory or bus cell over
+// the App with the given probe factory and block size (0 = 16 bytes). An
+// unprobed cell whose blocks lie between trace.FoldGranule and
+// trace.FoldRegion bytes replays the kept accesses of the folded trace,
+// whose batch kernels credit the folded repeats; every other cell replays
+// the exact trace, and so do UpdateOnce bus cells (RunBusApps).
+func (a *App) cellSource(probes func(int) obs.Probe, blockSize int) func() (trace.Source, error) {
+	if blockSize == 0 {
+		blockSize = 16
+	}
+	if a.folded == nil || probes != nil || blockSize < trace.FoldGranule || blockSize > trace.FoldRegion {
+		return a.Open
+	}
+	folded := a.folded
+	return func() (trace.Source, error) { return folded.OpenKept(), nil }
+}
 
 // PrepareApp generates the trace for one application and computes the
 // usage-based static placement over it. The geometry used for placement is
-// page-granular, so one preparation serves every block size. With
-// opts.Stream the app is generator-backed: the trace is never materialized,
-// each Open replaying the generation lazily.
+// page-granular, so one preparation serves every block size. The
+// generator is streamed once, and the trace is kept only in folded form.
+// With opts.Stream the app is generator-backed instead: the trace is never
+// held, each Open replaying the generation lazily.
 func PrepareApp(name string, opts Options) (*App, error) {
 	opts = opts.withDefaults()
 	prof, err := workload.ProfileByName(name)
 	if err != nil {
 		return nil, err
 	}
+	nodes, seed, length := opts.Nodes, opts.Seed, opts.Length
 	if opts.Stream {
-		nodes, seed, length := opts.Nodes, opts.Seed, opts.Length
 		return NewSourceApp(name, func() (trace.Source, error) {
 			return workload.NewSource(prof, nodes, seed, length)
 		}, nodes)
 	}
-	accs, err := workload.Generate(prof, opts.Nodes, opts.Seed, opts.Length)
+	src, err := workload.NewSource(prof, nodes, seed, length)
 	if err != nil {
 		return nil, err
 	}
-	return NewApp(name, accs, opts.Nodes), nil
+	defer src.Close()
+	return NewFoldedApp(name, src, nodes, src.Len())
 }
 
 // PrepareApps prepares every application in opts.Apps (nil = all five),
@@ -207,6 +237,66 @@ func NewApp(name string, accs []trace.Access, nodes int) *App {
 			return trace.NewSliceSource(accs), nil
 		},
 	}
+}
+
+// noFold, set only by tests, makes NewFoldedApp hold the trace unfolded,
+// as a plain slice (NewApp), so a test can compare every report with and
+// without folding (TestFoldTwin).
+var noFold bool
+
+// NewFoldedApp prepares an App from one pass over src, which the caller
+// closes: a tee feeds each batch to the usage-placement profiler and to
+// the folder, so the full trace is never held. sizeHint, when positive, is
+// src's length, which sizes the replay tape exactly. A trace the folder
+// refuses (an access naming a node at or beyond nodes) fails here, with
+// the folder's error.
+func NewFoldedApp(name string, src trace.Source, nodes, sizeHint int) (*App, error) {
+	if noFold {
+		accs, err := trace.ReadAll(src)
+		if err != nil {
+			return nil, fmt.Errorf("sim: profiling %s: %w", name, err)
+		}
+		return NewApp(name, accs, nodes), nil
+	}
+	geom := memory.MustGeometry(16, PageSize) // block size irrelevant for pages
+	tee := &foldTee{src: src, folder: trace.NewFolder(nodes, sizeHint)}
+	pl, err := placement.UsageBasedSource(tee, geom, nodes)
+	if err != nil {
+		return nil, fmt.Errorf("sim: profiling %s: %w", name, err)
+	}
+	folded, err := tee.folder.Folded()
+	if err != nil {
+		return nil, fmt.Errorf("sim: folding %s: %w", name, err)
+	}
+	return &App{
+		Name:      name,
+		Placement: pl,
+		open:      func() (trace.Source, error) { return folded.Open(), nil },
+		folded:    folded,
+	}, nil
+}
+
+// foldTee is the Reader NewFoldedApp's profiling pass drains: each batch
+// it reads from src also goes to the folder, whose refusal ends the pass.
+type foldTee struct {
+	src    trace.Reader
+	folder *trace.Folder
+}
+
+// NextBatch implements trace.BatchReader.
+func (t *foldTee) NextBatch(buf []trace.Access) (int, error) {
+	n, err := trace.FillBatch(t.src, buf)
+	if ferr := t.folder.Add(buf[:n]); ferr != nil {
+		return 0, ferr
+	}
+	return n, err
+}
+
+// Next implements trace.Reader.
+func (t *foldTee) Next() (trace.Access, error) {
+	var buf [1]trace.Access
+	_, err := t.NextBatch(buf[:])
+	return buf[0], err
 }
 
 // NewSourceApp builds an app from an arbitrary re-openable source factory
@@ -269,7 +359,7 @@ func newDirCell(app *App, opts Options, policy core.Policy, cacheBytes, blockSiz
 			Probes:          probes,
 			Stats:           opts.Stats,
 			Cache:           opts.Cache,
-			OpenSource:      app.Open,
+			OpenSource:      app.cellSource(probes, blockSize),
 			PlacementPolicy: app.Placement,
 			policy:          &policy,
 		},
@@ -525,6 +615,13 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 		for _, cb := range cacheSizes {
 			for _, p := range protocols {
 				factory, built := shardProbes(opts, app.Name, p.String(), cb, 16)
+				open := app.cellSource(factory, 16)
+				if p == snoop.UpdateOnce {
+					// An update-once write can leave its line shared, so
+					// the folded writes after it are not silent (the bus
+					// kernel refuses them): replay the exact trace.
+					open = app.Open
+				}
 				cells = append(cells, BusCell{App: app.Name, Protocol: p, CacheBytes: cb})
 				probes = append(probes, built)
 				cellApps = append(cellApps, app)
@@ -537,7 +634,7 @@ func RunBusApps(apps []*App, opts Options, cacheSizes []int, protocols []snoop.P
 					Probes:     factory,
 					Stats:      opts.Stats,
 					Cache:      opts.Cache,
-					OpenSource: app.Open,
+					OpenSource: open,
 				})
 			}
 		}

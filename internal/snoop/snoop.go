@@ -262,6 +262,9 @@ type System struct {
 	// ever touching an atomic.
 	stats   *telemetry.RunStats
 	statMig uint64
+	// folded counts the folded repeats credit retired; statFolded is the
+	// part already pushed to stats.
+	folded, statFolded uint64
 }
 
 // emit stamps and delivers one event; callers guard with s.probe != nil.
@@ -383,7 +386,9 @@ func (s *System) RunSource(ctx context.Context, src trace.Source) error {
 // inline — a read hit, or a write hit on a D or MD line that is already
 // dirty — so the steady-state kernel is one cache lookup (usually the MRU
 // memo) and two counter increments. Every other access goes through
-// dispatch, the same tail Access uses.
+// dispatch, the same tail Access uses. An access of a folded trace
+// carries the silent repeats that followed it (trace.Folded); each branch
+// retires them with credit once the access itself is done.
 func (s *System) runBatch(batch []trace.Access, base int) error {
 	fast := s.probe == nil && s.versions == nil
 	for i := range batch {
@@ -404,29 +409,86 @@ func (s *System) runBatch(batch []trace.Access, base int) error {
 				if s.cfg.Protocol == UpdateOnce {
 					line.Aux = 0
 				}
+				if a.Fold != 0 {
+					if err := s.credit(a, b); err != nil {
+						return fmt.Errorf("access %d (%v): %w", base+i, a, err)
+					}
+				}
 				continue
 			}
 			if line.Dirty && (line.State == StateD || line.State == StateMD) {
 				s.writeHits++
+				if a.Fold != 0 {
+					if err := s.credit(a, b); err != nil {
+						return fmt.Errorf("access %d (%v): %w", base+i, a, err)
+					}
+				}
 				continue
 			}
 		}
 		if err := s.dispatch(a, b, line); err != nil {
 			return fmt.Errorf("access %d (%v): %w", base+i, a, err)
 		}
+		if a.Fold != 0 {
+			if !fast {
+				return fmt.Errorf("access %d (%v): snoop: probed or checked run: %w", base+i, a, trace.ErrFolded)
+			}
+			if err := s.credit(a, b); err != nil {
+				return fmt.Errorf("access %d (%v): %w", base+i, a, err)
+			}
+		}
 	}
 	s.noteBatch(len(batch))
 	return nil
 }
 
-// noteBatch pushes one processed batch into the attached telemetry
-// counters; migrations go in as a delta against what was last pushed.
+// credit retires the silent repeats folded into a, which runBatch has just
+// serviced; they all name a's block b, which a left newest in its node's
+// cache, so each one's lookup is a memo hit. Folded writes follow the
+// node's own write, so the line is dirty D or MD — the kernel's own
+// silent-write predicate — and each is a silent write hit; credit checks
+// it and refuses the trace (trace.ErrFolded) otherwise. That happens only
+// under UpdateOnce, whose write can leave the line shared or clean E:
+// there the next write's effect depends on when it runs relative to the
+// other nodes' own evictions, so UpdateOnce cells replay the exact trace
+// (DESIGN.md §7). The reads follow in bulk; under UpdateOnce they clear
+// the line's update counter, as each read would have. Doing the writes
+// first is exact because a read hit touches only this node's own line.
+func (s *System) credit(a trace.Access, b memory.BlockID) error {
+	line := s.caches[a.Node].Lookup(b)
+	if line == nil {
+		return fmt.Errorf("snoop: folded repeats of uncached block %d", b)
+	}
+	w, r := uint64(a.FoldedWrites()), uint64(a.FoldedReads())
+	if w > 0 && !(line.Dirty && (line.State == StateD || line.State == StateMD)) {
+		return fmt.Errorf("snoop: folded write to a %s line: %w", StateName(line.State), trace.ErrFolded)
+	}
+	s.accesses += w + r
+	s.writeHits += w
+	s.readHits += r
+	s.folded += w + r
+	s.caches[a.Node].CreditHits(w + r - 1)
+	if r > 0 && s.cfg.Protocol == UpdateOnce {
+		line.Aux = 0
+	}
+	return nil
+}
+
+// noteBatch pushes one processed batch of n delivered records into the
+// attached telemetry counters: the accesses they cover (the records plus
+// the repeats folded into them) directly, migrations as a delta against
+// what was last pushed.
 func (s *System) noteBatch(n int) {
 	st := s.stats
 	if st == nil {
 		return
 	}
-	st.Accesses.Add(uint64(n))
+	folded := s.folded - s.statFolded
+	s.statFolded = s.folded
+	st.Accesses.Add(uint64(n) + folded)
+	if folded != 0 {
+		st.AccessesFolded.Add(folded)
+	}
 	st.Batches.Add(1)
 	if m := s.migrations; m != s.statMig {
 		st.Migrations.Add(m - s.statMig)
@@ -434,7 +496,8 @@ func (s *System) noteBatch(n int) {
 	}
 }
 
-// Access applies one processor reference.
+// Access applies one processor reference. It refuses an access of a
+// folded trace (trace.ErrFolded): its folded repeats would be lost.
 func (s *System) Access(a trace.Access) error {
 	return s.accessAt(a, s.accesses)
 }
@@ -445,6 +508,9 @@ func (s *System) Access(a trace.Access) error {
 func (s *System) accessAt(a trace.Access, step uint64) error {
 	if int(a.Node) >= s.cfg.Nodes {
 		return fmt.Errorf("snoop: node %d out of range (%d nodes)", a.Node, s.cfg.Nodes)
+	}
+	if a.Fold != 0 {
+		return fmt.Errorf("snoop: %v: %w", a, trace.ErrFolded)
 	}
 	s.accesses++
 	if s.probe != nil {

@@ -172,7 +172,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	counter("migratory_accesses_total", "Trace accesses covered by completed cells (simulated or reused).", float64(sm.Accesses))
-	counter("migratory_batches_total", "Access batches delivered to the engines.", float64(sm.Batches))
+	counter("migratory_accesses_folded_total", "Silent repeats of folded traces the engines credited in bulk (part of migratory_accesses_total).", float64(sm.AccessesFolded))
+	counter("migratory_batches_total", "Record batches delivered to the engines.", float64(sm.Batches))
 	counter("migratory_classifier_transitions_total", "Classifier verdict flips (classify + declassify).", float64(sm.Transitions))
 	counter("migratory_migrations_total", "Read misses served by migrating the block.", float64(sm.Migrations))
 	counter("migratory_probe_events_total", "Typed obs events forwarded by attached StatsProbes.", float64(sm.Events))
@@ -185,7 +186,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("migratory_demux_stall_seconds_total", "Producer time spent blocked on full shard queues.", float64(sm.DemuxStallNs)/1e9)
 	gauge("migratory_throughput_accesses_per_second", "Instantaneous access throughput.", sm.Rate)
 	gauge("migratory_throughput_cumulative_accesses_per_second", "Whole-run average access throughput.", sm.CumulativeRate)
-	gauge("migratory_batch_fill_avg", "Average accesses per delivered batch.", sm.AvgBatchFill)
+	gauge("migratory_batch_fill_avg", "Average records per delivered batch.", sm.AvgBatchFill)
 	gauge("migratory_eta_seconds", "Estimated remaining sweep wall time (0 = unknown).", sm.ETA.Seconds())
 
 	if cs := sm.Cache; cs != nil {

@@ -46,11 +46,13 @@ type Manifest struct {
 	// Outcome fields, sealed by Finish. Accesses covers every completed
 	// cell; CellsReused and AccessesReused count the cells (and their share
 	// of Accesses) answered by an identical cell's result instead of a
-	// simulation.
+	// simulation, and AccessesFolded the share the engines credited in
+	// bulk as silent repeats of a folded trace.
 	Start          time.Time `json:"start"`
 	End            time.Time `json:"end"`
 	WallSeconds    float64   `json:"wall_seconds"`
 	Accesses       uint64    `json:"accesses"`
+	AccessesFolded uint64    `json:"accesses_folded,omitempty"`
 	Throughput     float64   `json:"accesses_per_sec"`
 	CellsDone      uint64    `json:"cells_done,omitempty"`
 	CellsReused    uint64    `json:"cells_reused,omitempty"`
@@ -126,6 +128,7 @@ func (m *Manifest) Finish(final Sample, err error) {
 	}
 	m.WallSeconds = m.End.Sub(m.Start).Seconds()
 	m.Accesses = final.Accesses
+	m.AccessesFolded = final.AccessesFolded
 	if m.WallSeconds > 0 {
 		m.Throughput = float64(final.Accesses) / m.WallSeconds
 	}

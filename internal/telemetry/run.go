@@ -122,6 +122,9 @@ func (r *Run) Close(runErr error) (string, error) {
 	if final.CellsTotal > 0 {
 		attrs = append(attrs, "cells", fmt.Sprintf("%d/%d", final.CellsDone, final.CellsTotal))
 	}
+	if final.AccessesFolded > 0 {
+		attrs = append(attrs, "accesses_folded", final.AccessesFolded)
+	}
 	if final.CellsReused > 0 {
 		attrs = append(attrs, "cells_reused", final.CellsReused, "accesses_reused", final.AccessesReused)
 	}

@@ -42,8 +42,14 @@ type RunStats struct {
 	// run's result (AccessesReused), so the total does not depend on how
 	// many cells a sweep could share.
 	Accesses atomic.Uint64
-	// Batches counts engine-delivered access batches; the average batch
-	// fill is (Accesses-AccessesReused)/Batches.
+	// AccessesFolded is the share of Accesses the engines' batch kernels
+	// credited in bulk: the silent repeats a folded trace carries on its
+	// kept accesses (trace.Folded), covered but never delivered as
+	// records.
+	AccessesFolded atomic.Uint64
+	// Batches counts engine-delivered record batches; the average batch
+	// fill is the delivered records per batch,
+	// (Accesses-AccessesReused-AccessesFolded)/Batches.
 	Batches atomic.Uint64
 	// Transitions counts classifier verdict flips (classify + declassify)
 	// observed by the directory engines.
@@ -119,7 +125,9 @@ type Sample struct {
 	Time    time.Time     `json:"time"`
 	Elapsed time.Duration `json:"elapsed_ns"`
 
-	Accesses    uint64 `json:"accesses"`
+	Accesses       uint64 `json:"accesses"`
+	AccessesFolded uint64 `json:"accesses_folded"`
+	// Batches counts the record batches delivered to the engines.
 	Batches     uint64 `json:"batches"`
 	Transitions uint64 `json:"transitions"`
 	Migrations  uint64 `json:"migrations"`
@@ -134,10 +142,10 @@ type Sample struct {
 	// previous sample); CumulativeRate averages over the whole run.
 	Rate           float64 `json:"accesses_per_sec"`
 	CumulativeRate float64 `json:"accesses_per_sec_cumulative"`
-	// AvgBatchFill is the simulated accesses (Accesses-AccessesReused)
-	// per batch — how full the delivered batches run (a low fill on an
-	// .mtr replay means the decode stage, not the engine, is the
-	// bottleneck).
+	// AvgBatchFill is the delivered records
+	// (Accesses-AccessesReused-AccessesFolded) per batch — how full the
+	// delivered batches run (a low fill on an .mtr replay means the decode
+	// stage, not the engine, is the bottleneck).
 	AvgBatchFill float64 `json:"avg_batch_fill"`
 
 	DemuxBatches uint64  `json:"demux_batches"`
@@ -249,13 +257,16 @@ func (s *Sampler) Latest() Sample {
 func (s *Sampler) Snapshot() Sample {
 	now := time.Now()
 	st := s.stats
-	// A reused cell is credited to Accesses before AccessesReused, so
-	// loading AccessesReused first keeps it within the Accesses read next.
+	// A reused cell is credited to Accesses before AccessesReused, and an
+	// engine batch to Accesses before AccessesFolded, so loading those two
+	// first keeps them within the Accesses read next.
 	reused := st.AccessesReused.Load()
+	folded := st.AccessesFolded.Load()
 	sm := Sample{
 		Time:           now,
 		Elapsed:        now.Sub(s.start),
 		Accesses:       st.Accesses.Load(),
+		AccessesFolded: folded,
 		Batches:        st.Batches.Load(),
 		Transitions:    st.Transitions.Load(),
 		Migrations:     st.Migrations.Load(),
@@ -280,7 +291,7 @@ func (s *Sampler) Snapshot() Sample {
 	sm.Goroutines = runtime.NumGoroutine()
 
 	if sm.Batches > 0 {
-		sm.AvgBatchFill = float64(sm.Accesses-sm.AccessesReused) / float64(sm.Batches)
+		sm.AvgBatchFill = float64(sm.Accesses-sm.AccessesReused-sm.AccessesFolded) / float64(sm.Batches)
 	}
 	if sec := sm.Elapsed.Seconds(); sec > 0 {
 		sm.CumulativeRate = float64(sm.Accesses) / sec

@@ -183,6 +183,10 @@ func (w *Writer) Write(a Access) error {
 		w.err = fmt.Errorf("trace: cannot encode access with kind %v", a.Kind)
 		return w.err
 	}
+	if a.Fold != 0 {
+		w.err = fmt.Errorf("trace: cannot encode %v: %w", a, ErrFolded)
+		return w.err
+	}
 	if w.hdr.Nodes > 0 && int(a.Node) >= w.hdr.Nodes {
 		w.err = fmt.Errorf("trace: access node %d outside header node count %d", a.Node, w.hdr.Nodes)
 		return w.err

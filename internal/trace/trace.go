@@ -45,16 +45,35 @@ func (k Kind) String() string {
 }
 
 // Access is one shared-memory reference by one node.
+//
+// Fold is zero in every trace a run reads except the kept accesses of a
+// Folded trace, where it counts the silent repeats folded into this
+// access: reads in the low 16 bits, writes in the high 16 (see Folded).
+// It sits in what would otherwise be padding, so an Access stays 16
+// bytes, and the struct keeps at most four fields: Go's SSA keeps only
+// structs of at most four fields in registers, so a fifth would spill
+// every Access the engines' loops copy (TestAccessLayout).
 type Access struct {
 	Node memory.NodeID
 	Kind Kind
+	Fold uint32
 	Addr memory.Addr
 }
 
-// String renders an access for diagnostics, e.g. "P3 write 0x1040".
+// String renders an access for diagnostics, e.g. "P3 write 0x1040", with
+// a "+r/w folded" suffix on a kept access of a Folded trace.
 func (a Access) String() string {
+	if a.Fold != 0 {
+		return fmt.Sprintf("P%d %s %#x +%d/%d folded", a.Node, a.Kind, a.Addr, a.FoldedReads(), a.FoldedWrites())
+	}
 	return fmt.Sprintf("P%d %s %#x", a.Node, a.Kind, a.Addr)
 }
+
+// FoldedReads returns the silent reads folded into a (Access.Fold).
+func (a Access) FoldedReads() uint32 { return a.Fold & foldMax }
+
+// FoldedWrites returns the silent writes folded into a (Access.Fold).
+func (a Access) FoldedWrites() uint32 { return a.Fold >> 16 }
 
 // Reader yields successive accesses. Next returns io.EOF after the final
 // access.
@@ -294,6 +313,9 @@ func WriteTo(w io.Writer, accesses []Access) error {
 	}
 	var rec [recordSize]byte
 	for _, a := range accesses {
+		if a.Fold != 0 {
+			return fmt.Errorf("trace: cannot encode %v: %w", a, ErrFolded)
+		}
 		rec[0] = byte(a.Node)
 		rec[1] = byte(a.Kind)
 		binary.LittleEndian.PutUint64(rec[2:], uint64(a.Addr))
