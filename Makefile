@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke
+.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke results
 
 # Seconds of fuzzing per target in `make fuzz` (kept short for CI).
 FUZZTIME ?= 10s
@@ -16,6 +16,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Regenerate the reports committed under results/ (results/README.md lists
+# the command behind each); TestCommittedOutputs compares them otherwise.
+# Run it only for a change meant to move a reported number, and say why in
+# CHANGES.md.
+results:
+	$(GO) test -count=1 -run '^TestCommittedOutputs$$' . -update-results
 
 # perfbench/ is a nested module, so ./... above never compiles it; it calls
 # internal names that a deletion can break while the root module stays

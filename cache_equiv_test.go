@@ -147,6 +147,9 @@ func TestLegacyTraceConversion(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildCommands(t, dir, "tracegen", "paper")
+	// The commands' run manifests go to the test's directory, not to the
+	// default results/ of the checkout.
+	manifests := filepath.Join(dir, "manifests")
 
 	base := RunConfig{Engine: EngineDirectory, Nodes: 16, Policy: "basic", CacheBytes: 64 << 10, Shards: 2}
 	mem := base
@@ -165,18 +168,18 @@ func TestLegacyTraceConversion(t *testing.T) {
 		if !errors.Is(err, ErrTraceNoIndex) || !strings.Contains(fmt.Sprint(err), trace.ConvertCommand) {
 			t.Fatalf("%s: Run = %v, want ErrTraceNoIndex naming %q", name, err, trace.ConvertCommand)
 		}
-		out, err := exec.Command(filepath.Join(bin, "paper"), "-trace", legacy, "-progress", "off").CombinedOutput()
+		out, err := exec.Command(filepath.Join(bin, "paper"), "-trace", legacy, "-progress", "off", "-manifest-dir", manifests).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), trace.ConvertCommand) {
 			t.Fatalf("%s: paper -trace: %v, want exit status 1 naming the converter\n%s", name, err, out)
 		}
-		out, err = exec.Command(filepath.Join(bin, "tracegen"), "-in", legacy, "-stats").CombinedOutput()
+		out, err = exec.Command(filepath.Join(bin, "tracegen"), "-in", legacy, "-stats", "-manifest-dir", manifests).CombinedOutput()
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-o") {
 			t.Fatalf("%s: tracegen -in without -o: %v, want a usage error naming -o\n%s", name, err, out)
 		}
 
 		conv := filepath.Join(dir, name+"-v3.mtr")
-		if out, err := exec.Command(filepath.Join(bin, "tracegen"), "-in", legacy, "-o", conv).CombinedOutput(); err != nil {
+		if out, err := exec.Command(filepath.Join(bin, "tracegen"), "-in", legacy, "-o", conv, "-manifest-dir", manifests).CombinedOutput(); err != nil {
 			t.Fatalf("%s: tracegen -in -o: %v\n%s", name, err, out)
 		}
 		got, err := os.ReadFile(conv)

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"migratory/internal/cliutil"
 	"migratory/internal/core"
@@ -113,14 +114,23 @@ func main() {
 		fmt.Println("count, which a fixed recorded trace cannot provide.")
 		fmt.Println()
 	} else {
-		// The prepared apps are dead from here on. Collect them now: the
-		// sweep prepares a trace per machine size, and those would
-		// otherwise pile on top of the dead apps until the heap reaches
-		// the goal the apps set, which made this the run's peak RSS.
+		// Only MP3D's and Water's prepared apps live on: the sweep's
+		// 16-node cells are their remembered Table 3 cells. The other
+		// apps are dead from here on. Collect them now: the sweep prepares
+		// a trace per other machine size, and those would otherwise pile
+		// on top of the dead apps until the heap reaches the goal the apps
+		// set, which made this the run's peak RSS.
+		names := []string{"MP3D", "Water"}
+		var keep []*sim.App
+		for _, app := range apps {
+			if slices.Contains(names, app.Name) {
+				keep = append(keep, app)
+			}
+		}
 		runtime.GC()
-		for _, app := range []string{"MP3D", "Water"} {
-			rows, err := sim.NodeCountSweep(app, nil, opts)
-			check(err)
+		sweeps, err := sim.NodeCountSweepApps(names, nil, opts, keep)
+		check(err)
+		for _, rows := range sweeps {
 			code(sim.RenderNodeCount(rows).String())
 		}
 	}

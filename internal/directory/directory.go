@@ -929,15 +929,26 @@ func (s *System) MigratoryBlocks() int {
 // migratory and are immediately declassified never appear here.
 func (s *System) EverMigratory() map[memory.BlockID]bool {
 	out := make(map[memory.BlockID]bool)
+	for _, b := range s.appendEverMigratory(nil) {
+		out[b] = true
+	}
+	return out
+}
+
+// appendEverMigratory appends the blocks EverMigratory reports to dst and
+// returns the extended slice, without building a map. Blocks come in
+// increasing order, except that identifiers beyond the entry table's
+// dense range follow in no particular order.
+func (s *System) appendEverMigratory(dst []memory.BlockID) []memory.BlockID {
 	s.entries.ForEach(func(b memory.BlockID, e *entry) {
 		// Under an initially-migratory policy, a block that is still
 		// classified at the end survived every declassification test:
 		// count it as detected even though no classification event fired.
 		if e.is(flagEverMigratory) || (s.cfg.Policy.InitialMigratory && e.cls.Migratory) {
-			out[b] = true
+			dst = append(dst, b)
 		}
 	})
-	return out
+	return dst
 }
 
 // CheckInvariants verifies the structural coherence invariants listed in

@@ -194,12 +194,20 @@ func (sh *Sharded) MigratoryBlocks() int {
 // in exactly one shard, so this is a disjoint union.
 func (sh *Sharded) EverMigratory() map[memory.BlockID]bool {
 	out := make(map[memory.BlockID]bool)
-	for _, s := range sh.shards {
-		for b := range s.EverMigratory() {
-			out[b] = true
-		}
+	for _, b := range sh.AppendEverMigratory(nil) {
+		out[b] = true
 	}
 	return out
+}
+
+// AppendEverMigratory appends every shard's ever-migratory blocks to dst,
+// shard by shard, and returns the extended slice. Each block appears once;
+// callers that need one order sort the result.
+func (sh *Sharded) AppendEverMigratory(dst []memory.BlockID) []memory.BlockID {
+	for _, s := range sh.shards {
+		dst = s.appendEverMigratory(dst)
+	}
+	return dst
 }
 
 // InvalidationHistogram merges the per-shard Weber–Gupta histograms.

@@ -69,13 +69,17 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 // app, returning the rows app by app in policy order. The off-line ground
 // truths come from one streaming pass per app, fanned out over the worker
 // pool; then every app's policy cells run through one pool, so no app
-// waits behind another's barrier. Each run opens its own source.
+// waits behind another's barrier. The cells are shared like the Table 3
+// sweep's (runCells): a cell an earlier sweep ran over the same app is
+// answered from the verdicts the app kept.
 func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accuracy, error) {
 	opts = opts.withDefaults()
 	truths := make([]map[memory.BlockID]trace.BlockPattern, len(apps))
 	err := runIndexed(opts.ctx(), len(apps), opts.workers(), func(i int) error {
-		// The ground-truth pass opens its source the way every cell's run does.
-		src, err := RunConfig{OpenSource: apps[i].Open, Cache: opts.Cache}.openSource()
+		// The ground-truth pass opens its source the way a 16-byte cell's
+		// run does: a folded app's kept accesses, whose folded writes the
+		// block histories credit (trace.ClassifyBlocksSource).
+		src, err := RunConfig{OpenSource: apps[i].cellSource(nil, 16), Cache: opts.Cache}.openSource()
 		if err != nil {
 			return err
 		}
@@ -99,8 +103,10 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 	}
 	np := len(adaptive)
 	cfgs := make([]RunConfig, len(apps)*np)
+	cellApps := make([]*App, len(cfgs))
 	for i := range cfgs {
 		app := apps[i/np]
+		cellApps[i] = app
 		cfgs[i] = RunConfig{
 			Engine:          EngineDirectory,
 			Nodes:           opts.Nodes,
@@ -113,7 +119,7 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 		}
 	}
 	out := make([]Accuracy, len(cfgs))
-	err = runCells(opts, cfgs, nil,
+	err = runCells(opts, cfgs, cellApps,
 		func(i int) string { return apps[i/np].Name + "/" + adaptive[i%np].Name },
 		func(i int, res *RunResult) {
 			out[i] = score(apps[i/np].Name, adaptive[i%np], truths[i/np], res.EverMigratory())

@@ -24,75 +24,97 @@ type NodeCountRow struct {
 // throughout; this sweep is the natural sensitivity study (the migratory
 // pattern itself is machine-size independent — one processor at a time —
 // so the benefit should hold from small to large machines). Infinite
-// caches, 16-byte blocks.
+// caches, 16-byte blocks. It is NodeCountSweepApps for one app, with no
+// prepared apps.
 func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow, error) {
+	rows, err := NodeCountSweepApps([]string{app}, nodeCounts, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// NodeCountSweepApps runs the machine-size sweep for each named app (nil
+// nodeCounts = 4, 8, 16, 32 and 64 nodes) and returns each app's rows, in
+// the order of names. prepared holds apps the caller prepared with opts,
+// such as the ones its Table 3 sweep ran over.
+//
+// One worker pool runs every (app, node count) unit. A unit at opts.Nodes
+// takes the prepared app of its name, so its policy cells are answered
+// from that app's memo when an earlier sweep ran them (runCells); any
+// other unit prepares its own app, runs its cells and drops the app, so
+// the sweep holds at most one such app per worker.
+func NodeCountSweepApps(names []string, nodeCounts []int, opts Options, prepared []*App) ([][]NodeCountRow, error) {
 	opts = opts.withDefaults()
 	if len(nodeCounts) == 0 {
 		nodeCounts = []int{4, 8, 16, 32, 64}
 	}
-	prof, err := workload.ProfileByName(app)
-	if err != nil {
-		return nil, err
+	for _, name := range names {
+		if _, err := workload.ProfileByName(name); err != nil {
+			return nil, err
+		}
 	}
 	for _, n := range nodeCounts {
 		if n < 2 || n > memory.MaxNodes {
 			return nil, fmt.Errorf("sim: node count %d out of range", n)
 		}
 	}
+	byName := make(map[string]*App, len(prepared))
+	for _, app := range prepared {
+		byName[app.Name] = app
+	}
 
-	// Each machine size has its own trace and placement; prepare them in
-	// parallel (as apps, so streaming mode holds no trace in memory), then
-	// run one cell per (node count, policy).
-	preps := make([]*App, len(nodeCounts))
-	err = runIndexed(opts.ctx(), len(nodeCounts), opts.workers(), func(i int) error {
-		perNode := opts
-		perNode.Nodes = nodeCounts[i]
-		a, err := PrepareApp(prof.Name, perNode)
-		if err != nil {
-			return err
+	pols := core.Policies()
+	nn, np := len(nodeCounts), len(pols)
+	msgs := make([]cost.Msgs, len(names)*nn*np)
+	// Each unit runs its cells in sequence on its own worker.
+	unitOpts := opts
+	unitOpts.Parallelism = 1
+	err := runIndexed(opts.ctx(), len(names)*nn, opts.workers(), func(u int) error {
+		name, n := names[u/nn], nodeCounts[u%nn]
+		app := byName[name]
+		if app == nil || n != opts.Nodes {
+			perNode := opts
+			perNode.Nodes = n
+			var err error
+			if app, err = PrepareApp(name, perNode); err != nil {
+				return err
+			}
 		}
-		preps[i] = a
-		return nil
+		cfgs := make([]RunConfig, np)
+		apps := make([]*App, np)
+		for pi := range pols {
+			apps[pi] = app
+			cfgs[pi] = RunConfig{
+				Engine:          EngineDirectory,
+				Nodes:           n,
+				Shards:          opts.Shards,
+				Cache:           opts.Cache,
+				OpenSource:      app.cellSource(nil, 0),
+				PlacementPolicy: app.Placement,
+				policy:          &pols[pi],
+			}
+		}
+		return runCells(unitOpts, cfgs, apps,
+			func(pi int) string { return fmt.Sprintf("%s/%s (%d nodes)", name, pols[pi].Name, n) },
+			func(pi int, res *RunResult) { msgs[u*np+pi] = res.Directory.Msgs })
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	pols := core.Policies()
-	cfgs := make([]RunConfig, len(nodeCounts)*len(pols))
-	for i := range cfgs {
-		prep := preps[i/len(pols)]
-		cfgs[i] = RunConfig{
-			Engine:          EngineDirectory,
-			Nodes:           nodeCounts[i/len(pols)],
-			Shards:          opts.Shards,
-			Cache:           opts.Cache,
-			OpenSource:      prep.cellSource(nil, 0),
-			PlacementPolicy: prep.Placement,
-			policy:          &pols[i%len(pols)],
+	out := make([][]NodeCountRow, len(names))
+	for ai, name := range names {
+		for ni, n := range nodeCounts {
+			unit := msgs[(ai*nn+ni)*np : (ai*nn+ni+1)*np]
+			row := NodeCountRow{App: name, Nodes: n, BaseMsgs: unit[0]}
+			for _, m := range unit[1:] {
+				row.Reductions = append(row.Reductions, cost.Reduction(unit[0], m))
+			}
+			out[ai] = append(out[ai], row)
 		}
 	}
-	msgs := make([]cost.Msgs, len(cfgs))
-	err = runCells(opts, cfgs, nil,
-		func(i int) string {
-			return fmt.Sprintf("%s/%s (%d nodes)", app, pols[i%len(pols)].Name, nodeCounts[i/len(pols)])
-		},
-		func(i int, res *RunResult) { msgs[i] = res.Directory.Msgs })
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]NodeCountRow, 0, len(nodeCounts))
-	for ni, n := range nodeCounts {
-		row := NodeCountRow{App: app, Nodes: n}
-		base := msgs[ni*len(pols)]
-		row.BaseMsgs = base
-		for pi := 1; pi < len(pols); pi++ {
-			row.Reductions = append(row.Reductions, cost.Reduction(base, msgs[ni*len(pols)+pi]))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return out, nil
 }
 
 // RenderNodeCount formats the scalability sweep.

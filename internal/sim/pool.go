@@ -111,8 +111,9 @@ func runIndexed(ctx context.Context, n, workers int, fn func(i int) error) error
 // it replays that App's trace under that App's placement. Such a
 // directory or bus cell is shared (see planCells): cells that must compute
 // the same result run once, and a result an earlier sweep finished is
-// reused. Cells with probes never share, and the drivers whose folds read
-// the live engine (accuracy) or that run the timing model pass no apps.
+// reused. A reused directory result still answers EverMigratory from the
+// verdicts its App kept. Cells with probes never share, and the timing
+// model's sweep (ExecutionTimeApps) passes no apps.
 func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) string, fold func(i int, res *RunResult)) error {
 	ctx := opts.ctx()
 	st := opts.Stats
@@ -121,7 +122,7 @@ func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) st
 	}
 	reuse := func(i int, res *RunResult) {
 		fold(i, res)
-		creditReused(st, res)
+		creditReused(st, cells[i].Stats, res)
 	}
 	jobs, err := planCells(opts, cells, apps, reuse)
 	if err != nil {
@@ -180,6 +181,12 @@ type cellKey struct {
 	freeDrops        bool
 }
 
+// noMemo, set only by tests, makes planCells run every cell unshared, as
+// configured: no result is reused or remembered and no finite cache runs
+// as the infinite one, so a test can compare the reports with and without
+// sharing (TestMemoTwin), as noFold does for folding.
+var noMemo bool
+
 // planCells turns a sweep's cells into the jobs that must run. Every
 // shared cell is keyed first. A finite cache is keyed as infinite when its
 // App's footprint proves it never evicts; the footprints of the Apps that
@@ -194,7 +201,7 @@ func planCells(opts Options, cells []RunConfig, apps []*App, reuse func(i int, r
 	var needFootprint []*App
 	seen := make(map[*App]bool)
 	for i, cfg := range cells {
-		if apps == nil || apps[i] == nil || cfg.Probes != nil || cfg.Engine == EngineTiming {
+		if noMemo || apps == nil || apps[i] == nil || cfg.Probes != nil || cfg.Engine == EngineTiming {
 			continue
 		}
 		if cfg.withDefaults().Validate() != nil {
@@ -273,26 +280,30 @@ func planCells(opts Options, cells []RunConfig, apps []*App, reuse func(i int, r
 	return jobs, nil
 }
 
-// creditReused accounts a cell answered by another run's result: the
-// cell's accesses, classifier transitions and migrations, as its own run
-// would have pushed them, so sweep totals do not depend on sharing, plus
-// the reuse counters and the cell's completion.
-func creditReused(st *telemetry.RunStats, res *RunResult) {
-	if st == nil {
-		return
+// creditReused accounts a cell answered by another run's result. The
+// cell's accesses, classifier transitions and migrations go to cellStats,
+// the cell's own RunConfig.Stats, as its own run would have pushed them,
+// so sweep totals do not depend on sharing; AccessesReused counts the
+// same accesses. A cell without Stats, such as an accuracy or
+// machine-size cell, pushes none. The reuse count and the cell's
+// completion go to the sweep's st.
+func creditReused(st, cellStats *telemetry.RunStats, res *RunResult) {
+	if cellStats != nil {
+		cellStats.Accesses.Add(res.Accesses)
+		switch {
+		case res.Directory != nil:
+			c := res.Directory.Counters
+			cellStats.Transitions.Add(c.Classifications + c.Declassified)
+			cellStats.Migrations.Add(c.Migrations)
+		case res.Bus != nil:
+			cellStats.Migrations.Add(res.Bus.Migrations)
+		}
+		cellStats.AccessesReused.Add(res.Accesses)
 	}
-	st.Accesses.Add(res.Accesses)
-	switch {
-	case res.Directory != nil:
-		c := res.Directory.Counters
-		st.Transitions.Add(c.Classifications + c.Declassified)
-		st.Migrations.Add(c.Migrations)
-	case res.Bus != nil:
-		st.Migrations.Add(res.Bus.Migrations)
+	if st != nil {
+		st.CellsReused.Add(1)
+		st.CellsDone.Add(1)
 	}
-	st.CellsReused.Add(1)
-	st.AccessesReused.Add(res.Accesses)
-	st.CellsDone.Add(1)
 }
 
 // footprintOf returns the App's footprint, streaming one pass over the
@@ -305,8 +316,11 @@ func (a *App) footprintOf(ctx context.Context, cache *trace.SegmentCache) (*Foot
 	if a.footprint != nil {
 		return a.footprint, nil
 	}
-	// The pass opens its source the way every cell's run does.
-	src, err := RunConfig{OpenSource: a.Open, Cache: cache}.openSource()
+	// The pass opens its source the way a 16-byte cell's run does. A
+	// folded app's kept accesses touch exactly the (node, 16-byte block)
+	// pairs of the full trace: every silent repeat shares its kept
+	// access's node and granule.
+	src, err := RunConfig{OpenSource: a.cellSource(nil, footprintGranule), Cache: cache}.openSource()
 	if err != nil {
 		return nil, err
 	}
@@ -329,11 +343,15 @@ func (a *App) recall(key cellKey) *RunResult {
 	return a.memo[key]
 }
 
-// remember keeps a finished cell's result for later sweeps, without the
-// live engine it carries.
+// remember keeps a finished cell's result for later sweeps. A directory
+// result keeps its classifier verdicts (EverMigratory) and drops the live
+// engine it carries.
 func (a *App) remember(key cellKey, res *RunResult) {
 	kept := *res
-	kept.dir = nil
+	if res.dir != nil {
+		kept.dir = nil
+		kept.migratory = newBlockSet(res.dir.AppendEverMigratory(nil))
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.memo == nil {

@@ -8,8 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"runtime"
+	"slices"
 
 	"migratory/internal/core"
 	"migratory/internal/cost"
@@ -518,15 +520,71 @@ type RunResult struct {
 	// dir retains the live directory engine so in-process callers can pull
 	// the classifier verdicts and histograms a serialized result drops.
 	dir *directory.Sharded
+	// migratory holds the classifier verdicts of a directory result an App
+	// remembers (App.remember) after dropping dir.
+	migratory *blockSet
 }
 
 // EverMigratory returns the directory engine's per-block classifier
-// verdicts (nil for other engines or deserialized results).
+// verdicts (nil for other engines or deserialized results). A result a
+// sweep remembered answers from the verdicts it kept.
 func (r *RunResult) EverMigratory() map[memory.BlockID]bool {
-	if r.dir == nil {
-		return nil
+	switch {
+	case r.dir != nil:
+		return r.dir.EverMigratory()
+	case r.migratory != nil:
+		out := make(map[memory.BlockID]bool)
+		r.migratory.forEach(func(b memory.BlockID) { out[b] = true })
+		return out
 	}
-	return r.dir.EverMigratory()
+	return nil
+}
+
+// blockSet is a set of blocks in the smaller of two forms: a bitmap over
+// the blocks from the lowest to the highest, or their sorted list. The
+// adaptive policies' verdicts over the generated traces are dense, so a
+// bitmap is several times smaller than the list; a trace whose blocks lie
+// far apart keeps the list.
+type blockSet struct {
+	base  memory.BlockID   // the block of bit 0 of words[0], a multiple of 64
+	words []uint64         // the bitmap; nil when list holds the set
+	list  []memory.BlockID // the sorted blocks
+}
+
+// newBlockSet returns the set of blocks, which it sorts in place. Blocks
+// must be distinct.
+func newBlockSet(blocks []memory.BlockID) *blockSet {
+	slices.Sort(blocks)
+	if len(blocks) == 0 {
+		return &blockSet{}
+	}
+	base := blocks[0] &^ 63
+	span := uint64(blocks[len(blocks)-1]-base)/64 + 1
+	if span > uint64(len(blocks)) {
+		// A copy at the exact length: blocks was grown by append.
+		return &blockSet{list: slices.Clone(blocks)}
+	}
+	words := make([]uint64, span)
+	for _, b := range blocks {
+		off := b - base
+		words[off/64] |= 1 << (off % 64)
+	}
+	return &blockSet{base: base, words: words}
+}
+
+// forEach calls fn for each block of the set in increasing order.
+func (s *blockSet) forEach(fn func(memory.BlockID)) {
+	if s.words == nil {
+		for _, b := range s.list {
+			fn(b)
+		}
+		return
+	}
+	for wi, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			fn(s.base + memory.BlockID(wi*64+bits.TrailingZeros64(w)))
+		}
+	}
 }
 
 // InvalidationHistogram returns the directory engine's

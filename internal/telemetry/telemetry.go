@@ -68,7 +68,8 @@ type RunStats struct {
 	// CellsReused counts completed cells that did not simulate: a sweep
 	// answered them with the result of an identical cell, run in the same
 	// sweep or kept from an earlier one. AccessesReused is their share of
-	// Accesses.
+	// Accesses: a reused cell whose own run would have pushed no accesses
+	// (one that carries no Stats) adds none.
 	CellsReused    atomic.Uint64
 	AccessesReused atomic.Uint64
 

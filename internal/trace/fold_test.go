@@ -203,3 +203,41 @@ func TestWritersRefuseFolded(t *testing.T) {
 		t.Fatalf("WriteTo = %v, want ErrFolded", err)
 	}
 }
+
+// TestClassifyKeptAccesses checks that the block histories built from a
+// folded trace's kept accesses, whose folded writes they credit, equal the
+// full trace's field for field, and so do the off-line classifications, at
+// every block size the fold is exact for.
+func TestClassifyKeptAccesses(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	histories := func(src Reader, geom memory.Geometry) map[memory.BlockID]blockHistory {
+		t.Helper()
+		blocks, err := buildHistories(src, geom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[memory.BlockID]blockHistory, blocks.Len())
+		blocks.ForEach(func(b memory.BlockID, h *blockHistory) { out[b] = *h })
+		return out
+	}
+	for _, nodes := range []int{2, 5} {
+		accs := randomTrace(rng, 20000, nodes)
+		f, err := Fold(accs, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bs := FoldGranule; bs <= FoldRegion; bs *= 2 {
+			geom := memory.MustGeometry(bs, 4096)
+			if got, want := histories(f.OpenKept(), geom), histories(NewSliceSource(accs), geom); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d nodes, %d-byte blocks: the kept accesses build other block histories than the full trace", nodes, bs)
+			}
+			got, err := ClassifyBlocksSource(f.OpenKept(), geom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ClassifyBlocks(accs, geom); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d nodes, %d-byte blocks: the kept accesses classify differently from the full trace", nodes, bs)
+			}
+		}
+	}
+}

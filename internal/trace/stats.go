@@ -83,7 +83,11 @@ type blockHistory struct {
 	lateWrites int
 }
 
-// observe feeds one access into a block's history.
+// observe feeds one access into a block's history, followed by the silent
+// repeats folded into it (Access.Fold). For blocks of FoldGranule to
+// FoldRegion bytes, the repeats are the block's next accesses after a, all
+// by a's node: a folded read changes nothing, and a folded write is one
+// more write of a's run, late exactly when a is.
 func (h *blockHistory) observe(a Access) {
 	if a.Node != h.curNode {
 		if h.curRunWrote {
@@ -94,11 +98,15 @@ func (h *blockHistory) observe(a Access) {
 		h.curNode = a.Node
 		h.curRunWrote = false
 	}
+	writes := int(a.FoldedWrites())
 	if a.Kind == Write {
-		h.writes++
+		writes++
+	}
+	if writes > 0 {
+		h.writes += writes
 		h.curRunWrote = true
 		if a.Node != h.firstNode || h.nodes.Len() > 1 {
-			h.lateWrites++
+			h.lateWrites += writes
 		}
 	}
 	h.nodes = h.nodes.Add(a.Node)
@@ -236,7 +244,9 @@ func ClassifyBlocks(accesses []Access, geom memory.Geometry) map[memory.BlockID]
 }
 
 // ClassifyBlocksSource is ClassifyBlocks over a streamed trace: one pass,
-// state proportional to the number of distinct blocks.
+// state proportional to the number of distinct blocks. src may yield a
+// folded trace's kept accesses (Folded.OpenKept) when geom's blocks are
+// FoldGranule to FoldRegion bytes: the result is the full trace's.
 func ClassifyBlocksSource(src Reader, geom memory.Geometry) (map[memory.BlockID]BlockPattern, error) {
 	blocks, err := buildHistories(src, geom)
 	if err != nil {
