@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check cover fuzz ci inspect-demo profile apidiff serve-smoke results
+.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check cover fuzz ci inspect-demo profile profile-trace apidiff serve-smoke results
 
 # Seconds of fuzzing per target in `make fuzz` (kept short for CI).
 FUZZTIME ?= 10s
@@ -122,6 +122,24 @@ profile:
 		-memprofile $(PROFILE_DIR)/mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/paper $(PROFILE_DIR)/cpu.pprof
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space $(PROFILE_DIR)/paper $(PROFILE_DIR)/mem.pprof
+
+# Profile the benchmark's mtr-replay op (BENCHMARK.json) the same way:
+# write its 2 M-access MP3D trace with cmd/tracegen, then run
+# `paper -trace` over it at -shards $(nproc) -parallelism 1 under both
+# profilers. The sweeps spend that budget on whole cells, so a profile
+# that shows the demux means a section sharded.
+profile-trace:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/ ./cmd/paper ./cmd/tracegen
+	$(PROFILE_DIR)/tracegen -app MP3D -length 2000000 -seed 1993 \
+		-o $(PROFILE_DIR)/mp3d.mtr -progress off -manifest-dir $(PROFILE_DIR)
+	$(PROFILE_DIR)/paper -trace $(PROFILE_DIR)/mp3d.mtr \
+		-shards $$(nproc) -parallelism 1 -progress off \
+		-manifest-dir $(PROFILE_DIR) \
+		-cpuprofile $(PROFILE_DIR)/cpu-trace.pprof \
+		-memprofile $(PROFILE_DIR)/mem-trace.pprof > /dev/null
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/paper $(PROFILE_DIR)/cpu-trace.pprof
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space $(PROFILE_DIR)/paper $(PROFILE_DIR)/mem-trace.pprof
 
 # End-to-end observability demo: generate a short MP3D trace, replay it
 # under the basic protocol with the inspector attached, and export the

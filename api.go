@@ -286,10 +286,12 @@ func ScaleWorkload(p WorkloadProfile, factor float64) (WorkloadProfile, error) {
 type (
 	// ExperimentOptions configures a sweep. Its Parallelism field bounds
 	// the worker pool the sweep drivers fan independent simulation cells
-	// out on (0 = all CPUs, 1 = sequential), and its Shards field splits
-	// each untimed simulation cell across per-set engine shards (1 =
-	// sequential, -1 = all CPUs); results are bit-identical regardless of
-	// either setting.
+	// out on (0 = all CPUs, 1 = sequential), and its Shards field lets
+	// an untimed simulation cell split across per-set engine shards (1 =
+	// sequential, -1 = all CPUs). A sweep spends Parallelism × Shards
+	// goroutines on whole cells first and shards only when it has fewer
+	// cells than that; results are bit-identical regardless of either
+	// setting.
 	ExperimentOptions = sim.Options
 	// Sweep holds a directory-protocol sweep (Tables 2 and 3).
 	Sweep = sim.Sweep

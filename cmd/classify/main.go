@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"migratory/internal/cliutil"
-	"migratory/internal/core"
 	"migratory/internal/sim"
 	"migratory/internal/workload"
 )
@@ -74,21 +73,12 @@ func main() {
 	fmt.Println("invalidated per ownership acquisition — the Weber–Gupta motivation for")
 	fmt.Println("migratory detection.")
 	fmt.Println()
-	for _, app := range apps {
-		res, err := sim.Run(ctx, sim.RunConfig{
-			Engine:          sim.EngineDirectory,
-			Nodes:           opts.Nodes,
-			Policy:          core.Conventional.Name,
-			CacheBytes:      *cache,
-			Shards:          opts.Shards,
-			Stats:           run.Stats(),
-			OpenSource:      app.Open,
-			PlacementPolicy: app.Placement,
-		})
-		if err != nil {
-			cliutil.FatalRun(run, "classify", "%v", err)
-		}
-		hist := res.InvalidationHistogram()
+	hists, err := sim.InvalidationHistograms(apps, opts, *cache)
+	if err != nil {
+		cliutil.FatalRun(run, "classify", "%v", err)
+	}
+	for i, app := range apps {
+		hist := hists[i]
 		sizes := make([]int, 0, len(hist))
 		var total uint64
 		for sz, c := range hist {

@@ -59,7 +59,7 @@ func Register(name string) *Flags {
 	f.Seed = flag.Int64("seed", 1993, "workload generator seed")
 	f.Nodes = flag.Int("nodes", 16, "processor count")
 	f.Parallelism = flag.Int("parallelism", 0, "sweep worker goroutines (0 = all CPUs, 1 = sequential; results are identical either way)")
-	f.Shards = flag.Int("shards", 1, "engine shards per untimed simulation run, split by cache-set index (1 = sequential, -1 = all CPUs; results are identical either way)")
+	f.Shards = flag.Int("shards", 1, "engine shards per untimed simulation run, split by cache-set index (1 = sequential, -1 = all CPUs; a sweep with at least -parallelism x -shards cells runs that many unsharded cells at once instead; results are identical either way)")
 	f.Decoders = flag.Int("decoders", 0, "parallel trace-decode workers for indexed (v3) .mtr files (0 = all CPUs, 1 = sequential decode; results are identical either way)")
 	f.Trace = flag.String("trace", "", "run over a binary trace file (from tracegen) instead of the built-in workloads")
 	f.Stream = flag.Bool("stream", false, "regenerate traces lazily per simulation cell instead of materializing them (O(1) trace memory; bit-identical results)")

@@ -130,6 +130,38 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 	return out, nil
 }
 
+// InvalidationHistograms runs the conventional protocol over every
+// prepared app and returns each run's Weber–Gupta histogram
+// (RunResult.InvalidationHistogram), in app order. The cells run through
+// one pool but are not shared: the memo keeps no engine, and the histogram
+// is read from it.
+func InvalidationHistograms(apps []*App, opts Options, cacheBytes int) ([]map[int]uint64, error) {
+	opts = opts.withDefaults()
+	conventional := core.Conventional
+	cfgs := make([]RunConfig, len(apps))
+	for i, app := range apps {
+		cfgs[i] = RunConfig{
+			Engine:          EngineDirectory,
+			Nodes:           opts.Nodes,
+			CacheBytes:      cacheBytes,
+			Shards:          opts.Shards,
+			Stats:           opts.Stats,
+			Cache:           opts.Cache,
+			OpenSource:      app.cellSource(nil, 0),
+			PlacementPolicy: app.Placement,
+			policy:          &conventional,
+		}
+	}
+	out := make([]map[int]uint64, len(apps))
+	err := runCells(opts, cfgs, nil,
+		func(i int) string { return apps[i].Name + "/" + conventional.Name },
+		func(i int, res *RunResult) { out[i] = res.InvalidationHistogram() })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // score tallies one policy's on-line verdicts against the off-line ground
 // truth over the shared blocks.
 func score(app string, pol core.Policy, truth map[memory.BlockID]trace.BlockPattern, detected map[memory.BlockID]bool) Accuracy {

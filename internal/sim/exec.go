@@ -47,10 +47,10 @@ func ExecutionTime(opts Options, policy core.Policy, cacheBytes int) ([]ExecRow,
 }
 
 // ExecutionTimeApps is ExecutionTime over caller-prepared apps (external
-// traces wrapped with NewApp or NewSourceApp). Every cell carries
-// opts.Shards, so RunConfig.Validate refuses any value other than 0 or 1:
-// the simulated bus serializes every transaction globally, so a timed run
-// cannot be partitioned by set index.
+// traces wrapped with NewApp or NewSourceApp). The simulated bus
+// serializes every transaction globally, so a timed run cannot be
+// partitioned by set index: the pool runs every cell unsharded and spends
+// opts.Shards on more cells at once instead (runCells).
 func ExecutionTimeApps(apps []*App, opts Options, policy core.Policy, cacheBytes int) ([]ExecRow, error) {
 	opts = opts.withDefaults()
 	if cacheBytes == 0 {

@@ -67,7 +67,8 @@ func NodeCountSweepApps(names []string, nodeCounts []int, opts Options, prepared
 	pols := core.Policies()
 	nn, np := len(nodeCounts), len(pols)
 	msgs := make([]cost.Msgs, len(names)*nn*np)
-	// Each unit runs its cells in sequence on its own worker.
+	// Each unit runs its cells on its own worker, which spends that
+	// worker's Shards on them (runCells).
 	unitOpts := opts
 	unitOpts.Parallelism = 1
 	err := runIndexed(opts.ctx(), len(names)*nn, opts.workers(), func(u int) error {

@@ -114,6 +114,15 @@ func runIndexed(ctx context.Context, n, workers int, fn func(i int) error) error
 // reused. A reused directory result still answers EverMigratory from the
 // verdicts its App kept. Cells with probes never share, and the timing
 // model's sweep (ExecutionTimeApps) passes no apps.
+//
+// The sweep's goroutine budget is B = workers × shards, the Options'
+// Parallelism and Shards resolved (shardBudget). runCells spends it on
+// whole cells first: min(len(jobs), B) jobs run at once, each with
+// B / width of the shards, never more than its own Shards asked for. A
+// sweep with at least B jobs therefore runs B unsharded cells at once,
+// while a short sweep or a lone cell still shards. Timing cells always run
+// unsharded (their bus serializes every transaction), so their pool gets
+// the whole budget.
 func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) string, fold func(i int, res *RunResult)) error {
 	ctx := opts.ctx()
 	st := opts.Stats
@@ -128,8 +137,10 @@ func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) st
 	if err != nil {
 		return err
 	}
-	return runIndexed(ctx, len(jobs), opts.workers(), func(j int) error {
+	width, perJob := opts.schedule(len(jobs))
+	return runIndexed(ctx, len(jobs), width, func(j int) error {
 		jb := jobs[j]
+		jb.cfg.Shards = jb.cfg.poolShards(perJob)
 		res, err := Run(ctx, jb.cfg)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -358,6 +369,38 @@ func (a *App) remember(key cellKey, res *RunResult) {
 		a.memo = make(map[cellKey]*RunResult)
 	}
 	a.memo[key] = &kept
+}
+
+// schedule is how runCells spends the sweep's budget of workers × shards
+// goroutines on n jobs: width jobs run at once, each granted perJob
+// shards (poolShards caps a cell's grant at its own request).
+func (o Options) schedule(n int) (width, perJob int) {
+	budget := o.workers() * shardBudget(o.Shards)
+	width = min(n, budget)
+	return width, budget / max(width, 1)
+}
+
+// shardBudget resolves a Shards value to the shard count a sweep budgets
+// for: -1 is one per GOMAXPROCS, 0 (and an invalid count, which Run
+// reports) is 1. directory.ResolveShards still rounds each cell's count.
+func shardBudget(shards int) int {
+	if shards == -1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return max(shards, 1)
+}
+
+// poolShards is the Shards a sweep cell runs with when runCells grants it
+// perJob shards: its own request capped at perJob, and 1 for a timing
+// cell. An invalid count is kept, so Run reports it.
+func (c RunConfig) poolShards(perJob int) int {
+	switch {
+	case c.Shards < -1:
+		return c.Shards
+	case c.Engine == EngineTiming:
+		return 1
+	}
+	return min(shardBudget(c.Shards), perJob)
 }
 
 // workers resolves an Options.Parallelism value (0 = GOMAXPROCS) to a

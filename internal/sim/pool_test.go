@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -79,5 +80,55 @@ func TestOptionsWorkers(t *testing.T) {
 	}
 	if got := (Options{}).workers(); got < 1 {
 		t.Fatalf("default workers() = %d, want >= 1", got)
+	}
+}
+
+// TestSchedule pins how a sweep spends its budget of Parallelism × Shards
+// goroutines: whole cells first, then an even share of shards per cell,
+// never more than the cell asked for, and none for a timing cell.
+func TestSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		parallelism, shards, jobs int
+		width, perJob             int
+	}{
+		{1, 2, 55, 2, 1},  // a long sweep at -shards 2 runs two whole cells
+		{2, 1, 55, 2, 1},  // -shards 1: the plain worker pool
+		{1, 1, 5, 1, 1},   // sequential
+		{1, 16, 5, 5, 3},  // a short sweep shards (Run rounds 3 to 2)
+		{2, 2, 1, 1, 4},   // a lone cell gets the whole budget ...
+		{3, 0, 2, 2, 1},   // Shards 0 budgets as 1
+		{1, -5, 4, 1, 1},  // an invalid count budgets as 1; Run reports it
+		{4, 4, 16, 16, 1}, // a sweep as wide as its budget
+		{1, 4, 0, 0, 4},   // nothing to run
+	} {
+		o := Options{Parallelism: tc.parallelism, Shards: tc.shards}
+		width, perJob := o.schedule(tc.jobs)
+		if width != tc.width || perJob != tc.perJob {
+			t.Errorf("P=%d S=%d jobs=%d: schedule = (%d, %d), want (%d, %d)",
+				tc.parallelism, tc.shards, tc.jobs, width, perJob, tc.width, tc.perJob)
+		}
+	}
+
+	for _, tc := range []struct {
+		cfg    RunConfig
+		perJob int
+		want   int
+	}{
+		{RunConfig{Engine: EngineDirectory, Shards: 2}, 4, 2}, // ... but no more than it asked for
+		{RunConfig{Engine: EngineDirectory, Shards: 8}, 2, 2},
+		{RunConfig{Engine: EngineBus, Shards: 0}, 4, 1},
+		{RunConfig{Engine: EngineDirectory, Shards: -1}, 1, 1},
+		{RunConfig{Engine: EngineTiming, Shards: 2}, 4, 1},
+		{RunConfig{Engine: EngineTiming, Shards: -1}, 4, 1},
+		{RunConfig{Engine: EngineDirectory, Shards: -3}, 4, -3},
+		{RunConfig{Engine: EngineTiming, Shards: -3}, 4, -3},
+	} {
+		if got := tc.cfg.poolShards(tc.perJob); got != tc.want {
+			t.Errorf("%s Shards=%d granted %d: poolShards = %d, want %d",
+				tc.cfg.Engine, tc.cfg.Shards, tc.perJob, got, tc.want)
+		}
+	}
+	if got, want := (RunConfig{Engine: EngineDirectory, Shards: -1}).poolShards(1<<20), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Shards=-1 with a large grant: poolShards = %d, want GOMAXPROCS %d", got, want)
 	}
 }

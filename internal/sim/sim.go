@@ -58,17 +58,19 @@ type Options struct {
 	// read-only trace, so results are deterministic — bit-identical to a
 	// sequential run — regardless of the setting or the scheduling.
 	Parallelism int
-	// Shards splits each *individual* untimed directory/bus run across
+	// Shards splits an *individual* untimed directory/bus run across
 	// engine shards by cache-set index (accesses to different sets never
 	// interact, so counters, metrics, and classifier verdicts stay
-	// bit-identical to a sequential run). Every cell passes it to Run
-	// unresolved; directory.ResolveShards maps it per cell (0 and 1 run
-	// sequentially, -1 is one shard per GOMAXPROCS, other counts round down
-	// to a power of two capped at the per-cache set count). The timing
-	// model rejects any value other than 0 or 1: its bus serializes
-	// transactions globally, so its runs cannot be partitioned. Parallelism
-	// composes with Shards multiplicatively — shards × workers goroutines
-	// can be live at once.
+	// bit-identical to a sequential run). 0 and 1 run sequentially, -1 is
+	// one shard per GOMAXPROCS; directory.ResolveShards rounds each run's
+	// count down to a power of two capped at the per-cache set count.
+	// Parallelism composes with Shards multiplicatively: a sweep's budget
+	// is workers × shards goroutines live at once, and it spends the
+	// budget on whole cells first. A sweep with at least that many cells
+	// runs that many unsharded cells at once; a shorter sweep gives each
+	// cell an even share of the budget, never more than Shards. Timing
+	// cells always run unsharded (their bus serializes transactions
+	// globally), so a timing sweep runs more cells at once instead.
 	Shards int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:

@@ -2,6 +2,7 @@ package migratory
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -75,4 +76,74 @@ func firstDiff(got, want []byte) string {
 		}
 	}
 	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
+// TestExactCounters pins what the committed reports round away. A report
+// prints messages in thousands, so TestCommittedOutputs cannot see a
+// change of one message; this test pins exact numbers: the counters of the
+// default `paper -length 20000` run's manifest, and the message totals
+// summed over every Table 2 and Table 3 cell at that length.
+func TestExactCounters(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCommands(t, dir, "paper")
+	manifests := filepath.Join(dir, "manifests")
+	cmd := exec.Command(filepath.Join(bin, "paper"), "-length", "20000", "-progress", "off", "-manifest-dir", manifests)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("paper -length 20000: %v\n%s", err, stderr.Bytes())
+	}
+	files, err := filepath.Glob(filepath.Join(manifests, "*.json"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want one manifest, found %v (%v)", files, err)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]float64{
+		"accesses":        5000000,
+		"transitions":     23889,
+		"migrations":      84899,
+		"cells_done":      311,
+		"cells_reused":    108,
+		"accesses_reused": 1700000,
+		"accesses_folded": 1884992,
+	} {
+		if got[key] != want {
+			t.Errorf("manifest %s = %v, want %v", key, got[key], want)
+		}
+	}
+
+	opts := ExperimentOptions{Length: 20000}
+	for _, tc := range []struct {
+		name        string
+		sweep       func(ExperimentOptions) (*Sweep, error)
+		short, data int
+	}{
+		{"Table 2", Table2, 583266, 376383},
+		{"Table 3", Table3, 329398, 241014},
+	} {
+		sw, err := tc.sweep(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var short, data int
+		for _, rows := range sw.Rows {
+			for _, row := range rows {
+				for _, c := range row.Cells {
+					short += c.Msgs.Short
+					data += c.Msgs.Data
+				}
+			}
+		}
+		if short != tc.short || data != tc.data {
+			t.Errorf("%s messages summed over every cell: %d short + %d data, want %d + %d",
+				tc.name, short, data, tc.short, tc.data)
+		}
+	}
 }

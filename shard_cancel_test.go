@@ -133,21 +133,32 @@ func TestShardedBusCancellation(t *testing.T) {
 }
 
 func TestShardedSweepCancellation(t *testing.T) {
-	// A whole sweep with Shards >= 2: cancel while cells are in flight and
-	// require the driver to return ctx.Err() without leaking the cells'
-	// demux pipelines.
+	// A sweep shorter than its budget shards its cells: one policy's
+	// Table 2 row (5 cells) at Parallelism 1 and Shards 16. The cells'
+	// probes cancel on their first event, which a shard consumer delivers,
+	// so the cancel lands while a sharded cell is in flight; the driver
+	// must return ctx.Err() without leaking the cells' demux pipelines.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	stats := &RunStats{}
 	opts := ExperimentOptions{
-		Context: ctx,
-		Apps:    []string{"MP3D"},
-		Length:  200_000,
-		Shards:  2,
+		Context:     ctx,
+		Apps:        []string{"MP3D"},
+		Length:      200_000,
+		Policies:    []Policy{Conventional},
+		Parallelism: 1,
+		Shards:      16,
+		Stats:       stats,
+		Probes: func(app, variant string, cacheBytes, blockSize int) Probe {
+			return FuncProbe(func(CoherenceEvent) { cancel() })
+		},
 	}
-	time.AfterFunc(10*time.Millisecond, cancel)
 	_, err := Table2(opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	}
+	if stats.DemuxBatches.Load() == 0 {
+		t.Fatal("no demux batches: the sweep ran its cells unsharded")
 	}
 	waitNoDemuxGoroutines(t)
 }

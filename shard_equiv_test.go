@@ -9,9 +9,12 @@ package migratory
 
 import (
 	"bytes"
+	"os/exec"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
+
+	"migratory/internal/sim"
 )
 
 // shardCounts are the shard widths the equivalence tests sweep. 8 shards
@@ -177,23 +180,28 @@ func TestShardedMetricsProbeEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedSweepEquivalence drives sharding through the sim layer: the
-// whole Table 2 sweep (five policies, five cache sizes) must render
-// identically at any Shards setting, including the -1 auto value and a
-// non-power-of-two request (rounded down).
+// TestShardedSweepEquivalence drives sharding through the sim layer. A
+// sweep spends its budget (Parallelism × Shards goroutines) on whole cells
+// first, so this one is shorter than the budget: one policy's Table 2 row
+// (5 cells) at Parallelism 1 gives every cell several shards. It must
+// render identically to the sequential sweep, for a power of two and a
+// non-power-of-two request (rounded down), and its demux must have routed
+// batches. The -1 auto value must render identically too.
 func TestShardedSweepEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full Table 2 sweep")
+		t.Skip("Table 2 sweep")
 	}
-	base := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 20_000, Apps: []string{"MP3D"}}
+	base := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 20_000, Apps: []string{"MP3D"},
+		Policies: []Policy{Basic}, Parallelism: 1}
 	seq, err := Table2(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := seq.Render().String()
-	for _, shards := range []int{2, 3, 8, -1} {
+	for _, shards := range []int{16, 12, -1} {
 		opts := base
 		opts.Shards = shards
+		opts.Stats = &RunStats{}
 		got, err := Table2(opts)
 		if err != nil {
 			t.Fatalf("Shards=%d: %v", shards, err)
@@ -201,24 +209,93 @@ func TestShardedSweepEquivalence(t *testing.T) {
 		if s := got.Render().String(); s != want {
 			t.Fatalf("Shards=%d Table 2 diverged:\n%s\nwant:\n%s", shards, s, want)
 		}
+		if shards > 0 && opts.Stats.DemuxBatches.Load() == 0 {
+			t.Fatalf("Shards=%d: no demux batches, so the sweep ran its cells unsharded", shards)
+		}
 	}
 }
 
-// TestTimingRejectsShards pins the documented restriction: the timing model
-// serializes transactions on a global bus and refuses to shard, even with
-// the auto value.
-func TestTimingRejectsShards(t *testing.T) {
-	for _, shards := range []int{2, -1} {
-		opts := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000,
-			Apps: []string{"MP3D"}, Shards: shards}
-		if _, err := ExecutionTime(opts, Basic, 0); err == nil || !strings.Contains(err.Error(), "cannot shard") {
-			t.Fatalf("Shards=%d: err = %v, want the timing model's cannot-shard refusal", shards, err)
+// TestWideSweepRunsWholeCells is the converse: a sweep with at least
+// Parallelism × Shards cells spends the budget on that many unsharded
+// cells at once, so no demux runs, and it renders the sequential bytes.
+func TestWideSweepRunsWholeCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Table 2 sweep")
+	}
+	base := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 20_000, Apps: []string{"MP3D"}, Parallelism: 1}
+	seq, err := Table2(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := base
+	opts.Shards = 4 // a budget of 4 against 20 cells
+	opts.Stats = &RunStats{}
+	got, err := Table2(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, want := got.Render().String(), seq.Render().String(); s != want {
+		t.Fatalf("Table 2 diverged:\n%s\nwant:\n%s", s, want)
+	}
+	if n := opts.Stats.DemuxBatches.Load(); n != 0 {
+		t.Fatalf("%d demux batches: the sweep sharded cells although it had more cells than its budget", n)
+	}
+}
+
+// TestPaperTraceShardSchedules renders `paper -trace` over a small
+// tracegen trace at -parallelism 1 with 1, 2 and 8 shards. Two shards
+// are a budget the sweeps spend on two whole cells at once; eight shard
+// the sections with fewer jobs than that. Every schedule must print the
+// sequential report byte for byte.
+func TestPaperTraceShardSchedules(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCommands(t, dir, "paper", "tracegen")
+	manifests := filepath.Join(dir, "manifests")
+	path := filepath.Join(dir, "mp3d.mtr")
+	if out, err := exec.Command(filepath.Join(bin, "tracegen"), "-app", "MP3D", "-length", "30000",
+		"-o", path, "-progress", "off", "-manifest-dir", manifests).CombinedOutput(); err != nil {
+		t.Fatalf("tracegen: %v\n%s", err, out)
+	}
+	render := func(shards string) []byte {
+		cmd := exec.Command(filepath.Join(bin, "paper"), "-trace", path, "-shards", shards, "-parallelism", "1",
+			"-progress", "off", "-manifest-dir", manifests)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("paper -trace -shards %s: %v\n%s", shards, err, stderr.Bytes())
+		}
+		return out
+	}
+	want := render("1")
+	for _, shards := range []string{"2", "8"} {
+		if got := render(shards); !bytes.Equal(got, want) {
+			t.Errorf("paper -trace -shards %s -parallelism 1 departs from -shards 1: %s", shards, firstDiff(got, want))
 		}
 	}
-	opts := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000,
-		Apps: []string{"MP3D"}, Shards: 1}
-	if _, err := ExecutionTime(opts, Basic, 0); err != nil {
+}
+
+// TestTimingShardsRenderSame: the timing model never shards (its bus
+// serializes every transaction), so a §4.2 sweep at Shards 2 or -1 runs
+// its cells unsharded, more of them at once, and renders the rows it
+// renders at Shards 1.
+func TestTimingShardsRenderSame(t *testing.T) {
+	base := ExperimentOptions{Nodes: 16, Seed: 1993, Length: 1000, Apps: []string{"MP3D"}, Shards: 1}
+	rows, err := ExecutionTime(base, Basic, 0)
+	if err != nil {
 		t.Fatalf("Shards=1: %v", err)
+	}
+	want := sim.RenderExec(rows, Basic).String()
+	for _, shards := range []int{2, -1} {
+		opts := base
+		opts.Shards = shards
+		rows, err := ExecutionTime(opts, Basic, 0)
+		if err != nil {
+			t.Fatalf("Shards=%d: %v", shards, err)
+		}
+		if got := sim.RenderExec(rows, Basic).String(); got != want {
+			t.Fatalf("Shards=%d rendered:\n%s\nwant:\n%s", shards, got, want)
+		}
 	}
 }
 
