@@ -288,10 +288,11 @@ type (
 	// the worker pool the sweep drivers fan independent simulation cells
 	// out on (0 = all CPUs, 1 = sequential), and its Shards field lets
 	// an untimed simulation cell split across per-set engine shards (1 =
-	// sequential, -1 = all CPUs). A sweep spends Parallelism × Shards
-	// goroutines on whole cells first and shards only when it has fewer
-	// cells than that; results are bit-identical regardless of either
-	// setting.
+	// sequential, -1 = all CPUs). Every pass of a sweep (app preparation,
+	// the footprint and ground-truth passes, the cells) spends the same
+	// budget of Parallelism × Shards goroutines, on whole cells first,
+	// and a cell shards only when its pass has fewer cells than that;
+	// results are bit-identical regardless of either setting.
 	ExperimentOptions = sim.Options
 	// Sweep holds a directory-protocol sweep (Tables 2 and 3).
 	Sweep = sim.Sweep

@@ -25,7 +25,6 @@ import (
 	"migratory/internal/memory"
 	"migratory/internal/obs"
 	"migratory/internal/sim"
-	"migratory/internal/snoop"
 	"migratory/internal/telemetry"
 	"migratory/internal/trace"
 )
@@ -295,12 +294,6 @@ func PolicyArg(name, policy string) core.Policy {
 		Usagef(name, "%v", err)
 	}
 	return pol
-}
-
-// BusProtocolByName resolves a snooping protocol variant by its name. The
-// error wraps snoop.ErrUnknownProtocol, exactly like the unified Run API.
-func BusProtocolByName(name string) (snoop.Protocol, error) {
-	return snoop.ProtocolByName(name)
 }
 
 // ParseCaches parses a comma-separated list of per-node cache sizes in

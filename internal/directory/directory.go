@@ -520,6 +520,13 @@ func (s *System) noteBatch(n int) {
 // Access applies a single shared-memory reference. It refuses an access
 // of a folded trace (trace.ErrFolded): its folded repeats would be lost.
 func (s *System) Access(a trace.Access) error {
+	return s.accessAt(a, s.n.Accesses)
+}
+
+// accessAt applies one shared-memory reference, stamping any emitted
+// events with the given global step index. Access passes the local access
+// count; the sharded driver passes the demuxed global trace index.
+func (s *System) accessAt(a trace.Access, step uint64) error {
 	if int(a.Node) >= s.cfg.Nodes {
 		return fmt.Errorf("directory: node %d out of range (%d nodes)", a.Node, s.cfg.Nodes)
 	}
@@ -529,7 +536,7 @@ func (s *System) Access(a trace.Access) error {
 	s.n.Accesses++
 	if s.probe != nil {
 		s.cur = a
-		s.step = s.n.Accesses - 1
+		s.step = step
 	}
 	b := s.cfg.Geometry.Block(a.Addr)
 	line := s.caches[a.Node].Lookup(b)
@@ -537,7 +544,7 @@ func (s *System) Access(a trace.Access) error {
 }
 
 // dispatch routes an access whose cache lookup already happened; it is the
-// shared tail of Access and runBatch's specialized loop.
+// shared tail of accessAt and runBatch's specialized loop.
 func (s *System) dispatch(a trace.Access, b memory.BlockID, line *cache.Line) error {
 	if a.Kind == trace.Read {
 		if line != nil {

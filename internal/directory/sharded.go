@@ -105,37 +105,21 @@ func (sh *Sharded) RunSource(ctx context.Context, src trace.Source) error {
 		func(i int, b trace.ShardBatch) error { return sh.shards[i].runShardBatch(b) })
 }
 
-// runShardBatch runs one routed batch on this shard, stamping events with
-// the batch's global access indices when they were carried along.
+// runShardBatch runs one routed batch on this shard. When the batch
+// carries its global access indices (a probe is attached), each event is
+// stamped with its access's index, so probe-visible step arithmetic (e.g.
+// classification-latency distances) matches the sequential run bit for
+// bit.
 func (s *System) runShardBatch(b trace.ShardBatch) error {
 	if b.Steps == nil {
 		return s.runBatch(b.Accs, int(s.n.Accesses))
 	}
-	return s.runStamped(b.Accs, b.Steps)
-}
-
-// runStamped is runBatch for the probe-attached sharded path: each event
-// is stamped with the access's global trace index so probe-visible step
-// arithmetic (e.g. classification-latency distances) matches the
-// sequential run bit for bit.
-func (s *System) runStamped(batch []trace.Access, steps []uint64) error {
-	for i := range batch {
-		a := batch[i]
-		if int(a.Node) >= s.cfg.Nodes || a.Fold != 0 {
-			return fmt.Errorf("access %d (%v): %w", steps[i], a, s.Access(a))
-		}
-		s.n.Accesses++
-		if s.probe != nil {
-			s.cur = a
-			s.step = steps[i]
-		}
-		b := s.cfg.Geometry.Block(a.Addr)
-		line := s.caches[a.Node].Lookup(b)
-		if err := s.dispatch(a, b, line); err != nil {
-			return fmt.Errorf("access %d (%v): %w", steps[i], a, err)
+	for i := range b.Accs {
+		if err := s.accessAt(b.Accs[i], b.Steps[i]); err != nil {
+			return fmt.Errorf("access %d (%v): %w", b.Steps[i], b.Accs[i], err)
 		}
 	}
-	s.noteBatch(len(batch))
+	s.noteBatch(len(b.Accs))
 	return nil
 }
 

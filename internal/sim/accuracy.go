@@ -67,19 +67,20 @@ func ClassifierAccuracyApp(prepared *App, opts Options, cacheBytes int) ([]Accur
 
 // ClassifierAccuracyApps scores every adaptive policy on every prepared
 // app, returning the rows app by app in policy order. The off-line ground
-// truths come from one streaming pass per app, fanned out over the worker
-// pool; then every app's policy cells run through one pool, so no app
-// waits behind another's barrier. The cells are shared like the Table 3
-// sweep's (runCells): a cell an earlier sweep ran over the same app is
-// answered from the verdicts the app kept.
+// truths come from one streaming pass per app, fanned out over the
+// sweep's goroutine budget (Options.each); then every app's policy cells
+// run through one pool, so no app waits behind another's barrier. The
+// cells are shared like the Table 3 sweep's (runCells): a cell an earlier
+// sweep ran over the same app is answered from the verdicts the app kept.
 func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accuracy, error) {
 	opts = opts.withDefaults()
 	truths := make([]map[memory.BlockID]trace.BlockPattern, len(apps))
-	err := runIndexed(opts.ctx(), len(apps), opts.workers(), func(i int) error {
-		// The ground-truth pass opens its source the way a 16-byte cell's
-		// run does: a folded app's kept accesses, whose folded writes the
-		// block histories credit (trace.ClassifyBlocksSource).
-		src, err := RunConfig{OpenSource: apps[i].cellSource(nil, 16), Cache: opts.Cache}.openSource()
+	err := opts.each(len(apps), func(i, _ int) error {
+		// The ground-truth pass opens its source the way a 16-byte
+		// directory cell's run does: a folded app's kept accesses, whose
+		// folded writes the block histories credit
+		// (trace.ClassifyBlocksSource).
+		src, err := apps[i].bind(RunConfig{Engine: EngineDirectory, Cache: opts.Cache}).openSource()
 		if err != nil {
 			return err
 		}
@@ -107,16 +108,14 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 	for i := range cfgs {
 		app := apps[i/np]
 		cellApps[i] = app
-		cfgs[i] = RunConfig{
-			Engine:          EngineDirectory,
-			Nodes:           opts.Nodes,
-			CacheBytes:      cacheBytes,
-			Shards:          opts.Shards,
-			Cache:           opts.Cache,
-			OpenSource:      app.cellSource(nil, 0),
-			PlacementPolicy: app.Placement,
-			policy:          &adaptive[i%np],
-		}
+		cfgs[i] = app.bind(RunConfig{
+			Engine:     EngineDirectory,
+			Nodes:      opts.Nodes,
+			CacheBytes: cacheBytes,
+			Shards:     opts.Shards,
+			Cache:      opts.Cache,
+			policy:     &adaptive[i%np],
+		})
 	}
 	out := make([]Accuracy, len(cfgs))
 	err = runCells(opts, cfgs, cellApps,
@@ -133,24 +132,21 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 // InvalidationHistograms runs the conventional protocol over every
 // prepared app and returns each run's Weber–Gupta histogram
 // (RunResult.InvalidationHistogram), in app order. The cells run through
-// one pool but are not shared: the memo keeps no engine, and the histogram
-// is read from it.
+// one pool, unshared.
 func InvalidationHistograms(apps []*App, opts Options, cacheBytes int) ([]map[int]uint64, error) {
 	opts = opts.withDefaults()
 	conventional := core.Conventional
 	cfgs := make([]RunConfig, len(apps))
 	for i, app := range apps {
-		cfgs[i] = RunConfig{
-			Engine:          EngineDirectory,
-			Nodes:           opts.Nodes,
-			CacheBytes:      cacheBytes,
-			Shards:          opts.Shards,
-			Stats:           opts.Stats,
-			Cache:           opts.Cache,
-			OpenSource:      app.cellSource(nil, 0),
-			PlacementPolicy: app.Placement,
-			policy:          &conventional,
-		}
+		cfgs[i] = app.bind(RunConfig{
+			Engine:     EngineDirectory,
+			Nodes:      opts.Nodes,
+			CacheBytes: cacheBytes,
+			Shards:     opts.Shards,
+			Stats:      opts.Stats,
+			Cache:      opts.Cache,
+			policy:     &conventional,
+		})
 	}
 	out := make([]map[int]uint64, len(apps))
 	err := runCells(opts, cfgs, nil,

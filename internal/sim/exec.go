@@ -66,16 +66,15 @@ func ExecutionTimeApps(apps []*App, opts Options, policy core.Policy, cacheBytes
 		if t, ok := execThink[apps[i/2].Name]; ok {
 			params.ThinkCycles = t
 		}
-		cfgs[i] = RunConfig{
+		cfgs[i] = apps[i/2].bind(RunConfig{
 			Engine:       EngineTiming,
 			Nodes:        opts.Nodes,
 			CacheBytes:   cacheBytes,
 			Shards:       opts.Shards,
 			TimingParams: &params,
 			Cache:        opts.Cache,
-			OpenSource:   apps[i/2].Open,
 			policy:       &pols[i%2],
-		}
+		})
 	}
 	results := make([]timing.Result, len(cfgs))
 	err := runCells(opts, cfgs, nil,

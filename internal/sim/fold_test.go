@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -18,62 +17,6 @@ import (
 	"migratory/internal/trace"
 	"migratory/internal/workload"
 )
-
-// TestFoldTwin renders the Table 2, Table 3, bus and accuracy sections of
-// the report over folded apps and again with folding off, and requires the
-// same bytes: every cell the kept accesses drive must report exactly what
-// the full trace gives.
-func TestFoldTwin(t *testing.T) {
-	opts := Options{Length: 20000}
-	render := func(folded bool) []byte {
-		t.Helper()
-		apps, err := PrepareApps(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, app := range apps {
-			if (app.folded != nil) != folded {
-				t.Fatalf("%s: folded %v, want %v", app.Name, app.folded != nil, folded)
-			}
-		}
-		var b bytes.Buffer
-		sw2, err := Table2Apps(apps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw3, err := Table3Apps(apps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bus, err := RunBusApps(apps, opts, nil, busSweepProtocols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc, err := ClassifierAccuracyApps(apps, opts, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []func() error{
-			func() error { return sw2.Render().Render(&b) },
-			func() error { return sw2.CostRatioTable().Render(&b) },
-			func() error { return sw3.Render().Render(&b) },
-			func() error { return sw3.CostRatioTable().Render(&b) },
-			func() error { return bus.Render().Render(&b) },
-			func() error { return RenderAccuracy(acc).Render(&b) },
-		} {
-			if err := r(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b.Bytes()
-	}
-	folded := render(true)
-	noFold = true
-	defer func() { noFold = false }()
-	if plain := render(false); !bytes.Equal(folded, plain) {
-		t.Fatalf("folded report differs from the unfolded one:\n%s\n---\n%s", folded, plain)
-	}
-}
 
 // foldedApp prepares a short MP3D app and checks that it is folded.
 func foldedApp(t *testing.T, opts Options) *App {
@@ -120,15 +63,18 @@ func TestFoldedAppOpenIsExact(t *testing.T) {
 	}
 }
 
-// TestCellSourceChoosesForm pins which cells replay the kept accesses:
-// unprobed directory and bus cells with blocks of 16 to 256 bytes. A
-// 512-byte block reads the exact trace, and its result matches a run over
-// the generated slice.
-func TestCellSourceChoosesForm(t *testing.T) {
+// TestBindChoosesForm pins which cells replay the kept accesses: unprobed
+// directory and bus cells with blocks of 16 to 256 bytes, but for
+// UpdateOnce bus cells. Probed, UpdateOnce, timing and 512-byte cells
+// read the exact trace, and only directory cells take the App's
+// placement. A 512-byte cell's result matches a run over the generated
+// slice.
+func TestBindChoosesForm(t *testing.T) {
 	opts := Options{Length: 20000}.withDefaults()
 	app := foldedApp(t, opts)
-	isKept := func(open func() (trace.Source, error)) bool {
-		src, err := open()
+	isKept := func(cfg RunConfig) bool {
+		t.Helper()
+		src, err := app.bind(cfg).OpenSource()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,15 +82,28 @@ func TestCellSourceChoosesForm(t *testing.T) {
 		return ok && ss.Len() == len(app.folded.Kept())
 	}
 	for _, block := range []int{0, 16, 64, 256} {
-		if !isKept(app.cellSource(nil, block)) {
-			t.Fatalf("%d-byte blocks: unprobed cell does not read the kept accesses", block)
+		if !isKept(RunConfig{Engine: EngineDirectory, BlockSize: block}) {
+			t.Fatalf("%d-byte blocks: unprobed directory cell does not read the kept accesses", block)
 		}
 	}
-	if isKept(app.cellSource(nil, 512)) {
-		t.Fatal("512-byte blocks read the kept accesses")
+	if !isKept(RunConfig{Engine: EngineBus, Protocol: snoop.MESI.String()}) {
+		t.Fatal("an unprobed MESI bus cell does not read the kept accesses")
 	}
-	if isKept(app.cellSource(func(int) obs.Probe { return nil }, 16)) {
-		t.Fatal("a probed cell reads the kept accesses")
+	for name, cfg := range map[string]RunConfig{
+		"512-byte":    {Engine: EngineDirectory, BlockSize: 512},
+		"probed":      {Engine: EngineDirectory, Probes: func(int) obs.Probe { return nil }},
+		"update-once": {Engine: EngineBus, Protocol: snoop.UpdateOnce.String()},
+		"timing":      {Engine: EngineTiming},
+	} {
+		if isKept(cfg) {
+			t.Errorf("a %s cell reads the kept accesses", name)
+		}
+	}
+	if app.bind(RunConfig{Engine: EngineDirectory}).PlacementPolicy == nil {
+		t.Error("a directory cell does not take the App's placement")
+	}
+	if app.bind(RunConfig{Engine: EngineBus}).PlacementPolicy != nil {
+		t.Error("a bus cell takes a placement")
 	}
 
 	prof, _ := workload.ProfileByName("MP3D")
@@ -152,9 +111,7 @@ func TestCellSourceChoosesForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noFold = true
 	plain := NewApp("MP3D", accs, opts.Nodes)
-	noFold = false
 	for _, pol := range []core.Policy{core.Conventional, core.Basic} {
 		got, err := RunDirectoryCell(app, opts, pol, 0, 512)
 		if err != nil {

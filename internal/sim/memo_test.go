@@ -1,79 +1,14 @@
 package sim
 
 import (
-	"bytes"
 	"reflect"
 	"slices"
 	"testing"
 
+	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/telemetry"
 )
-
-// TestMemoTwin renders the Table 2, Table 3, accuracy and machine-size
-// sections the way cmd/paper does, over one set of prepared apps, and
-// again with sharing off (noMemo), and requires the same bytes. With
-// sharing on, the accuracy cells and the 16-node machine-size cells must
-// all be answered from Table 3's remembered cells, so the remembered
-// verdicts and the memo keys are what the comparison checks.
-func TestMemoTwin(t *testing.T) {
-	opts := Options{Length: 20000}
-	names := []string{"MP3D", "Water"}
-	render := func() ([]byte, uint64) {
-		t.Helper()
-		apps, err := PrepareApps(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		sw2, err := Table2Apps(apps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw3, err := Table3Apps(apps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := &telemetry.RunStats{}
-		o := opts
-		o.Stats = st
-		acc, err := ClassifierAccuracyApps(apps, o, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sweeps, err := NodeCountSweepApps(names, []int{8, 16}, o, apps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []func() error{
-			func() error { return sw2.Render().Render(&b) },
-			func() error { return sw3.Render().Render(&b) },
-			func() error { return RenderAccuracy(acc).Render(&b) },
-			func() error { return RenderNodeCount(sweeps[0]).Render(&b) },
-			func() error { return RenderNodeCount(sweeps[1]).Render(&b) },
-		} {
-			if err := r(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b.Bytes(), st.CellsReused.Load()
-	}
-	shared, reused := render()
-	// Five apps' accuracy cells for the three adaptive policies, and the
-	// two apps' four 16-node cells.
-	if want := uint64(5*3 + 2*4); reused != want {
-		t.Errorf("accuracy and machine-size sweeps reused %d cells, want %d", reused, want)
-	}
-	noMemo = true
-	defer func() { noMemo = false }()
-	plain, reused := render()
-	if reused != 0 {
-		t.Errorf("with sharing off, %d cells were reused", reused)
-	}
-	if !bytes.Equal(shared, plain) {
-		t.Fatalf("report with shared cells differs from the one without:\n%s\n---\n%s", shared, plain)
-	}
-}
 
 // TestMemoHitsPushNoAccesses checks the credit rule for reused cells:
 // after Table3Apps, the accuracy and machine-size sweeps over the same
@@ -126,9 +61,10 @@ func TestMemoHitsPushNoAccesses(t *testing.T) {
 	}
 }
 
-// TestRememberedVerdicts checks that a remembered directory result answers
-// EverMigratory exactly as its live engine did, for every policy and for
-// sharded runs.
+// TestRememberedVerdicts checks that a directory result, as Run returns
+// it and as its App remembers it, answers EverMigratory and
+// InvalidationHistogram exactly as a live engine over the same cell does,
+// for every policy and for sharded runs.
 func TestRememberedVerdicts(t *testing.T) {
 	opts := testOpts("MP3D")
 	opts.Length = 20_000
@@ -148,13 +84,27 @@ func TestRememberedVerdicts(t *testing.T) {
 			key := cellKey{policy: pol, blockSize: 32}
 			app.remember(key, res)
 			kept := app.recall(key)
-			if kept.dir != nil {
-				t.Fatal("a remembered result keeps its live engine")
+
+			c := d.cfg.withDefaults()
+			sys, err := directory.NewSharded(c.directoryConfig(memory.MustGeometry(32, PageSize), pol, app.Placement), c.shards(), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want, got := res.EverMigratory(), kept.EverMigratory()
+			src, err := c.openSource()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RunSource(o.ctx(), src); err != nil {
+				t.Fatal(err)
+			}
+			src.Close()
+			want, got := sys.EverMigratory(), kept.EverMigratory()
 			if !reflect.DeepEqual(got, want) || got == nil {
 				t.Errorf("%s, %d shards: remembered verdicts (%d blocks) differ from the engine's (%d blocks)",
 					pol.Name, shards, len(got), len(want))
+			}
+			if want, got := sys.InvalidationHistogram(), kept.InvalidationHistogram(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d shards: histogram %v, want %v", pol.Name, shards, got, want)
 			}
 		}
 	}

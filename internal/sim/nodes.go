@@ -39,11 +39,13 @@ func NodeCountSweep(app string, nodeCounts []int, opts Options) ([]NodeCountRow,
 // the order of names. prepared holds apps the caller prepared with opts,
 // such as the ones its Table 3 sweep ran over.
 //
-// One worker pool runs every (app, node count) unit. A unit at opts.Nodes
-// takes the prepared app of its name, so its policy cells are answered
-// from that app's memo when an earlier sweep ran them (runCells); any
-// other unit prepares its own app, runs its cells and drops the app, so
-// the sweep holds at most one such app per worker.
+// One pool (Options.each) runs every (app, node count) unit, and each unit
+// spends the share of the Parallelism × Shards budget it is granted on its
+// cells. A unit at opts.Nodes takes the prepared app of its name, so its
+// policy cells are answered from that app's memo when an earlier sweep ran
+// them (runCells); any other unit prepares its own app, runs its cells and
+// drops the app, so the sweep holds at most one such app per unit running
+// at once.
 func NodeCountSweepApps(names []string, nodeCounts []int, opts Options, prepared []*App) ([][]NodeCountRow, error) {
 	opts = opts.withDefaults()
 	if len(nodeCounts) == 0 {
@@ -67,11 +69,7 @@ func NodeCountSweepApps(names []string, nodeCounts []int, opts Options, prepared
 	pols := core.Policies()
 	nn, np := len(nodeCounts), len(pols)
 	msgs := make([]cost.Msgs, len(names)*nn*np)
-	// Each unit runs its cells on its own worker, which spends that
-	// worker's Shards on them (runCells).
-	unitOpts := opts
-	unitOpts.Parallelism = 1
-	err := runIndexed(opts.ctx(), len(names)*nn, opts.workers(), func(u int) error {
+	err := opts.each(len(names)*nn, func(u, shards int) error {
 		name, n := names[u/nn], nodeCounts[u%nn]
 		app := byName[name]
 		if app == nil || n != opts.Nodes {
@@ -86,16 +84,16 @@ func NodeCountSweepApps(names []string, nodeCounts []int, opts Options, prepared
 		apps := make([]*App, np)
 		for pi := range pols {
 			apps[pi] = app
-			cfgs[pi] = RunConfig{
-				Engine:          EngineDirectory,
-				Nodes:           n,
-				Shards:          opts.Shards,
-				Cache:           opts.Cache,
-				OpenSource:      app.cellSource(nil, 0),
-				PlacementPolicy: app.Placement,
-				policy:          &pols[pi],
-			}
+			cfgs[pi] = app.bind(RunConfig{
+				Engine: EngineDirectory,
+				Nodes:  n,
+				Shards: opts.Shards,
+				Cache:  opts.Cache,
+				policy: &pols[pi],
+			})
 		}
+		unitOpts := opts
+		unitOpts.Parallelism, unitOpts.Shards = 1, shards
 		return runCells(unitOpts, cfgs, apps,
 			func(pi int) string { return fmt.Sprintf("%s/%s (%d nodes)", name, pols[pi].Name, n) },
 			func(pi int, res *RunResult) { msgs[u*np+pi] = res.Directory.Msgs })

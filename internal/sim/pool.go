@@ -111,18 +111,16 @@ func runIndexed(ctx context.Context, n, workers int, fn func(i int) error) error
 // it replays that App's trace under that App's placement. Such a
 // directory or bus cell is shared (see planCells): cells that must compute
 // the same result run once, and a result an earlier sweep finished is
-// reused. A reused directory result still answers EverMigratory from the
-// verdicts its App kept. Cells with probes never share, and the timing
-// model's sweep (ExecutionTimeApps) passes no apps.
+// reused; a directory result carries its classifier verdicts, so a reused
+// one answers EverMigratory too. Cells with probes never share, and the
+// timing model's sweep (ExecutionTimeApps) passes no apps.
 //
-// The sweep's goroutine budget is B = workers × shards, the Options'
-// Parallelism and Shards resolved (shardBudget). runCells spends it on
-// whole cells first: min(len(jobs), B) jobs run at once, each with
-// B / width of the shards, never more than its own Shards asked for. A
-// sweep with at least B jobs therefore runs B unsharded cells at once,
-// while a short sweep or a lone cell still shards. Timing cells always run
-// unsharded (their bus serializes every transaction), so their pool gets
-// the whole budget.
+// The jobs spend the sweep's goroutine budget through Options.each, each
+// job granted a share of the shards that poolShards caps at its own
+// Shards. A sweep with at least Parallelism × Shards jobs therefore runs
+// that many unsharded cells at once, while a short sweep or a lone cell
+// still shards. Timing cells always run unsharded (their bus serializes
+// every transaction), so their pool gets the whole budget.
 func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) string, fold func(i int, res *RunResult)) error {
 	ctx := opts.ctx()
 	st := opts.Stats
@@ -137,10 +135,9 @@ func runCells(opts Options, cells []RunConfig, apps []*App, label func(i int) st
 	if err != nil {
 		return err
 	}
-	width, perJob := opts.schedule(len(jobs))
-	return runIndexed(ctx, len(jobs), width, func(j int) error {
+	return opts.each(len(jobs), func(j, shards int) error {
 		jb := jobs[j]
-		jb.cfg.Shards = jb.cfg.poolShards(perJob)
+		jb.cfg.Shards = jb.cfg.poolShards(shards)
 		res, err := Run(ctx, jb.cfg)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -192,27 +189,21 @@ type cellKey struct {
 	freeDrops        bool
 }
 
-// noMemo, set only by tests, makes planCells run every cell unshared, as
-// configured: no result is reused or remembered and no finite cache runs
-// as the infinite one, so a test can compare the reports with and without
-// sharing (TestMemoTwin), as noFold does for folding.
-var noMemo bool
-
 // planCells turns a sweep's cells into the jobs that must run. Every
-// shared cell is keyed first. A finite cache is keyed as infinite when its
-// App's footprint proves it never evicts; the footprints of the Apps that
-// need one are resolved up front, one App per worker. Then a cell whose
-// key the App has remembered from an earlier sweep is answered at once
-// through reuse(i, res), and cells sharing a key within this sweep become
-// one job whose result folds into all of them, so no worker waits on
-// another.
+// shared cell is keyed first (under noShortcuts none is). A finite cache
+// is keyed as infinite when its App's footprint proves it never evicts;
+// the footprints of the Apps that need one are resolved up front, one App
+// per call of Options.each. Then a cell whose key the App has remembered
+// from an earlier sweep is answered at once through reuse(i, res), and
+// cells sharing a key within this sweep become one job whose result folds
+// into all of them, so no worker waits on another.
 func planCells(opts Options, cells []RunConfig, apps []*App, reuse func(i int, res *RunResult)) ([]cellJob, error) {
 	ctx := opts.ctx()
 	shared := make([]bool, len(cells))
 	var needFootprint []*App
 	seen := make(map[*App]bool)
 	for i, cfg := range cells {
-		if noMemo || apps == nil || apps[i] == nil || cfg.Probes != nil || cfg.Engine == EngineTiming {
+		if noShortcuts || apps == nil || apps[i] == nil || cfg.Probes != nil || cfg.Engine == EngineTiming {
 			continue
 		}
 		if cfg.withDefaults().Validate() != nil {
@@ -224,7 +215,7 @@ func planCells(opts Options, cells []RunConfig, apps []*App, reuse func(i int, r
 			needFootprint = append(needFootprint, apps[i])
 		}
 	}
-	err := runIndexed(ctx, len(needFootprint), opts.workers(), func(j int) error {
+	err := opts.each(len(needFootprint), func(j, _ int) error {
 		if _, err := needFootprint[j].footprintOf(ctx, opts.Cache); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
@@ -327,11 +318,11 @@ func (a *App) footprintOf(ctx context.Context, cache *trace.SegmentCache) (*Foot
 	if a.footprint != nil {
 		return a.footprint, nil
 	}
-	// The pass opens its source the way a 16-byte cell's run does. A
-	// folded app's kept accesses touch exactly the (node, 16-byte block)
-	// pairs of the full trace: every silent repeat shares its kept
+	// The pass opens its source the way a 16-byte directory cell's run
+	// does. A folded app's kept accesses touch exactly the (node, 16-byte
+	// block) pairs of the full trace: every silent repeat shares its kept
 	// access's node and granule.
-	src, err := RunConfig{OpenSource: a.cellSource(nil, footprintGranule), Cache: cache}.openSource()
+	src, err := a.bind(RunConfig{Engine: EngineDirectory, BlockSize: footprintGranule, Cache: cache}).openSource()
 	if err != nil {
 		return nil, err
 	}
@@ -354,26 +345,32 @@ func (a *App) recall(key cellKey) *RunResult {
 	return a.memo[key]
 }
 
-// remember keeps a finished cell's result for later sweeps. A directory
-// result keeps its classifier verdicts (EverMigratory) and drops the live
-// engine it carries.
+// remember keeps a finished cell's result for later sweeps. A result
+// holds no engine, only its counters and, for the directory engine, its
+// verdicts and histogram.
 func (a *App) remember(key cellKey, res *RunResult) {
-	kept := *res
-	if res.dir != nil {
-		kept.dir = nil
-		kept.migratory = newBlockSet(res.dir.AppendEverMigratory(nil))
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.memo == nil {
 		a.memo = make(map[cellKey]*RunResult)
 	}
-	a.memo[key] = &kept
+	a.memo[key] = res
 }
 
-// schedule is how runCells spends the sweep's budget of workers × shards
-// goroutines on n jobs: width jobs run at once, each granted perJob
-// shards (poolShards caps a cell's grant at its own request).
+// each is the one way a pass spends the sweep's budget of Parallelism ×
+// Shards goroutines: it runs fn(0) … fn(n-1) on runIndexed, schedule(n)
+// of them at once, and passes each call the shards it is granted. A call
+// that runs simulations spends the grant (runCells gives it to Run, and
+// NodeCountSweepApps to a unit's cells); a preparation or analysis pass
+// ignores it.
+func (o Options) each(n int, fn func(i, shards int) error) error {
+	width, perJob := o.schedule(n)
+	return runIndexed(o.ctx(), n, width, func(i int) error { return fn(i, perJob) })
+}
+
+// schedule is how each spends the budget of workers × shards goroutines
+// on n jobs: width jobs run at once, each granted perJob shards
+// (poolShards caps a cell's grant at its own request).
 func (o Options) schedule(n int) (width, perJob int) {
 	budget := o.workers() * shardBudget(o.Shards)
 	width = min(n, budget)
@@ -390,7 +387,7 @@ func shardBudget(shards int) int {
 	return max(shards, 1)
 }
 
-// poolShards is the Shards a sweep cell runs with when runCells grants it
+// poolShards is the Shards a sweep cell runs with when it is granted
 // perJob shards: its own request capped at perJob, and 1 for a timing
 // cell. An invalid count is kept, so Run reports it.
 func (c RunConfig) poolShards(perJob int) int {

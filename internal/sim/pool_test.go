@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunIndexedCoversAllIndices(t *testing.T) {
@@ -80,6 +82,31 @@ func TestOptionsWorkers(t *testing.T) {
 	}
 	if got := (Options{}).workers(); got < 1 {
 		t.Fatalf("default workers() = %d, want >= 1", got)
+	}
+}
+
+// TestEachSpendsTheBudget checks that a pass at Parallelism 1 and Shards
+// 2 runs two calls at once, each granted one shard: each call waits for
+// the other, so a pass that ran them one at a time would time out.
+func TestEachSpendsTheBudget(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	met := make(chan struct{})
+	go func() { arrived.Wait(); close(met) }()
+	err := Options{Parallelism: 1, Shards: 2}.each(2, func(i, shards int) error {
+		if shards != 1 {
+			return fmt.Errorf("call %d granted %d shards, want 1", i, shards)
+		}
+		arrived.Done()
+		select {
+		case <-met:
+			return nil
+		case <-time.After(30 * time.Second):
+			return fmt.Errorf("call %d waited 30 s for the other", i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

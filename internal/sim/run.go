@@ -517,27 +517,23 @@ type RunResult struct {
 	Bus       *BusResult       `json:"bus,omitempty"`
 	Timing    *timing.Result   `json:"timing,omitempty"`
 
-	// dir retains the live directory engine so in-process callers can pull
-	// the classifier verdicts and histograms a serialized result drops.
-	dir *directory.Sharded
-	// migratory holds the classifier verdicts of a directory result an App
-	// remembers (App.remember) after dropping dir.
-	migratory *blockSet
+	// migratory and invalidations hold what a directory run leaves beyond
+	// its counters, for in-process callers: the blocks the classifier ever
+	// called migratory, and the invalidations-per-write histogram. A
+	// serialized result drops both.
+	migratory     *blockSet
+	invalidations map[int]uint64
 }
 
 // EverMigratory returns the directory engine's per-block classifier
-// verdicts (nil for other engines or deserialized results). A result a
-// sweep remembered answers from the verdicts it kept.
+// verdicts (nil for other engines or deserialized results).
 func (r *RunResult) EverMigratory() map[memory.BlockID]bool {
-	switch {
-	case r.dir != nil:
-		return r.dir.EverMigratory()
-	case r.migratory != nil:
-		out := make(map[memory.BlockID]bool)
-		r.migratory.forEach(func(b memory.BlockID) { out[b] = true })
-		return out
+	if r.migratory == nil {
+		return nil
 	}
-	return nil
+	out := make(map[memory.BlockID]bool)
+	r.migratory.forEach(func(b memory.BlockID) { out[b] = true })
+	return out
 }
 
 // blockSet is a set of blocks in the smaller of two forms: a bitmap over
@@ -591,10 +587,7 @@ func (s *blockSet) forEach(fn func(memory.BlockID)) {
 // invalidations-per-write histogram (nil for other engines or deserialized
 // results).
 func (r *RunResult) InvalidationHistogram() map[int]uint64 {
-	if r.dir == nil {
-		return nil
-	}
-	return r.dir.InvalidationHistogram()
+	return r.invalidations
 }
 
 // Run executes one simulation described by cfg and returns its result.
@@ -646,10 +639,11 @@ func (c RunConfig) runDirectory(ctx context.Context, geom memory.Geometry) (*Run
 	}
 	counters := sys.Counters()
 	return &RunResult{
-		Engine:    EngineDirectory,
-		Accesses:  counters.Accesses,
-		Directory: &DirectoryResult{Counters: counters, Msgs: sys.Messages()},
-		dir:       sys,
+		Engine:        EngineDirectory,
+		Accesses:      counters.Accesses,
+		Directory:     &DirectoryResult{Counters: counters, Msgs: sys.Messages()},
+		migratory:     newBlockSet(sys.AppendEverMigratory(nil)),
+		invalidations: sys.InvalidationHistogram(),
 	}, nil
 }
 

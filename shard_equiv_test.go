@@ -275,6 +275,35 @@ func TestPaperTraceShardSchedules(t *testing.T) {
 	}
 }
 
+// TestPaperBudgetSchedules renders the default report, machine-size
+// section included, at three ways of spending a sweep's goroutine budget:
+// two goroutines as shards, two as workers, and one. Every pass spends
+// Parallelism × Shards the same way, so stdout must be byte-identical.
+func TestPaperBudgetSchedules(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCommands(t, dir, "paper")
+	render := func(shards, parallelism string) []byte {
+		cmd := exec.Command(filepath.Join(bin, "paper"), "-length", "20000", "-shards", shards, "-parallelism", parallelism,
+			"-progress", "off", "-manifest-dir", filepath.Join(dir, "manifests"))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("paper -shards %s -parallelism %s: %v\n%s", shards, parallelism, err, stderr.Bytes())
+		}
+		return out
+	}
+	want := render("1", "1")
+	if !bytes.Contains(want, []byte("machine-size sensitivity")) {
+		t.Fatal("the report has no machine-size section")
+	}
+	for _, s := range [][2]string{{"2", "1"}, {"1", "2"}} {
+		if got := render(s[0], s[1]); !bytes.Equal(got, want) {
+			t.Errorf("paper -shards %s -parallelism %s departs from -shards 1 -parallelism 1: %s", s[0], s[1], firstDiff(got, want))
+		}
+	}
+}
+
 // TestTimingShardsRenderSame: the timing model never shards (its bus
 // serializes every transaction), so a §4.2 sweep at Shards 2 or -1 runs
 // its cells unsharded, more of them at once, and renders the rows it
