@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check cover fuzz ci inspect-demo profile profile-trace apidiff serve-smoke results
+.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check bench-pair cover fuzz ci inspect-demo profile profile-trace apidiff serve-smoke results
 
 # Seconds of fuzzing per target in `make fuzz` (kept short for CI).
 FUZZTIME ?= 10s
@@ -51,6 +51,17 @@ bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchedTable2|BenchmarkBatchedBus|BenchmarkProbeOverhead|BenchmarkShardedTable2|BenchmarkParallelDecodeMTR|BenchmarkTelemetryOverhead|BenchmarkSegmentCacheSweep|BenchmarkCohdHotTrace' -benchtime 10x -benchmem .
 	$(GO) run ./cmd/benchcheck
 
+# Paired benchmark of the working tree against PARENT on one workload
+# command: PAIRS alternating pairs of runs, with medians, the parent's
+# interquartile range, wins out of PAIRS and a gain / regression /
+# unresolved verdict per metric (wall, CPU, peak RSS). For example:
+#   make bench-pair PARENT=HEAD~1 CMD='paper -progress off -manifest-dir /tmp/m'
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(CMD)" || { echo "bench-pair: set CMD, e.g. CMD='paper -progress off -manifest-dir /tmp/m'"; exit 2; }
+	./scripts/benchpair.sh -n $(PAIRS) $(PARENT) $(CMD)
+
 # Known-vulnerability scan of the module and its (stdlib-only) dependency
 # graph. Uses govulncheck when it is already on PATH — the target does not
 # install anything; CI installs the tool in its own step.
@@ -76,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheAgainstReference$$' -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzEvictionFreeBound$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSilentFold$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentFold$$' -fuzztime $(FUZZTIME) .
 
 # Exported-API compatibility gate: compares the root package against
 # APIDIFF_BASE (default HEAD~1) with golang.org/x/exp/cmd/apidiff, failing

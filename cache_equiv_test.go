@@ -270,3 +270,44 @@ func TestSegmentCacheEvictionUnderLoad(t *testing.T) {
 		t.Fatalf("%d bytes still pinned", st.PinnedBytes)
 	}
 }
+
+// TestTraceNodeRangeError runs `paper -trace` with -nodes 8 over a
+// 16-node trace whose first access beyond node 7 follows nine silent
+// repeats. The error must name that access by its step in the trace and
+// print it as the trace holds it, with every cache setting: a cell over
+// fewer nodes than the trace's header reads the exact stream, never the
+// kept face.
+func TestTraceNodeRangeError(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCommands(t, dir, "paper")
+	path := filepath.Join(dir, "wide.mtr")
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf, trace.Header{BlockSize: 16, PageSize: 4096, Nodes: 16})
+	for i := 0; i < 10; i++ {
+		if err := w.Write(Access{Node: 3, Kind: trace.Read, Addr: 0x100 + Addr(i%4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Write(Access{Node: 11, Kind: trace.Read, Addr: 0x980}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "wide.mtr/conventional: access 10 (P11 read 0x980): directory: node 11 out of range (8 nodes)"
+	for _, cacheBytes := range []string{"0", "268435456"} {
+		cmd := exec.Command(filepath.Join(bin, "paper"), "-trace", path, "-nodes", "8", "-parallelism", "1",
+			"-trace-cache-bytes", cacheBytes, "-progress", "off", "-manifest-dir", filepath.Join(dir, "manifests"))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("-trace-cache-bytes %s: paper -nodes 8 over a 16-node trace succeeded", cacheBytes)
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("-trace-cache-bytes %s: stderr lacks %q:\n%s", cacheBytes, want, stderr.Bytes())
+		}
+	}
+}

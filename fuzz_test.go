@@ -832,3 +832,111 @@ func checkFoldedRun(t *testing.T, name string, cfg sim.RunConfig, full, kept fun
 	}
 	return true
 }
+
+// FuzzSegmentFold checks the segment cache's folded segments. It writes an
+// arbitrary trace as v3 with tiny segments, so folding runs cross segment
+// boundaries, where the folder restarts. Through the cache the exact face
+// must equal an uncached decode, on a miss and on a hit. The kept face must
+// give the full trace's RunResult bytes for every directory policy and
+// every bus protocol but UpdateOnce, over caches of one to four sets and
+// infinite ones, blocks of 16, 64 and 256 bytes, and one and two shards.
+// And a sweep over an App on the cached file, whose cells bind chooses
+// faces for, must count what the same sweep over the uncached file counts
+// for every bus protocol, UpdateOnce included.
+func FuzzSegmentFold(f *testing.F) {
+	fuzzSeeds(f)
+	f.Add([]byte{0x78, 0x05, 0x7f, 0x18, 0x3d, 0x05, 0x7b, 0x30, 0x79, 0x18})
+	f.Add([]byte("0XZX"))
+	f.Add([]byte("C#7X70RX720"))
+	f.Add([]byte("\x7f\x10\x7f\x10\x7d\x10\x7f\x11\x79\x10\x7f\x10"))
+	const nodes = 4
+	policies := append(core.Policies(), core.Stenstrom)
+	type cacheShape struct{ sets, assoc int }
+	shapes := []cacheShape{{0, 0}, {1, 2}, {2, 1}, {4, 2}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accs := append(decodeRuns(data), decodeAccesses(data, nodes, 12)...)
+		if len(accs) == 0 {
+			return
+		}
+		var buf bytes.Buffer
+		w := trace.NewWriterOptions(&buf, trace.Header{BlockSize: 16, PageSize: 4096, Nodes: nodes},
+			trace.WriterOptions{SegmentBytes: 16})
+		if _, err := trace.Copy(w, trace.NewSliceSource(accs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "t.mtr")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cache := trace.NewSegmentCache(1 << 20)
+		open := func(cache *trace.SegmentCache, kept bool) (trace.Source, error) {
+			src, err := trace.OpenFileParallelCache(path, 2, cache)
+			if err != nil {
+				return nil, err
+			}
+			if kept {
+				src.WithKept()
+			}
+			return src, nil
+		}
+		for pass := range 2 {
+			src, err := open(cache, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := trace.ReadAll(src)
+			src.Close()
+			if err != nil || !reflect.DeepEqual(got, accs) {
+				t.Fatalf("pass %d: cached exact face differs from the trace (%v):\n%v\n%v", pass, err, got, accs)
+			}
+		}
+		full := func() (trace.Source, error) { return trace.NewSliceSource(accs), nil }
+		kept := func() (trace.Source, error) { return open(cache, true) }
+		for _, block := range []int{16, 64, 256} {
+			for _, sh := range shapes {
+				cb := sh.sets * sh.assoc * block
+				for _, sc := range []int{1, directory.ResolveShards(2, cb, block, sh.assoc)} {
+					for _, pol := range policies {
+						cfg := sim.RunConfig{Engine: sim.EngineDirectory, Nodes: nodes, Policy: pol.Name, Placement: sim.PlacementRoundRobin,
+							CacheBytes: cb, Assoc: sh.assoc, BlockSize: block, Shards: sc}
+						checkFoldedRun(t, fmt.Sprintf("%s/%dB/%dx%d/x%d", pol.Name, block, sh.sets, sh.assoc, sc), cfg, full, kept, false)
+					}
+					for _, p := range snoop.Protocols() {
+						if p == snoop.UpdateOnce {
+							continue
+						}
+						cfg := sim.RunConfig{Engine: sim.EngineBus, Nodes: nodes, Protocol: p.String(),
+							CacheBytes: cb, Assoc: sh.assoc, BlockSize: block, Shards: sc}
+						checkFoldedRun(t, fmt.Sprintf("%s/%dB/%dx%d/x%d", p, block, sh.sets, sh.assoc, sc), cfg, full, kept, false)
+					}
+				}
+			}
+		}
+		opts := sim.Options{Nodes: nodes, Parallelism: 1, Cache: cache}
+		counts := func(cache *trace.SegmentCache) []snoop.Counts {
+			app, err := sim.NewTraceFileApp(path, 2, cache, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, err := sim.RunBusApps([]*sim.App{app}, opts, []int{64, 128, 0}, snoop.Protocols())
+			if err != nil {
+				t.Fatalf("bus sweep (cache %v): %v", cache != nil, err)
+			}
+			var out []snoop.Counts
+			for _, cb := range sw.CacheSizes {
+				for _, row := range sw.Rows[cb] {
+					for _, c := range row.Cells {
+						out = append(out, c.Counts)
+					}
+				}
+			}
+			return out
+		}
+		if got, want := counts(cache), counts(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bus sweep over the cached file counts %+v, over the uncached one %+v", got, want)
+		}
+	})
+}

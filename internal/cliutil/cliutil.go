@@ -62,7 +62,7 @@ func Register(name string) *Flags {
 	f.Decoders = flag.Int("decoders", 0, "parallel trace-decode workers for indexed (v3) .mtr files (0 = all CPUs, 1 = sequential decode; results are identical either way)")
 	f.Trace = flag.String("trace", "", "run over a binary trace file (from tracegen) instead of the built-in workloads")
 	f.Stream = flag.Bool("stream", false, "regenerate traces lazily per simulation cell instead of materializing them (O(1) trace memory; bit-identical results)")
-	f.TraceCacheBytes = flag.Int64("trace-cache-bytes", trace.DefaultTraceCacheBytes, "decoded-segment cache capacity shared by every cell replaying an indexed (v3) .mtr trace (0 = decode per cell; results are identical either way)")
+	f.TraceCacheBytes = flag.Int64("trace-cache-bytes", trace.DefaultTraceCacheBytes, "decoded-segment cache capacity shared by every cell replaying an indexed (v3) .mtr trace; it counts folded segments, 16 bytes per kept access and 2 per access, and a cache too small for the trace decodes and folds segments again (0 = decode per cell, unfolded; results are identical either way)")
 	return f
 }
 
@@ -155,26 +155,19 @@ func (f *Flags) Options(ctx context.Context) sim.Options {
 
 // Apps returns the apps a command's sweeps run over: the built-in
 // profiles opts selects, prepared by sim.PrepareApps, or, when -trace was
-// given, that v3 .mtr file as a one-element list. The trace's usage-based
-// placement comes from one streaming profiling pass, and every cell
-// re-opens and re-decodes the file, so a traced sweep's trace memory stays
-// constant no matter how many accesses the file holds. The file opens as
-// an IndexedFileSource with -decoders decode workers, so decode overlaps
-// the engine's work, and the -trace-cache-bytes cache lets every opened
-// source (the profiling pass included) share decoded segments. An MTR1 or
-// MTR2 file fails here, naming the converter.
+// given, that v3 .mtr file as a one-element list (sim.NewTraceFileApp).
+// The trace's usage-based placement comes from one streaming profiling
+// pass, and every cell re-opens and re-decodes the file, so a traced
+// sweep's trace memory stays bounded by -trace-cache-bytes no matter how
+// many accesses the file holds. The file opens with -decoders decode
+// workers, so decode overlaps the engine's work, and the cache lets every
+// opened source (the profiling pass included) share decoded, folded
+// segments. An MTR1 or MTR2 file fails here, naming the converter.
 func (f *Flags) Apps(opts sim.Options) ([]*sim.App, error) {
 	if *f.Trace == "" {
 		return sim.PrepareApps(opts)
 	}
-	path, decoders, cache := *f.Trace, *f.Decoders, f.Cache()
-	app, err := sim.NewSourceApp(path, func() (trace.Source, error) {
-		src, err := trace.OpenFileParallelCache(path, decoders, cache)
-		if err != nil {
-			return nil, err
-		}
-		return src, nil
-	}, *f.Nodes)
+	app, err := sim.NewTraceFileApp(*f.Trace, *f.Decoders, f.Cache(), *f.Nodes)
 	if err != nil {
 		return nil, err
 	}

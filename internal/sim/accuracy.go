@@ -77,10 +77,11 @@ func ClassifierAccuracyApps(apps []*App, opts Options, cacheBytes int) ([]Accura
 	truths := make([]map[memory.BlockID]trace.BlockPattern, len(apps))
 	err := opts.each(len(apps), func(i, _ int) error {
 		// The ground-truth pass opens its source the way a 16-byte
-		// directory cell's run does: a folded app's kept accesses, whose
+		// directory cell's run does, on the widest machine, since no
+		// engine checks its nodes: a folded app's kept accesses, whose
 		// folded writes the block histories credit
 		// (trace.ClassifyBlocksSource).
-		src, err := apps[i].bind(RunConfig{Engine: EngineDirectory, Cache: opts.Cache}).openSource()
+		src, err := apps[i].bind(RunConfig{Engine: EngineDirectory, Nodes: memory.MaxNodes, Cache: opts.Cache}).openSource()
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,10 +27,20 @@ func foldedApp(t *testing.T, opts Options) *App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if app.folded == nil {
+	if app.openKept == nil {
 		t.Fatal("prepared app is not folded")
 	}
 	return app
+}
+
+// keptOf returns a folded generator app's kept accesses.
+func keptOf(t *testing.T, app *App) []trace.Access {
+	t.Helper()
+	src, err := app.openKept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src.(*trace.SliceSource).Rest()
 }
 
 // TestFoldedAppOpenIsExact checks that a prepared App's Open replays the
@@ -53,7 +65,7 @@ func TestFoldedAppOpenIsExact(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("App.Open differs from the generated trace")
 	}
-	kept := app.folded.Kept()
+	kept := keptOf(t, app)
 	covered := len(kept)
 	for _, k := range kept {
 		covered += int(k.FoldedReads() + k.FoldedWrites())
@@ -79,7 +91,7 @@ func TestBindChoosesForm(t *testing.T) {
 			t.Fatal(err)
 		}
 		ss, ok := src.(*trace.SliceSource)
-		return ok && ss.Len() == len(app.folded.Kept())
+		return ok && ss.Len() == len(keptOf(t, app))
 	}
 	for _, block := range []int{0, 16, 64, 256} {
 		if !isKept(RunConfig{Engine: EngineDirectory, BlockSize: block}) {
@@ -127,6 +139,90 @@ func TestBindChoosesForm(t *testing.T) {
 	}
 }
 
+// TestBindTraceFileFaces pins which cells of an App over a cached trace
+// file read its kept face: those TestBindChoosesForm gives the kept
+// accesses, on a machine with at least the header's node count. A cell
+// over fewer nodes, an uncached file and a header without a node count
+// read the exact stream.
+func TestBindTraceFileFaces(t *testing.T) {
+	path := writeV3Trace(t, "MP3D", 16, 20_000)
+	cache := trace.NewSegmentCache(64 << 20)
+	app, err := NewTraceFileApp(path, 2, cache, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(app *App, cfg RunConfig) int {
+		t.Helper()
+		src, err := app.bind(cfg).OpenSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		accs, err := trace.ReadAll(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(accs)
+	}
+	for _, cfg := range []RunConfig{
+		{Engine: EngineDirectory},
+		{Engine: EngineDirectory, Nodes: 32, BlockSize: 256},
+		{Engine: EngineBus, Protocol: snoop.MESI.String()},
+	} {
+		if n := count(app, cfg); n >= 20_000 {
+			t.Errorf("%+v reads %d accesses, not the kept face", cfg, n)
+		}
+	}
+	for name, cfg := range map[string]RunConfig{
+		"8-node":      {Engine: EngineDirectory, Nodes: 8},
+		"512-byte":    {Engine: EngineDirectory, BlockSize: 512},
+		"probed":      {Engine: EngineDirectory, Probes: func(int) obs.Probe { return nil }},
+		"update-once": {Engine: EngineBus, Protocol: snoop.UpdateOnce.String()},
+		"timing":      {Engine: EngineTiming},
+	} {
+		if n := count(app, cfg); n != 20_000 {
+			t.Errorf("a %s cell reads %d accesses, not the exact stream", name, n)
+		}
+	}
+	uncached, err := NewTraceFileApp(path, 2, nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uncached.openKept != nil {
+		t.Error("an uncached trace file has a kept face")
+	}
+	accs, err := trace.ReadAll(mustOpen(t, app))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon := filepath.Join(t.TempDir(), "anon.mtr")
+	f, err := os.Create(anon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trace.NewWriter(f, trace.Header{BlockSize: 16, PageSize: PageSize})
+	if _, err := trace.Copy(w, trace.NewSliceSource(accs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(w.Close(), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if app, err := NewTraceFileApp(anon, 2, cache, 16); err != nil || app.openKept != nil {
+		t.Errorf("a header without a node count: kept face %v, err %v", app != nil && app.openKept != nil, err)
+	}
+}
+
+// mustOpen opens app's exact trace.
+func mustOpen(t *testing.T, app *App) trace.Source {
+	t.Helper()
+	src, err := app.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
 // TestRefusedTraceFails checks that preparing a folded App over a trace
 // naming a node at or beyond the App's node count fails with the folder's
 // refusal, worded like the engines' own out-of-range error.
@@ -170,7 +266,7 @@ func TestEnginesRefuseFoldedAccess(t *testing.T) {
 	app := foldedApp(t, Options{Length: 5000}.withDefaults())
 	_, err = Run(context.Background(), RunConfig{
 		Engine: EngineBus, Protocol: "mesi", Nodes: 16,
-		OpenSource: func() (trace.Source, error) { return app.folded.OpenKept(), nil },
+		OpenSource: app.openKept,
 		Probes:     func(int) obs.Probe { return obs.FuncProbe(func(obs.Event) {}) },
 	})
 	if !errors.Is(err, trace.ErrFolded) {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"migratory/internal/core"
+	"migratory/internal/memory"
 	"migratory/internal/telemetry"
 	"migratory/internal/trace"
 )
@@ -319,10 +320,11 @@ func (a *App) footprintOf(ctx context.Context, cache *trace.SegmentCache) (*Foot
 		return a.footprint, nil
 	}
 	// The pass opens its source the way a 16-byte directory cell's run
-	// does. A folded app's kept accesses touch exactly the (node, 16-byte
-	// block) pairs of the full trace: every silent repeat shares its kept
+	// does, on the widest machine, since no engine checks its nodes. A
+	// folded app's kept accesses touch exactly the (node, 16-byte block)
+	// pairs of the full trace: every silent repeat shares its kept
 	// access's node and granule.
-	src, err := a.bind(RunConfig{Engine: EngineDirectory, BlockSize: footprintGranule, Cache: cache}).openSource()
+	src, err := a.bind(RunConfig{Engine: EngineDirectory, Nodes: memory.MaxNodes, BlockSize: footprintGranule, Cache: cache}).openSource()
 	if err != nil {
 		return nil, err
 	}

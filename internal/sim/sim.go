@@ -77,10 +77,11 @@ type Options struct {
 	Shards int
 	// Cache, when non-nil, is the shared decoded-segment cache every cell
 	// of the sweep consults before decoding an indexed (MTR3) trace file:
-	// the first cell decodes each segment once and the rest replay the
-	// shared immutable slabs, so decode CPU scales with the trace, not the
-	// cell count. Purely a throughput knob; results are bit-identical with
-	// or without it. Sweeps over in-memory or generated traces ignore it.
+	// the first cell decodes and folds each segment once and the rest
+	// replay the shared immutable segments, so decode CPU scales with the
+	// trace, not the cell count. Purely a throughput knob; results are
+	// bit-identical with or without it. Sweeps over in-memory or generated
+	// traces ignore it.
 	Cache *trace.SegmentCache
 	// Probes, when non-nil, is called once per simulation cell to build the
 	// probe that cell's System is instrumented with (a nil return leaves the
@@ -136,16 +137,21 @@ func (o Options) withDefaults() Options {
 //
 // An App from PrepareApp (without Stream) or NewFoldedApp holds its trace
 // folded (trace.Folded): the kept accesses, which carry the silent repeats
-// folded into them, and a 2-byte replay tape. The cells that folding is
-// exact for replay the kept accesses (bind); Open replays the exact trace.
+// folded into them, and a 2-byte replay tape. An App from NewTraceFileApp
+// with a segment cache reads a file whose cached segments are folded one
+// by one. The cells that folding is exact for replay the kept accesses
+// (bind); Open replays the exact trace.
 type App struct {
 	Name      string
 	Placement placement.Policy
 	open      func() (trace.Source, error)
-	// folded is the App's trace in folded form; nil for an App built by
-	// NewApp or NewSourceApp (a slice, a -trace file, a -stream
-	// generator), whose cells all replay open's source.
-	folded *trace.Folded
+	// openKept opens the kept accesses: a folded trace's OpenKept, or the
+	// kept face of a cached trace file. It is nil for an App built by
+	// NewApp or NewSourceApp (a slice, an uncached file, a -stream
+	// generator), whose cells all replay open's source. keptNodes is the
+	// node count the kept accesses were folded over.
+	openKept  func() (trace.Source, error)
+	keptNodes int
 
 	// fpMu serializes the footprint pass; footprint is nil until a sweep
 	// first needs it (footprintOf).
@@ -165,25 +171,25 @@ func (a *App) Open() (trace.Source, error) { return a.open() }
 
 // bind points cfg, a cell over the App, at the App's trace: it sets
 // OpenSource and, for the directory engine, PlacementPolicy. The cell
-// replays the kept accesses of the folded trace, whose batch kernels credit
-// the folded repeats, when folding is exact for it: an unprobed directory
-// or bus cell whose blocks lie between trace.FoldGranule and
-// trace.FoldRegion bytes, unless it runs UpdateOnce (an update write can
-// leave its line shared, so the folded writes after it are not silent and
-// the bus kernel refuses them). Every other cell, a timing cell included,
-// replays Open, the exact trace.
+// replays the kept accesses, whose batch kernels credit the folded
+// repeats, when folding is exact for it: an unprobed directory or bus cell
+// whose blocks lie between trace.FoldGranule and trace.FoldRegion bytes,
+// unless it runs UpdateOnce (an update write can leave its line shared, so
+// the folded writes after it are not silent and the bus kernel refuses
+// them). The cell's machine must also have every node the kept accesses
+// were folded over, so that an access naming a node beyond it fails as it
+// does in the exact trace, at the same step. Every other cell, a timing
+// cell included, replays Open, the exact trace.
 func (a *App) bind(cfg RunConfig) RunConfig {
 	if cfg.Engine == EngineDirectory {
 		cfg.PlacementPolicy = a.Placement
 	}
 	cfg.OpenSource = a.Open
-	block := cfg.withDefaults().BlockSize
-	exact := a.folded != nil && cfg.Probes == nil &&
-		(cfg.Engine == EngineDirectory || cfg.Engine == EngineBus && cfg.Protocol != snoop.UpdateOnce.String()) &&
-		block >= trace.FoldGranule && block <= trace.FoldRegion
-	if exact {
-		folded := a.folded
-		cfg.OpenSource = func() (trace.Source, error) { return folded.OpenKept(), nil }
+	c := cfg.withDefaults()
+	if a.openKept != nil && c.Probes == nil && a.keptNodes <= c.Nodes &&
+		(c.Engine == EngineDirectory || c.Engine == EngineBus && c.Protocol != snoop.UpdateOnce.String()) &&
+		c.BlockSize >= trace.FoldGranule && c.BlockSize <= trace.FoldRegion {
+		cfg.OpenSource = a.openKept
 	}
 	return cfg
 }
@@ -287,7 +293,8 @@ func NewFoldedApp(name string, src trace.Source, nodes, sizeHint int) (*App, err
 		Name:      name,
 		Placement: pl,
 		open:      func() (trace.Source, error) { return folded.Open(), nil },
-		folded:    folded,
+		openKept:  func() (trace.Source, error) { return folded.OpenKept(), nil },
+		keptNodes: nodes,
 	}, nil
 }
 
@@ -318,11 +325,58 @@ func (t *foldTee) Next() (trace.Access, error) {
 // (a trace file, a lazy generator). The placement profiling pass opens and
 // drains one source; simulation cells open their own.
 func NewSourceApp(name string, open func() (trace.Source, error), nodes int) (*App, error) {
-	geom := memory.MustGeometry(16, PageSize) // block size irrelevant for pages
 	src, err := open()
 	if err != nil {
 		return nil, err
 	}
+	return newProfiledApp(name, src, open, nodes)
+}
+
+// NewTraceFileApp builds an app over the v3 trace file at path, which
+// every cell re-opens and re-decodes, so a traced sweep's trace memory is
+// bounded by cache, not by the file. Sources open with decoders decode
+// workers (0 = GOMAXPROCS) and share cache, which holds each decoded
+// segment folded. With a cache and a header that names the trace's node
+// count, the cells folding is exact for (bind) read the file's kept face
+// (trace.IndexedFileSource.WithKept). Without a cache every cell reads
+// the exact stream. The placement profiling pass reads the exact stream.
+func NewTraceFileApp(path string, decoders int, cache *trace.SegmentCache, nodes int) (*App, error) {
+	openFile := func() (*trace.IndexedFileSource, error) {
+		return trace.OpenFileParallelCache(path, decoders, cache)
+	}
+	open := func() (trace.Source, error) {
+		src, err := openFile()
+		if err != nil {
+			return nil, err
+		}
+		return src, nil
+	}
+	src, err := openFile()
+	if err != nil {
+		return nil, err
+	}
+	hdr := src.Header()
+	app, err := newProfiledApp(path, src, open, nodes)
+	if err != nil {
+		return nil, err
+	}
+	if cache != nil && hdr.Nodes > 0 && !noShortcuts {
+		app.keptNodes = hdr.Nodes
+		app.openKept = func() (trace.Source, error) {
+			src, err := openFile()
+			if err != nil {
+				return nil, err
+			}
+			return src.WithKept(), nil
+		}
+	}
+	return app, nil
+}
+
+// newProfiledApp profiles src, one source open yields, for the usage
+// placement and closes it. The App's cells open their own sources.
+func newProfiledApp(name string, src trace.Source, open func() (trace.Source, error), nodes int) (*App, error) {
+	geom := memory.MustGeometry(16, PageSize) // block size irrelevant for pages
 	pl, err := placement.UsageBasedSource(src, geom, nodes)
 	cerr := src.Close()
 	if err != nil {

@@ -116,8 +116,8 @@ func TestFoldTwin(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, app := range apps {
-			if (app.folded == nil) != noShortcuts {
-				t.Fatalf("%s: folded %v with noShortcuts %v", app.Name, app.folded != nil, noShortcuts)
+			if (app.openKept == nil) != noShortcuts {
+				t.Fatalf("%s: folded %v with noShortcuts %v", app.Name, app.openKept != nil, noShortcuts)
 			}
 		}
 		out, reused := renderReport(t, apps, opts, false)
@@ -215,5 +215,35 @@ func TestTraceShortcutTwin(t *testing.T) {
 	defer func() { noShortcuts = false }()
 	if exact := render(nil); !bytes.Equal(fast, exact) {
 		t.Fatalf("cached trace report differs from the uncached one:\n%s\n---\n%s", fast, exact)
+	}
+}
+
+// TestTraceFileKeptTwin is TestTraceShortcutTwin for an App from
+// NewTraceFileApp, whose cached cells read the file's kept face: the
+// report over a shared segment cache must equal the uncached report with
+// every shortcut off, and the cached App must have a kept face.
+func TestTraceFileKeptTwin(t *testing.T) {
+	path := writeV3Trace(t, "MP3D", 16, 20_000)
+	render := func(cache *trace.SegmentCache) []byte {
+		t.Helper()
+		app, err := NewTraceFileApp(path, 2, cache, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (app.openKept != nil) != (cache != nil) {
+			t.Fatalf("kept face %v with cache %v", app.openKept != nil, cache != nil)
+		}
+		out, _ := renderReport(t, []*App{app}, Options{Cache: cache}, true)
+		return out
+	}
+	cache := trace.NewSegmentCache(64 << 20)
+	fast := render(cache)
+	if st := cache.Stats(); st.Hits == 0 {
+		t.Fatalf("cached render never hit the segment cache: %+v", st)
+	}
+	noShortcuts = true
+	defer func() { noShortcuts = false }()
+	if exact := render(nil); !bytes.Equal(fast, exact) {
+		t.Fatalf("report over the kept face differs from the exact one:\n%s\n---\n%s", fast, exact)
 	}
 }

@@ -186,6 +186,23 @@ func Fold(accs []Access, nodes int) (*Folded, error) {
 	return f.Folded()
 }
 
+// keepAll returns accs as a Folded that keeps every access: how the
+// segment cache holds a segment the folder refuses.
+func keepAll(accs []Access) *Folded {
+	return &Folded{kept: slices.Clone(accs), tape: make([]uint16, len(accs))}
+}
+
+// expandInto writes the original trace into out, which holds exactly Len
+// accesses. A Folded with no silent repeat is its kept accesses, whose
+// fold counts are all zero, so it is copied without reading the tape.
+func (t *Folded) expandInto(out []Access) {
+	if len(t.kept) == len(t.tape) {
+		copy(out, t.kept)
+		return
+	}
+	(&expandSource{t: t}).NextBatch(out)
+}
+
 // Len returns the number of accesses in the original trace.
 func (t *Folded) Len() int { return len(t.tape) }
 

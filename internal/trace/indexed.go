@@ -75,18 +75,34 @@ func decodeSegmentSlab(r io.ReaderAt, seg Segment, nodes int, out []Access) erro
 	return decodeRecords(*bp, seg, nodes, out)
 }
 
+// decodeFolded decodes one segment through a pooled slab and folds it
+// with a fresh folder, so the segment's tape rebuilds it without any
+// other segment (DESIGN.md §7). A segment the folder refuses (a header
+// without a node count) keeps every access.
+func decodeFolded(r io.ReaderAt, seg Segment, nodes int) (*Folded, error) {
+	slab := getPooled[Access](&slabPool, int(seg.Count))
+	defer slabPool.Put(slab)
+	if err := decodeSegmentSlab(r, seg, nodes, *slab); err != nil {
+		return nil, err
+	}
+	if f, err := Fold(*slab, nodes); err == nil {
+		return f, nil
+	}
+	return keepAll(*slab), nil
+}
+
 // segEntry is one decoded segment queued for in-order delivery. accs is
-// either a pooled slab (uncached decode) or the slab of a pinned cache
-// entry, never both.
+// either a pooled slab (the exact stream) or the kept accesses of a
+// pinned cache entry (the kept face), never both.
 type segEntry struct {
 	accs []Access
-	slab *[]Access      // pooled backing of accs, when uncached
-	pin  *PinnedSegment // cache pin backing accs, when cached
+	slab *[]Access      // pooled backing of accs, on the exact face
+	pin  *PinnedSegment // cache pin backing accs, on the kept face
 	err  error
 }
 
 // discard recycles the pooled slab or releases the cache pin. A pinned
-// cache slab is shared and immutable, so it never enters the pool.
+// segment is shared and immutable, so it never enters the pool.
 func (e *segEntry) discard() {
 	if e.slab != nil {
 		slabPool.Put(e.slab)
@@ -109,6 +125,7 @@ type segPipe struct {
 	idx   *Index
 	cache *SegmentCache // nil = decode into pooled slabs
 	id    FileID        // cache identity, set when cache != nil
+	kept  bool          // deliver the cached segments' kept accesses
 	mu    sync.Mutex
 	cond  *sync.Cond
 	ready map[int]segEntry
@@ -120,7 +137,7 @@ type segPipe struct {
 	wg    sync.WaitGroup
 }
 
-func newSegPipe(r io.ReaderAt, idx *Index, workers int, cache *SegmentCache, id FileID) *segPipe {
+func newSegPipe(r io.ReaderAt, idx *Index, workers int, cache *SegmentCache, id FileID, kept bool) *segPipe {
 	if workers > len(idx.Segments) {
 		workers = len(idx.Segments)
 	}
@@ -132,6 +149,7 @@ func newSegPipe(r io.ReaderAt, idx *Index, workers int, cache *SegmentCache, id 
 		idx:   idx,
 		cache: cache,
 		id:    id,
+		kept:  kept,
 		ready: make(map[int]segEntry),
 		stopC: make(chan struct{}),
 		slots: make(chan struct{}, workers+2),
@@ -185,23 +203,27 @@ func (p *segPipe) worker() {
 	}
 }
 
-// decode produces segment i's entry: through the cache when one is
-// attached (the slab stays pinned until the consumer releases it), else
-// into a pooled slab.
+// decode produces segment i's entry. With a cache attached it acquires
+// the folded segment: the kept face delivers its kept accesses, pinned
+// until the consumer releases them, and the exact face expands its tape
+// into a pooled slab. Without one it decodes into a pooled slab.
 func (p *segPipe) decode(i int) segEntry {
 	seg, nodes := p.idx.Segments[i], p.idx.Header.Nodes
 	if p.cache != nil {
-		pin, err := p.cache.Acquire(p.id, i, func() ([]Access, error) {
-			out := make([]Access, seg.Count)
-			if err := decodeSegmentSlab(p.r, seg, nodes, out); err != nil {
-				return nil, err
-			}
-			return out, nil
+		pin, err := p.cache.Acquire(p.id, i, func() (*Folded, error) {
+			return decodeFolded(p.r, seg, nodes)
 		})
 		if err != nil {
 			return segEntry{err: err}
 		}
-		return segEntry{accs: pin.Accesses(), pin: pin}
+		f := pin.Folded()
+		if p.kept {
+			return segEntry{accs: f.Kept(), pin: pin}
+		}
+		slab := getPooled[Access](&slabPool, f.Len())
+		f.expandInto(*slab)
+		pin.Release()
+		return segEntry{accs: *slab, slab: slab}
 	}
 	slab := getPooled[Access](&slabPool, int(seg.Count))
 	if err := decodeSegmentSlab(p.r, seg, nodes, *slab); err != nil {
@@ -212,9 +234,9 @@ func (p *segPipe) decode(i int) segEntry {
 }
 
 // nextSegment blocks until the next in-order segment is decoded and
-// returns its entry (a pooled or a pinned cache slab). It returns
-// io.EOF after the final segment and the decode error of the first bad
-// segment.
+// returns its entry (a pooled slab or a pinned segment's kept accesses).
+// It returns io.EOF after the final segment and the decode error of the
+// first bad segment.
 func (p *segPipe) nextSegment() (segEntry, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -258,6 +280,14 @@ func (p *segPipe) halt() {
 // them in segment order, so consumers see exactly the sequential access
 // stream. It is the one reader every run uses.
 //
+// With a SegmentCache attached, each segment is decoded once and cached
+// folded (Folded). The source then has two faces. The exact face, the
+// default, expands each segment's tape back into the access stream. The
+// kept face (WithKept) yields each segment's kept accesses with their
+// fold counts, for the engines' unprobed batch kernels to credit. An
+// uncached source decodes every access and has one face: WithKept
+// changes nothing there, every access being kept.
+//
 // The decode pipeline starts lazily at the first read, and Reset returns
 // the source to the unstarted state. Sharded runs read it through the
 // same sequential face: DemuxParallel's producer routes the reassembled
@@ -274,6 +304,7 @@ type IndexedFileSource struct {
 	cache  *SegmentCache // nil = caching off
 	fileID FileID
 	hasID  bool // file identity known (opened from a real path)
+	kept   bool // the kept face (WithKept)
 
 	pipe *segPipe
 	cur  segEntry // the segment being read
@@ -339,6 +370,18 @@ func (s *IndexedFileSource) WithCache(c *SegmentCache) *IndexedFileSource {
 	return s
 }
 
+// WithKept switches s to its kept face: each cached segment's kept
+// accesses, with the silent repeats folded into them (Access.Fold). The
+// folder restarts at every segment, so a node's first access in each
+// segment is kept. Called after the first read it changes nothing.
+// Returns s for chaining.
+func (s *IndexedFileSource) WithKept() *IndexedFileSource {
+	if s.pipe == nil {
+		s.kept = true
+	}
+	return s
+}
+
 // Header returns the trace geometry header.
 func (s *IndexedFileSource) Header() Header { return s.idx.Header }
 
@@ -358,7 +401,7 @@ func (s *IndexedFileSource) advance() error {
 		return s.err
 	}
 	if s.pipe == nil {
-		s.pipe = newSegPipe(s.r, s.idx, s.decoders, s.cache, s.fileID)
+		s.pipe = newSegPipe(s.r, s.idx, s.decoders, s.cache, s.fileID, s.kept)
 	}
 	e, err := s.pipe.nextSegment()
 	if err != nil {

@@ -13,10 +13,13 @@ import (
 // the cache entirely.
 const DefaultTraceCacheBytes = 256 << 20
 
-// accessFootprint is the heap footprint one decoded Access contributes to
-// the cache budget (Access is a 16-byte struct; slab bookkeeping is noise
-// next to the data).
-const accessFootprint = 16
+// A cached segment counts accessFootprint bytes per kept access (Access
+// is a 16-byte struct) and tapeFootprint per replay-tape entry against
+// the cache budget; slice headers are noise next to the data.
+const (
+	accessFootprint = 16
+	tapeFootprint   = 2
+)
 
 // FileID identifies one on-disk trace file instance for cache keying:
 // device and inode pin the file object; size, mtime and the index identity
@@ -46,10 +49,10 @@ type segCacheKey struct {
 // (decoded, refs == 0).
 type segCacheEntry struct {
 	key   segCacheKey
-	accs  []Access
+	seg   *Folded
 	bytes int64
 	err   error
-	ready chan struct{} // closed when decode finishes (accs or err set)
+	ready chan struct{} // closed when decode finishes (seg or err set)
 	done  bool          // decode finished (guarded by cache mu)
 	refs  int           // in-flight pins (guarded by cache mu)
 
@@ -61,7 +64,9 @@ type segCacheEntry struct {
 // request that replays the same trace file: the first acquisition of a
 // segment decodes it once, and every later acquisition —
 // concurrent (single-flight) or subsequent (resident) — shares the same
-// immutable []Access slab.
+// immutable payload. A segment is held folded (a *Folded of its own,
+// see IndexedFileSource), so the budget holds about twice the accesses
+// an unfolded slab would.
 //
 // Consumers acquire a segment with Acquire and release the returned pin
 // when done; pinned segments are never evicted or mutated, so replay stays
@@ -89,7 +94,8 @@ type SegmentCache struct {
 	evictedByt atomic.Uint64
 }
 
-// NewSegmentCache builds a cache bounded at capBytes of decoded accesses.
+// NewSegmentCache builds a cache bounded at capBytes of folded segments
+// (16 bytes per kept access and 2 per tape entry).
 // capBytes <= 0 returns nil — the disabled cache every attachment point
 // treats as "decode as before".
 func NewSegmentCache(capBytes int64) *SegmentCache {
@@ -102,18 +108,18 @@ func NewSegmentCache(capBytes int64) *SegmentCache {
 	}
 }
 
-// PinnedSegment is one acquired segment: an immutable decoded slab the
-// holder may read until Release. Neither the slab nor its subslices may be
-// mutated or returned to the batch pools.
+// PinnedSegment is one acquired segment: an immutable folded segment the
+// holder may read until Release. Neither its kept accesses nor its tape
+// may be mutated or returned to the batch pools.
 type PinnedSegment struct {
 	c    *SegmentCache
 	e    *segCacheEntry
 	once sync.Once
 }
 
-// Accesses returns the decoded segment. The slice is shared and immutable;
-// it is valid until Release.
-func (p *PinnedSegment) Accesses() []Access { return p.e.accs }
+// Folded returns the decoded segment. It is shared and immutable; it is
+// valid until Release.
+func (p *PinnedSegment) Folded() *Folded { return p.e.seg }
 
 // Release drops the pin. Idempotent. After the last pin drops the segment
 // becomes evictable (most-recently-used first).
@@ -125,7 +131,7 @@ func (p *PinnedSegment) Release() {
 // decode when it is not resident. Concurrent acquirers of the same segment
 // share one decode (single-flight); a decode error is returned to every
 // waiter and nothing is cached. The caller must Release the pin.
-func (c *SegmentCache) Acquire(id FileID, seg int, decode func() ([]Access, error)) (*PinnedSegment, error) {
+func (c *SegmentCache) Acquire(id FileID, seg int, decode func() (*Folded, error)) (*PinnedSegment, error) {
 	key := segCacheKey{file: id, seg: seg}
 	c.mu.Lock()
 	if e := c.entries[key]; e != nil {
@@ -150,7 +156,7 @@ func (c *SegmentCache) Acquire(id FileID, seg int, decode func() ([]Access, erro
 	c.mu.Unlock()
 	c.misses.Add(1)
 
-	accs, err := decode()
+	f, err := decode()
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
@@ -162,8 +168,8 @@ func (c *SegmentCache) Acquire(id FileID, seg int, decode func() ([]Access, erro
 		c.mu.Unlock()
 		return nil, err
 	}
-	e.accs = accs
-	e.bytes = int64(len(accs)) * accessFootprint
+	e.seg = f
+	e.bytes = int64(len(f.kept))*accessFootprint + int64(len(f.tape))*tapeFootprint
 	e.done = true
 	c.resident += e.bytes
 	c.pinned += e.bytes

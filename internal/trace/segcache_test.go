@@ -33,6 +33,22 @@ func testAccs(n int) []Access {
 	return accs
 }
 
+// testSeg folds testAccs(n) over 16 nodes: the payload a cache miss
+// decodes.
+func testSeg(t testing.TB, n int) *Folded {
+	t.Helper()
+	f, err := Fold(testAccs(n), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// segBytes is what a cached segment counts against the budget.
+func segBytes(f *Folded) int64 {
+	return int64(len(f.Kept()))*accessFootprint + int64(f.Len())*tapeFootprint
+}
+
 // writeSegmentedMTR writes accs as an MTR3 file with small segments (so a
 // modest trace spans many of them) and returns the path.
 func writeSegmentedMTR(t *testing.T, dir string, accs []Access, segBytes int) string {
@@ -58,16 +74,16 @@ func writeSegmentedMTR(t *testing.T, dir string, accs []Access, segBytes int) st
 func TestSegmentCacheHitMissRefcount(t *testing.T) {
 	c := NewSegmentCache(1 << 20)
 	id := FileID{Dev: 1, Ino: 2, Size: 3, MTimeNs: 4}
-	want := testAccs(100)
+	want := testSeg(t, 100)
 	decodes := 0
-	decode := func() ([]Access, error) { decodes++; return want, nil }
+	decode := func() (*Folded, error) { decodes++; return want, nil }
 
 	p1, err := c.Acquire(id, 0, decode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p1.Accesses(), want) {
-		t.Fatal("decoded slab mismatch")
+	if p1.Folded() != want || !reflect.DeepEqual(p1.Folded().Expand(), testAccs(100)) {
+		t.Fatal("decoded segment mismatch")
 	}
 	p2, err := c.Acquire(id, 0, decode)
 	if err != nil {
@@ -76,15 +92,15 @@ func TestSegmentCacheHitMissRefcount(t *testing.T) {
 	if decodes != 1 {
 		t.Fatalf("decode ran %d times, want 1", decodes)
 	}
-	if &p1.Accesses()[0] != &p2.Accesses()[0] {
-		t.Fatal("hit did not share the resident slab")
+	if p1.Folded() != p2.Folded() {
+		t.Fatal("hit did not share the resident segment")
 	}
 
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats: %d hits / %d misses, want 1/1", st.Hits, st.Misses)
 	}
-	if want := int64(len(want)) * accessFootprint; st.PinnedBytes != want || st.ResidentBytes != want {
+	if want := segBytes(want); st.PinnedBytes != want || st.ResidentBytes != want {
 		t.Fatalf("pinned %d resident %d, want both %d", st.PinnedBytes, st.ResidentBytes, want)
 	}
 
@@ -113,7 +129,8 @@ func TestSegmentCacheSingleFlight(t *testing.T) {
 	id := FileID{Ino: 9, Size: 10, MTimeNs: 11}
 	const workers = 8
 	var decodes atomic.Int32
-	decode := func() ([]Access, error) {
+	seg := testSeg(t, 50)
+	decode := func() (*Folded, error) {
 		decodes.Add(1)
 		// Hold the decode open until every other worker has pinned the
 		// in-flight entry (joiners pin before blocking on ready), so all of
@@ -127,11 +144,11 @@ func TestSegmentCacheSingleFlight(t *testing.T) {
 			}
 			runtime.Gosched()
 		}
-		return testAccs(50), nil
+		return seg, nil
 	}
 
 	var wg sync.WaitGroup
-	slabs := make([][]Access, workers)
+	segs := make([]*Folded, workers)
 	errs := make([]error, workers)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -142,7 +159,7 @@ func TestSegmentCacheSingleFlight(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			slabs[i] = p.Accesses()
+			segs[i] = p.Folded()
 			p.Release()
 		}(i)
 	}
@@ -156,8 +173,8 @@ func TestSegmentCacheSingleFlight(t *testing.T) {
 		t.Fatalf("decode ran %d times under %d concurrent acquirers, want 1", n, workers)
 	}
 	for i := 1; i < workers; i++ {
-		if &slabs[i][0] != &slabs[0][0] {
-			t.Fatalf("worker %d got a different slab", i)
+		if segs[i] != segs[0] {
+			t.Fatalf("worker %d got a different segment", i)
 		}
 	}
 	st := c.Stats()
@@ -171,11 +188,12 @@ func TestSegmentCacheSingleFlight(t *testing.T) {
 
 func TestSegmentCacheLRUEviction(t *testing.T) {
 	// Capacity of exactly two 100-access segments.
-	c := NewSegmentCache(2 * 100 * accessFootprint)
+	one := segBytes(testSeg(t, 100))
+	c := NewSegmentCache(2 * one)
 	id := FileID{Ino: 1}
 	acquire := func(seg int) *PinnedSegment {
 		t.Helper()
-		p, err := c.Acquire(id, seg, func() ([]Access, error) { return testAccs(100), nil })
+		p, err := c.Acquire(id, seg, func() (*Folded, error) { return Fold(testAccs(100), 16) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,12 +226,12 @@ func TestSegmentCacheLRUEviction(t *testing.T) {
 	pin := acquire(3)
 	acquire(4).Release()
 	acquire(5).Release()
-	if got := pin.Accesses(); len(got) != 100 {
-		t.Fatal("pinned slab went away under eviction pressure")
+	if got := pin.Folded(); got.Len() != 100 {
+		t.Fatal("pinned segment went away under eviction pressure")
 	}
 	st = c.Stats()
-	if st.PinnedBytes != 100*accessFootprint {
-		t.Fatalf("pinned bytes %d, want %d", st.PinnedBytes, 100*accessFootprint)
+	if st.PinnedBytes != one {
+		t.Fatalf("pinned bytes %d, want %d", st.PinnedBytes, one)
 	}
 	if st.PeakPinnedBytes < st.PinnedBytes {
 		t.Fatalf("peak pinned %d below current %d", st.PeakPinnedBytes, st.PinnedBytes)
@@ -228,11 +246,11 @@ func TestSegmentCacheDecodeErrorNotCached(t *testing.T) {
 	c := NewSegmentCache(1 << 20)
 	id := FileID{Ino: 42}
 	boom := errors.New("boom")
-	if _, err := c.Acquire(id, 0, func() ([]Access, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.Acquire(id, 0, func() (*Folded, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the decode error", err)
 	}
 	// The failure is not cached: the next acquirer retries and succeeds.
-	p, err := c.Acquire(id, 0, func() ([]Access, error) { return testAccs(10), nil })
+	p, err := c.Acquire(id, 0, func() (*Folded, error) { return testSeg(t, 10), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +273,7 @@ func TestSegmentCacheSingleFlightError(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Acquire(id, 0, func() ([]Access, error) { <-gate; return nil, boom })
+			_, err := c.Acquire(id, 0, func() (*Folded, error) { <-gate; return nil, boom })
 			if errors.Is(err, boom) {
 				errCount.Add(1)
 			}
@@ -325,6 +343,120 @@ func TestIndexedSourceCacheEquivalence(t *testing.T) {
 	}
 	if st.Misses != uint64(st.Entries) {
 		t.Fatalf("%d misses for %d resident segments: segments decoded more than once", st.Misses, st.Entries)
+	}
+}
+
+// runAccs builds n accesses in single-node runs over a few granules, the
+// shape folding acts on, with nodes below 16 (or, with wide, up to 199).
+func runAccs(n int, wide bool) []Access {
+	accs := make([]Access, 0, n)
+	for i := 0; len(accs) < n; i++ {
+		node := memory.NodeID(i * 5 % 16)
+		if wide {
+			node = memory.NodeID(i * 37 % 200)
+		}
+		base := memory.Addr(i%13) * 48
+		for r := 0; r < 1+i%6 && len(accs) < n; r++ {
+			accs = append(accs, Access{Node: node, Kind: Kind((i + r/2) & 1), Addr: base | memory.Addr(r*3)})
+		}
+	}
+	return accs
+}
+
+// readFace drains one face of the trace at path.
+func readFace(t *testing.T, path string, cache *SegmentCache, decoders int, kept bool) []Access {
+	t.Helper()
+	src, err := OpenFileParallelCache(path, decoders, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if kept {
+		src.WithKept()
+	}
+	got, err := ReadAll(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestSegmentFoldFaces checks the two faces of a cached indexed source.
+// The exact face replays the written trace, at any decoder count. The
+// kept face is each segment folded by a fresh folder, concatenated, and
+// the cache counts those kept accesses and tapes as its resident bytes.
+// Without a cache both faces are the exact stream.
+func TestSegmentFoldFaces(t *testing.T) {
+	accs := runAccs(20_000, false)
+	path := writeSegmentedMTR(t, t.TempDir(), accs, 2<<10)
+	src, err := OpenFileParallelCache(path, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := src.Index()
+	src.Close()
+
+	var want []Access
+	var bytes int64
+	off := 0
+	for _, seg := range idx.Segments {
+		f, err := Fold(accs[off:off+int(seg.Count)], 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f.Kept()...)
+		bytes += segBytes(f)
+		off += int(seg.Count)
+	}
+	if len(idx.Segments) < 10 || len(want) >= len(accs)*3/4 {
+		t.Fatalf("%d segments keep %d of %d accesses: the trace does not exercise folding", len(idx.Segments), len(want), len(accs))
+	}
+
+	c := NewSegmentCache(64 << 20)
+	for _, decoders := range []int{1, 4} {
+		if got := readFace(t, path, c, decoders, false); !reflect.DeepEqual(got, accs) {
+			t.Fatalf("cached exact face (decoders=%d) differs from the trace", decoders)
+		}
+		if got := readFace(t, path, c, decoders, true); !reflect.DeepEqual(got, want) {
+			t.Fatalf("kept face (decoders=%d) differs from the per-segment fold", decoders)
+		}
+	}
+	st := c.Stats()
+	if st.Misses != uint64(len(idx.Segments)) || st.ResidentBytes != bytes || st.PinnedBytes != 0 {
+		t.Fatalf("cache %+v: want %d misses, %d resident bytes, none pinned", st, len(idx.Segments), bytes)
+	}
+	if got := readFace(t, path, nil, 2, true); !reflect.DeepEqual(got, accs) {
+		t.Fatal("uncached kept face differs from the trace")
+	}
+}
+
+// TestSegmentFoldRefused checks that a segment the folder refuses, here
+// from a header without a node count over nodes up to 199, is cached with
+// every access kept, and that both faces replay the trace.
+func TestSegmentFoldRefused(t *testing.T) {
+	accs := runAccs(5_000, true)
+	var buf bytes.Buffer
+	w := NewWriterOptions(&buf, Header{BlockSize: 16, PageSize: 4096}, WriterOptions{SegmentBytes: 2 << 10})
+	for _, a := range accs {
+		if err := w.Write(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wide.mtr")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewSegmentCache(64 << 20)
+	for _, kept := range []bool{false, true} {
+		if got := readFace(t, path, c, 2, kept); !reflect.DeepEqual(got, accs) {
+			t.Fatalf("face kept=%v of a refused trace differs from it", kept)
+		}
+	}
+	if st := c.Stats(); st.ResidentBytes != int64(len(accs))*(accessFootprint+tapeFootprint) {
+		t.Fatalf("resident %d bytes, want every access kept (%d)", st.ResidentBytes, len(accs)*(accessFootprint+tapeFootprint))
 	}
 }
 
