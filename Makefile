@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check bench-pair cover fuzz ci inspect-demo profile profile-trace apidiff serve-smoke results
+.PHONY: build test test-shuffle race vet vet-perfbench vuln bench bench-check bench-pair heap-trace cover fuzz ci inspect-demo profile profile-trace apidiff serve-smoke results
 
 # Seconds of fuzzing per target in `make fuzz` (kept short for CI).
 FUZZTIME ?= 10s
@@ -61,6 +61,14 @@ PAIRS ?= 10
 bench-pair:
 	@test -n "$(CMD)" || { echo "bench-pair: set CMD, e.g. CMD='paper -progress off -manifest-dir /tmp/m'"; exit 2; }
 	./scripts/benchpair.sh -n $(PAIRS) $(PARENT) $(CMD)
+
+# Heap trace of one workload command under GODEBUG=gctrace=1: each `## `
+# section header and each GC's live heap and goal in MB, then the largest
+# goal and its section, so a peak-RSS claim names the phase that set it:
+#   make heap-trace CMD='paper -progress off -manifest-dir /tmp/m'
+heap-trace:
+	@test -n "$(CMD)" || { echo "heap-trace: set CMD, e.g. CMD='paper -progress off -manifest-dir /tmp/m'"; exit 2; }
+	./scripts/heaptrace.sh $(CMD)
 
 # Known-vulnerability scan of the module and its (stdlib-only) dependency
 # graph. Uses govulncheck when it is already on PATH — the target does not

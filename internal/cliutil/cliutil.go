@@ -62,7 +62,7 @@ func Register(name string) *Flags {
 	f.Decoders = flag.Int("decoders", 0, "parallel trace-decode workers for indexed (v3) .mtr files (0 = all CPUs, 1 = sequential decode; results are identical either way)")
 	f.Trace = flag.String("trace", "", "run over a binary trace file (from tracegen) instead of the built-in workloads")
 	f.Stream = flag.Bool("stream", false, "regenerate traces lazily per simulation cell instead of materializing them (O(1) trace memory; bit-identical results)")
-	f.TraceCacheBytes = flag.Int64("trace-cache-bytes", trace.DefaultTraceCacheBytes, "decoded-segment cache capacity shared by every cell replaying an indexed (v3) .mtr trace; it counts folded segments, 16 bytes per kept access and 2 per access, and a cache too small for the trace decodes and folds segments again (0 = decode per cell, unfolded; results are identical either way)")
+	f.TraceCacheBytes = flag.Int64("trace-cache-bytes", trace.DefaultTraceCacheBytes, "decoded-segment cache capacity shared by every cell replaying an indexed (v3) .mtr trace; it counts folded segments, 8 bytes per kept access and 2 per access, and a cache too small for the trace decodes and folds segments again (0 = decode per cell, unfolded; results are identical either way)")
 	return f
 }
 

@@ -37,6 +37,33 @@ func TestAccessLayout(t *testing.T) {
 	}
 }
 
+// TestKeptRecLayout pins the packed kept access: 8 bytes and pointer-free,
+// so a Folded's kept records are half an Access each and never scanned by
+// the garbage collector.
+func TestKeptRecLayout(t *testing.T) {
+	if size := unsafe.Sizeof(keptRec{}); size != keptFootprint {
+		t.Fatalf("keptRec is %d bytes, want %d", size, keptFootprint)
+	}
+	for _, v := range []any{keptRec{}, hiRun{}} {
+		if typ := reflect.TypeOf(v); memory.HasPointers(typ) {
+			t.Fatalf("%v holds pointers", typ)
+		}
+	}
+	if size := unsafe.Sizeof(hiRun{}); size != runFootprint {
+		t.Fatalf("hiRun is %d bytes, want %d", size, runFootprint)
+	}
+}
+
+// keptAccesses reads f's kept face.
+func keptAccesses(t testing.TB, f *Folded) []Access {
+	t.Helper()
+	kept, err := ReadAll(f.OpenKept())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kept
+}
+
 // randomTrace returns n accesses over nodes processors, with runs of
 // repeats (same node and granule) mixed with contended and private
 // addresses, so every fold rule is exercised.
@@ -68,14 +95,15 @@ func TestFoldExpandRoundTrip(t *testing.T) {
 		if f.Len() != len(accs) {
 			t.Fatalf("n=%d: Len %d", n, f.Len())
 		}
+		kept := keptAccesses(t, f)
 		var credited int
-		for _, k := range f.Kept() {
+		for _, k := range kept {
 			credited += 1 + int(k.FoldedReads()+k.FoldedWrites())
 		}
 		if credited != len(accs) {
 			t.Fatalf("n=%d: kept accesses and folds cover %d accesses, want %d", n, credited, len(accs))
 		}
-		if n > 100 && len(f.Kept()) >= n {
+		if n > 100 && len(kept) >= n {
 			t.Fatalf("n=%d: nothing folded", n)
 		}
 		if got := f.Expand(); !reflect.DeepEqual(got, accs) && len(accs) > 0 {
@@ -107,6 +135,119 @@ func TestFoldExpandRoundTrip(t *testing.T) {
 	}
 }
 
+// wideTrace returns a trace of single-node runs whose addresses sit on
+// either side of 4 GiB boundaries, so consecutive kept accesses change
+// their high address word, with runs long enough to pass both fold caps.
+func wideTrace(rng *rand.Rand, nodes int) []Access {
+	his := []memory.Addr{0, 1, 2, 0xffff_ffff}
+	var accs []Access
+	for i := 0; i < 3000; i++ {
+		hi := his[rng.Intn(len(his))]
+		lo := memory.Addr(rng.Intn(1 << 10))
+		if rng.Intn(2) == 0 {
+			lo = 1<<32 - 1<<10 + lo
+		}
+		a := Access{Node: memory.NodeID(rng.Intn(nodes)), Kind: Kind(rng.Intn(2)), Addr: hi<<32 | lo}
+		run := 1 + rng.Intn(4)
+		if i%1000 == 999 {
+			run = foldReadMax + foldWriteMax + 100
+		}
+		for r := 0; r < run; r++ {
+			accs = append(accs, a)
+			a.Kind = Kind(rng.Intn(2))
+			a.Addr = a.Addr&^15 | memory.Addr(rng.Intn(16))
+		}
+	}
+	return accs
+}
+
+// readBatches drains src in batches of size.
+func readBatches(t *testing.T, src Source, size int) []Access {
+	t.Helper()
+	var got []Access
+	buf := make([]Access, size)
+	for {
+		n, err := FillBatch(src, buf)
+		got = append(got, buf[:n]...)
+		if errors.Is(err, io.EOF) {
+			return got
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFoldWideRoundTrip checks both faces of a Folded whose addresses
+// cross 4 GiB boundaries and whose runs pass each cap: Open replays the
+// trace, and the kept face, read whole and in odd-sized batches after a
+// Reset, yields exactly the accesses the tape marks kept, with folds that
+// cover the trace. A trace below 4 GiB has no high-word run.
+func TestFoldWideRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	accs := wideTrace(rng, 5)
+	f, err := Fold(accs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.runs) < 100 {
+		t.Fatalf("%d high-word runs: the trace does not change its high word", len(f.runs))
+	}
+	if got := readBatches(t, f.Open(), 61); !reflect.DeepEqual(got, accs) {
+		t.Fatal("Open differs from the trace")
+	}
+	var want []Access
+	for i, e := range f.tape {
+		if e == tapeKept {
+			want = append(want, accs[i])
+		}
+	}
+	src := f.OpenKept()
+	kept := readBatches(t, src, 4096)
+	if err := src.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if again := readBatches(t, src, 7); !reflect.DeepEqual(again, kept) {
+		t.Fatal("the kept face read in 7-access batches after Reset differs")
+	}
+	covered, capped := 0, 0
+	for i := range kept {
+		k := kept[i]
+		covered += 1 + int(k.FoldedReads()+k.FoldedWrites())
+		if k.FoldedReads() == foldReadMax || k.FoldedWrites() == foldWriteMax {
+			capped++
+		}
+		kept[i].Fold = 0
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatal("the kept face differs from the accesses the tape keeps")
+	}
+	if covered != len(accs) || capped == 0 {
+		t.Fatalf("kept accesses cover %d of %d accesses, %d at a cap", covered, len(accs), capped)
+	}
+	if f, err := Fold(randomTrace(rng, 5000, 5), 5); err != nil || len(f.runs) != 0 {
+		t.Fatalf("a trace below 4 GiB folds with %v, runs %v", err, f.runs)
+	}
+}
+
+// TestKeepAllWide checks the form a refused segment is cached in: every
+// access kept, nodes up to 255 and addresses across 4 GiB boundaries, and
+// both faces replaying the trace.
+func TestKeepAllWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	accs := wideTrace(rng, 256)
+	f := keepAll(accs)
+	if f.Len() != len(accs) || len(f.kept) != len(accs) {
+		t.Fatalf("keepAll holds %d kept of %d accesses, want all %d", len(f.kept), f.Len(), len(accs))
+	}
+	if got := readBatches(t, f.Open(), 1000); !reflect.DeepEqual(got, accs) {
+		t.Fatal("Open differs from the trace")
+	}
+	if got := readBatches(t, f.OpenKept(), 333); !reflect.DeepEqual(got, accs) {
+		t.Fatal("the kept face differs from the trace")
+	}
+}
+
 // TestFoldRule pins each condition of the fold rule on a hand-built trace.
 func TestFoldRule(t *testing.T) {
 	accs := []Access{
@@ -128,7 +269,7 @@ func TestFoldRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	var folds []uint32
-	for _, k := range f.Kept() {
+	for _, k := range keptAccesses(t, f) {
 		folds = append(folds, k.Fold)
 	}
 	want := []uint32{1, 1 << 16, 0, 0, 0, 0, 0, 1 << 16, 0}
@@ -140,28 +281,46 @@ func TestFoldRule(t *testing.T) {
 	}
 }
 
-// TestFoldCap checks that each count stops at 65535 and the next repeat
-// is kept, with the run's later repeats folding into it.
+// TestFoldCap checks that the folded reads stop at foldReadMax (4095) and
+// the folded writes at foldWriteMax (2047), the widths of their fields in
+// a keptRec, and that the next repeat past either cap is kept, with the
+// run's later repeats folding into it.
 func TestFoldCap(t *testing.T) {
+	if foldReadMax != 4095 || foldWriteMax != 2047 {
+		t.Fatalf("caps %d reads, %d writes; want 4095 and 2047", foldReadMax, foldWriteMax)
+	}
+	// A write, then foldReadMax+10 reads, then foldWriteMax+10 writes, all
+	// by one node to one granule.
 	accs := []Access{{Node: 1, Kind: Write, Addr: 64}}
-	for i := 0; i < foldMax+10; i++ {
-		accs = append(accs, Access{Node: 1, Kind: Read, Addr: 64}, Access{Node: 1, Kind: Write, Addr: 65})
+	for i := 0; i < foldReadMax+10; i++ {
+		accs = append(accs, Access{Node: 1, Kind: Read, Addr: 64 + memory.Addr(i%16)})
+	}
+	for i := 0; i < foldWriteMax+10; i++ {
+		accs = append(accs, Access{Node: 1, Kind: Write, Addr: 79 - memory.Addr(i%16)})
 	}
 	f, err := Fold(accs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := f.Kept()
-	if len(kept) != 2 {
-		t.Fatalf("%d kept accesses, want 2: the first and the read past the cap", len(kept))
+	kept := keptAccesses(t, f)
+	// The first write folds foldReadMax reads. The next read is kept and
+	// folds the other 9 reads and foldWriteMax writes (the node wrote the
+	// granule in this run); the next write is kept and folds the last 9.
+	type want struct {
+		kind          Kind
+		reads, writes uint32
 	}
-	if r, w := kept[0].FoldedReads(), kept[0].FoldedWrites(); r != foldMax || w != foldMax {
-		t.Fatalf("first kept access folds %d reads, %d writes; want %d each", r, w, foldMax)
+	wants := []want{
+		{Write, foldReadMax, 0},
+		{Read, 9, foldWriteMax},
+		{Write, 0, 9},
 	}
-	// The 65536th read is kept; the run goes on, so the 10 writes and 9
-	// reads after it fold into it.
-	if kept[1].Kind != Read || kept[1].FoldedReads() != 9 || kept[1].FoldedWrites() != 10 {
-		t.Fatalf("second kept access %v, want a read folding 9 reads and 10 writes", kept[1])
+	var got []want
+	for _, k := range kept {
+		got = append(got, want{k.Kind, k.FoldedReads(), k.FoldedWrites()})
+	}
+	if !reflect.DeepEqual(got, wants) {
+		t.Fatalf("kept accesses (kind, folded reads, folded writes) %v, want %v", got, wants)
 	}
 	if got := f.Expand(); !reflect.DeepEqual(got, accs) {
 		t.Fatal("Expand differs from the trace")

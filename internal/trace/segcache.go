@@ -13,12 +13,14 @@ import (
 // the cache entirely.
 const DefaultTraceCacheBytes = 256 << 20
 
-// A cached segment counts accessFootprint bytes per kept access (Access
-// is a 16-byte struct) and tapeFootprint per replay-tape entry against
-// the cache budget; slice headers are noise next to the data.
+// A cached segment counts keptFootprint bytes per kept access (a packed
+// keptRec), tapeFootprint per replay-tape entry and runFootprint per
+// high-word run (a hiRun; none below 4 GiB) against the cache budget;
+// slice headers are noise next to the data.
 const (
-	accessFootprint = 16
-	tapeFootprint   = 2
+	keptFootprint = 8
+	tapeFootprint = 2
+	runFootprint  = 16
 )
 
 // FileID identifies one on-disk trace file instance for cache keying:
@@ -65,8 +67,9 @@ type segCacheEntry struct {
 // segment decodes it once, and every later acquisition —
 // concurrent (single-flight) or subsequent (resident) — shares the same
 // immutable payload. A segment is held folded (a *Folded of its own,
-// see IndexedFileSource), so the budget holds about twice the accesses
-// an unfolded slab would.
+// see IndexedFileSource) whose kept accesses take 8 bytes each, so the
+// budget holds about three times the accesses a 16-byte-per-access slab
+// would.
 //
 // Consumers acquire a segment with Acquire and release the returned pin
 // when done; pinned segments are never evicted or mutated, so replay stays
@@ -95,7 +98,7 @@ type SegmentCache struct {
 }
 
 // NewSegmentCache builds a cache bounded at capBytes of folded segments
-// (16 bytes per kept access and 2 per tape entry).
+// (8 bytes per kept access and 2 per tape entry).
 // capBytes <= 0 returns nil — the disabled cache every attachment point
 // treats as "decode as before".
 func NewSegmentCache(capBytes int64) *SegmentCache {
@@ -169,7 +172,7 @@ func (c *SegmentCache) Acquire(id FileID, seg int, decode func() (*Folded, error
 		return nil, err
 	}
 	e.seg = f
-	e.bytes = int64(len(f.kept))*accessFootprint + int64(len(f.tape))*tapeFootprint
+	e.bytes = f.footprint()
 	e.done = true
 	c.resident += e.bytes
 	c.pinned += e.bytes

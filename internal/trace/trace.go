@@ -70,7 +70,7 @@ func (a Access) String() string {
 }
 
 // FoldedReads returns the silent reads folded into a (Access.Fold).
-func (a Access) FoldedReads() uint32 { return a.Fold & foldMax }
+func (a Access) FoldedReads() uint32 { return a.Fold & (1<<16 - 1) }
 
 // FoldedWrites returns the silent writes folded into a (Access.Fold).
 func (a Access) FoldedWrites() uint32 { return a.Fold >> 16 }

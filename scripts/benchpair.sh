@@ -15,9 +15,9 @@
 # After one untimed warm-up run per side, it runs PAIRS (default 10)
 # pairs, alternating which side goes first, and reads each run's wall
 # time, CPU time (user + system) and peak RSS from the child's rusage.
-# Per metric it prints both medians, the parent's interquartile range, in
-# how many pairs the change was lower, and a verdict (every metric is
-# lower-is-better):
+# Per metric it prints both medians, the parent's interquartile range (also
+# as a percentage of its median), in how many pairs the change was lower,
+# and a verdict (every metric is lower-is-better):
 #
 #   gain        the change is lower in at least 9 of 10 pairs (90 %), and
 #               its median is below the parent's by more than the parent's
@@ -25,7 +25,10 @@
 #   regression  the same rule the other way round;
 #   unresolved  anything else.
 #
-# It also says whether the two sides printed the same stdout.
+# A metric whose parent IQR exceeds 10 % of its median gets a note below
+# the table: on that host no change smaller than the spread can be shown
+# on that metric, so a claim should name another one. It also says whether
+# the two sides printed the same stdout.
 set -euo pipefail
 
 pairs=10
@@ -100,12 +103,17 @@ for i in range(pairs):
 need = -(-9 * pairs // 10)  # 9 of 10, rounded up
 print(f"command: {' '.join(argv)}")
 print(f"stdout: {'identical' if same else 'DIFFERS'}")
-print(f"{'metric':<12} {'parent median [q1, q3]':>30} {'change median':>14} {'change/parent':>14} {'lower in':>9}  verdict")
+print(f"{'metric':<12} {'parent median [q1, q3]':>30} {'IQR %':>6} {'change median':>14} {'change/parent':>14} {'lower in':>9}  verdict")
+notes = []
 for m, name in enumerate(("wall_s", "cpu_s", "peak_rss_mb")):
     p = [r[m] for r in runs["parent"]]
     c = [r[m] for r in runs["change"]]
     pm, cm = quantile(p, 0.5), quantile(c, 0.5)
     q1, q3 = quantile(p, 0.25), quantile(p, 0.75)
+    iqr_pct = 100 * (q3 - q1) / pm
+    if iqr_pct > 10:
+        notes.append(f"note: {name}'s parent IQR is {iqr_pct:.1f} % of its median; "
+                     f"a change under about {iqr_pct:.0f} % cannot clear it here")
     lower = sum(ci < pi for pi, ci in zip(p, c))
     higher = sum(ci > pi for pi, ci in zip(p, c))
     verdict = "unresolved"
@@ -113,5 +121,7 @@ for m, name in enumerate(("wall_s", "cpu_s", "peak_rss_mb")):
         verdict = "gain"
     elif higher >= need and cm - pm > q3 - q1:
         verdict = "regression"
-    print(f"{name:<12} {f'{pm:.4g} [{q1:.4g}, {q3:.4g}]':>30} {cm:>14.4g} {cm / pm:>14.3f} {f'{lower}/{pairs}':>9}  {verdict}")
+    print(f"{name:<12} {f'{pm:.4g} [{q1:.4g}, {q3:.4g}]':>30} {iqr_pct:>6.1f} {cm:>14.4g} {cm / pm:>14.3f} {f'{lower}/{pairs}':>9}  {verdict}")
+for note in notes:
+    print(note)
 EOF
