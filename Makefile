@@ -54,13 +54,19 @@ bench-check:
 # Paired benchmark of the working tree against PARENT on one workload
 # command: PAIRS alternating pairs of runs, with medians, the parent's
 # interquartile range, wins out of PAIRS and a gain / regression /
-# unresolved verdict per metric (wall, CPU, peak RSS). For example:
+# unresolved verdict per metric (wall, CPU, peak RSS), and whether both
+# sides printed the same stdout. FILE, when set, names a file the command
+# writes: it is hashed after every run and the report says whether both
+# sides wrote the same bytes (stdout proves nothing for tracegen -o).
+# For example:
 #   make bench-pair PARENT=HEAD~1 CMD='paper -progress off -manifest-dir /tmp/m'
+#   make bench-pair FILE=/tmp/t.mtr CMD='tracegen -app MP3D -length 2000000 -o /tmp/t.mtr -progress off -manifest-dir /tmp/m'
 PARENT ?= HEAD
 PAIRS ?= 10
+FILE ?=
 bench-pair:
 	@test -n "$(CMD)" || { echo "bench-pair: set CMD, e.g. CMD='paper -progress off -manifest-dir /tmp/m'"; exit 2; }
-	./scripts/benchpair.sh -n $(PAIRS) $(PARENT) $(CMD)
+	./scripts/benchpair.sh -n $(PAIRS) $(if $(FILE),-f $(FILE)) $(PARENT) $(CMD)
 
 # Heap trace of one workload command under GODEBUG=gctrace=1: each `## `
 # section header and each GC's live heap and goal in MB, then the largest

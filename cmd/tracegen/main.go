@@ -1,8 +1,10 @@
 // Command tracegen generates, inspects, and converts the synthetic
 // SPLASH-like shared-memory traces used by the simulators. Generation
 // streams straight from the workload generator into the compact .mtr
-// format, so arbitrarily long traces are written in constant memory, and
-// statistics are computed in streaming passes over the source.
+// format: the writer holds one segment of encoded records (-segment-bytes,
+// 64 KiB by default) and writes each segment to the file in one call, so
+// arbitrarily long traces are written in memory bounded by the segment
+// size, and statistics are computed in streaming passes over the source.
 //
 // Usage:
 //

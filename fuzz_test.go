@@ -3,9 +3,11 @@ package migratory
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -306,15 +308,38 @@ func checkSnoopKernels(t *testing.T, name string, cfg snoop.Config, accs []trace
 }
 
 // FuzzMTRRoundTrip encodes arbitrary traces in the .mtr format and decodes
-// them back through the indexed reader every run uses: the round trip must
-// be exact, and every truncated prefix must error (never succeed, never
-// panic).
+// them back through the indexed reader every run uses: the writer's bytes
+// must equal refMTR3's, the round trip must be exact, and every truncated
+// prefix must error (never succeed, never panic). An input of odd length
+// draws the segment target from its last byte (0 = the default, else 1 to
+// 128 bytes, a few records each), so segment closes and CRCs are hit many
+// times per input.
 func FuzzMTRRoundTrip(f *testing.F) {
 	fuzzSeeds(f)
+	// wide: 3- and 4-byte records; narrow: 2-byte records (blocks 0 to 3
+	// in turn), so segments of an even target end exactly on it.
+	wide, narrow := make([]byte, 129), make([]byte, 129)
+	for i := 0; i < 128; i += 2 {
+		wide[i], wide[i+1] = byte(i*13+5), byte(i*29+7)
+		narrow[i], narrow[i+1] = byte(i*5), byte(i/2%4)
+	}
+	for _, target := range []byte{1, 5, 64, 128} {
+		wide[128] = target
+		f.Add(bytes.Clone(wide))
+	}
+	for _, target := range []byte{2, 4, 64} {
+		narrow[128] = target
+		f.Add(bytes.Clone(narrow))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		accs := decodeAccesses(data, 64, 250)
+		segBytes := 0
+		if len(data)%2 == 1 {
+			segBytes = int(data[len(data)-1]) % 129
+		}
+		hdr := trace.Header{BlockSize: 16, PageSize: 4096, Nodes: 64}
 		var buf bytes.Buffer
-		w := trace.NewWriter(&buf, trace.Header{BlockSize: 16, PageSize: 4096, Nodes: 64})
+		w := trace.NewWriterOptions(&buf, hdr, trace.WriterOptions{SegmentBytes: segBytes})
 		for _, a := range accs {
 			if err := w.Write(a); err != nil {
 				t.Fatal(err)
@@ -322,6 +347,9 @@ func FuzzMTRRoundTrip(f *testing.F) {
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if ref := refMTR3(hdr, accs, segBytes); !bytes.Equal(buf.Bytes(), ref) {
+			t.Fatalf("segment target %d: writer bytes differ from the reference encoder's\n got %x\nwant %x", segBytes, buf.Bytes(), ref)
 		}
 		full := buf.Bytes()
 
@@ -359,6 +387,52 @@ func FuzzMTRRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refMTR3 encodes accs as README's .mtr v3 table lays the format out,
+// independently of trace.Writer: header varints, per-record head and
+// zigzag address-delta varints, segments closed at the first record
+// boundary at or past target bytes (0 = trace.DefaultSegmentBytes), each
+// with the CRC-32 of its bytes, then the trailer, the index and the footer.
+func refMTR3(hdr trace.Header, accs []trace.Access, target int) []byte {
+	if target <= 0 {
+		target = trace.DefaultSegmentBytes
+	}
+	out := []byte("MTR3")
+	out = binary.AppendUvarint(out, uint64(hdr.BlockSize))
+	out = binary.AppendUvarint(out, uint64(hdr.PageSize))
+	out = binary.AppendUvarint(out, uint64(hdr.Nodes))
+	var index [][5]uint64 // offset, length, count, start address, CRC
+	var prev memory.Addr
+	for i := 0; i < len(accs); {
+		off := len(out)
+		e := [5]uint64{uint64(off), 0, 0, uint64(prev), 0}
+		for i < len(accs) && len(out)-off < target {
+			a := accs[i]
+			out = binary.AppendUvarint(out, (uint64(a.Node)<<1|uint64(a.Kind))+1)
+			d := int64(a.Addr - prev)
+			out = binary.AppendUvarint(out, uint64(d<<1)^uint64(d>>63))
+			prev = a.Addr
+			e[2]++
+			i++
+		}
+		e[1] = uint64(len(out) - off)
+		e[4] = uint64(crc32.ChecksumIEEE(out[off:]))
+		index = append(index, e)
+	}
+	out = append(out, 0)
+	out = binary.AppendUvarint(out, uint64(len(accs)))
+	indexOff := len(out)
+	out = binary.AppendUvarint(out, uint64(len(index)))
+	for _, e := range index {
+		for _, v := range e {
+			out = binary.AppendUvarint(out, v)
+		}
+	}
+	crc := crc32.ChecksumIEEE(out[indexOff:])
+	out = binary.LittleEndian.AppendUint64(out, uint64(indexOff))
+	out = binary.LittleEndian.AppendUint32(out, crc)
+	return append(out, "MTRX"...)
 }
 
 // FuzzMTRDecode feeds arbitrary bytes to the sequential .mtr decoder, the

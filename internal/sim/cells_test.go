@@ -14,9 +14,10 @@ import (
 
 // TestSweepProgress checks that every sweep driver reports its cells to
 // Options.Stats (CellsDone == CellsTotal == the driver's cell count), and
-// that the drivers which do not feed engine telemetry (timing, accuracy,
-// node count) still leave Accesses alone: run manifests read it as the
-// sweep's access count.
+// that the drivers whose cells count toward the run (Table 2, Table 3, the
+// bus and timing sweeps) push Accesses while those that do not (accuracy,
+// node count) leave it alone: run manifests read it as the sweep's access
+// count.
 func TestSweepProgress(t *testing.T) {
 	opts := testOpts("Water")
 	opts.Length = 5_000
@@ -27,13 +28,13 @@ func TestSweepProgress(t *testing.T) {
 	cases := []struct {
 		name     string
 		cells    uint64
-		accesses bool // whether the cells push engine telemetry
+		accesses bool // whether the cells push their accesses
 		run      func(Options) error
 	}{
 		{"Table2Apps", 5 * 4, true, func(o Options) error { _, err := Table2Apps(apps, o); return err }},
 		{"Table3Apps", 5 * 4, true, func(o Options) error { _, err := Table3Apps(apps, o); return err }},
 		{"RunBusApps", 2 * 3, true, func(o Options) error { _, err := RunBusApps(apps, o, nil, nil); return err }},
-		{"ExecutionTimeApps", 2, false, func(o Options) error {
+		{"ExecutionTimeApps", 2, true, func(o Options) error {
 			_, err := ExecutionTimeApps(apps, o, core.Basic, 0)
 			return err
 		}},

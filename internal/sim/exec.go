@@ -72,6 +72,7 @@ func ExecutionTimeApps(apps []*App, opts Options, policy core.Policy, cacheBytes
 			CacheBytes:   cacheBytes,
 			Shards:       opts.Shards,
 			TimingParams: &params,
+			Stats:        opts.Stats,
 			Cache:        opts.Cache,
 			policy:       &pols[i%2],
 		})

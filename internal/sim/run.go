@@ -351,6 +351,7 @@ func (c RunConfig) timingConfig(geom memory.Geometry, pol core.Policy) timing.Co
 		CacheBytes: c.CacheBytes,
 		Policy:     pol,
 		Params:     params,
+		Stats:      c.Stats,
 	}
 }
 

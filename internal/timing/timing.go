@@ -21,6 +21,7 @@ import (
 	"migratory/internal/directory"
 	"migratory/internal/memory"
 	"migratory/internal/placement"
+	"migratory/internal/telemetry"
 	"migratory/internal/trace"
 )
 
@@ -111,6 +112,10 @@ type Config struct {
 	Policy core.Policy
 	// Params are the latency constants (zero value = DefaultParams).
 	Params Params
+	// Stats, when non-nil, counts the run's accesses at batch
+	// granularity. The timing model pushes no classifier transitions or
+	// migrations.
+	Stats *telemetry.RunStats
 }
 
 // Validate checks the configuration. Run and RunSource call it; it is
@@ -259,7 +264,13 @@ func RunSource(ctx context.Context, src trace.Source, cfg Config) (Result, error
 		ctrlFree: make([]uint64, cfg.Nodes),
 	}
 	err = trace.EachBatch(ctx, src, "timing", func(batch []trace.Access, _ int) error {
-		return st.runBatch(batch)
+		if err := st.runBatch(batch); err != nil {
+			return err
+		}
+		if cfg.Stats != nil {
+			cfg.Stats.Accesses.Add(uint64(len(batch)))
+		}
+		return nil
 	})
 	if err != nil {
 		return Result{}, err

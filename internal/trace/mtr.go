@@ -89,35 +89,43 @@ type WriterOptions struct {
 // Writer encodes accesses to the MTR3 format. Close must be called to emit
 // the trailer, the segment index and the footer; a stream without them
 // reads back as ErrTruncated.
+//
+// The records of the open segment are appended to one buffer. When the
+// segment closes, its CRC is computed over the buffer once and the buffer
+// goes to the sink in one Write, so the Writer holds one segment in memory
+// (the segment target, 64 KiB by default, plus one record), as the indexed
+// reader holds one decoded segment per slab. A sink error is sticky: Close and
+// every later Write return it.
 type Writer struct {
-	bw     *bufio.Writer
+	w      io.Writer
 	hdr    Header
 	prev   memory.Addr
 	count  uint64
 	err    error
 	closed bool
 
-	// Segmenting state. off tracks the file offset of every emitted byte;
-	// while inSeg, record bytes also feed the running segment CRC.
-	segBytes int64
+	// buf holds the bytes not yet written to w: the open segment's records,
+	// after the header before the first segment closes. off is the file
+	// offset of buf[0]; seg.Off that of the open segment's first record.
+	buf      []byte
 	off      int64
+	segBytes int64
 	inSeg    bool
 	seg      Segment
-	crc      uint32
 	segs     []Segment
 }
 
 // NewWriter returns a Writer emitting to w with default segmenting. The
-// header is written immediately. Header fields may be zero (unspecified),
-// but a negative field or a Nodes beyond memory.MaxNodes is rejected at
-// the first Write.
+// header is buffered with the first segment. Header fields may be zero
+// (unspecified), but a negative field or a Nodes beyond memory.MaxNodes is
+// rejected at the first Write.
 func NewWriter(w io.Writer, hdr Header) *Writer {
 	return NewWriterOptions(w, hdr, WriterOptions{})
 }
 
 // NewWriterOptions is NewWriter with an explicit segment target.
 func NewWriterOptions(w io.Writer, hdr Header, opts WriterOptions) *Writer {
-	tw := &Writer{bw: bufio.NewWriter(w), hdr: hdr}
+	tw := &Writer{w: w, hdr: hdr}
 	if opts.Version != 0 && opts.Version != 3 {
 		tw.err = fmt.Errorf("trace: unsupported writer format version %d (want 3)", opts.Version)
 		return tw
@@ -130,42 +138,35 @@ func NewWriterOptions(w io.Writer, hdr Header, opts WriterOptions) *Writer {
 		tw.err = fmt.Errorf("trace: invalid header %+v", hdr)
 		return tw
 	}
-	tw.emit(magic3[:])
-	tw.putUvarint(uint64(hdr.BlockSize))
-	tw.putUvarint(uint64(hdr.PageSize))
-	tw.putUvarint(uint64(hdr.Nodes))
+	// The slack holds the header and the record that crosses the target.
+	tw.buf = make([]byte, 0, min(tw.segBytes, DefaultSegmentBytes)+64)
+	tw.buf = append(tw.buf, magic3[:]...)
+	tw.buf = binary.AppendUvarint(tw.buf, uint64(hdr.BlockSize))
+	tw.buf = binary.AppendUvarint(tw.buf, uint64(hdr.PageSize))
+	tw.buf = binary.AppendUvarint(tw.buf, uint64(hdr.Nodes))
 	return tw
 }
 
-// emit writes p, advancing the offset tracker and, inside a segment, the
-// segment CRC.
-func (w *Writer) emit(p []byte) {
-	if w.err != nil {
-		return
+// flush writes the buffer to the sink and empties it.
+func (w *Writer) flush() {
+	if w.err == nil {
+		var n int
+		if n, w.err = w.w.Write(w.buf); w.err == nil && n < len(w.buf) {
+			w.err = io.ErrShortWrite
+		}
 	}
-	if _, err := w.bw.Write(p); err != nil {
-		w.err = err
-		return
-	}
-	w.off += int64(len(p))
-	if w.inSeg {
-		w.crc = crc32.Update(w.crc, crc32.IEEETable, p)
-	}
+	w.off += int64(len(w.buf))
+	w.buf = w.buf[:0]
 }
 
-func (w *Writer) putUvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.emit(buf[:n])
-}
-
-// closeSegment finishes the in-progress segment and files its index entry.
+// closeSegment finishes the open segment and files its index entry.
 func (w *Writer) closeSegment() {
 	if !w.inSeg {
 		return
 	}
-	w.seg.Len = w.off - w.seg.Off
-	w.seg.CRC = w.crc
+	rec := w.buf[w.seg.Off-w.off:]
+	w.seg.Len = int64(len(rec))
+	w.seg.CRC = crc32.ChecksumIEEE(rec)
 	w.segs = append(w.segs, w.seg)
 	w.inSeg = false
 }
@@ -195,24 +196,24 @@ func (w *Writer) Write(a Access) error {
 		// Open a segment at the current record boundary. StartAddr is the
 		// running delta base, so an indexed reader can decode the segment
 		// without replaying anything before it.
-		w.seg = Segment{Off: w.off, StartAddr: w.prev, StartIndex: w.count}
-		w.crc = 0
+		w.seg = Segment{Off: w.off + int64(len(w.buf)), StartAddr: w.prev, StartIndex: w.count}
 		w.inSeg = true
 	}
-	w.putUvarint((uint64(a.Node)<<1 | uint64(a.Kind)) + 1)
+	w.buf = binary.AppendUvarint(w.buf, (uint64(a.Node)<<1|uint64(a.Kind))+1)
 	delta := int64(a.Addr) - int64(w.prev)
-	w.putUvarint(uint64(delta<<1) ^ uint64(delta>>63)) // zigzag
+	w.buf = binary.AppendUvarint(w.buf, uint64(delta<<1)^uint64(delta>>63)) // zigzag
 	w.prev = a.Addr
 	w.count++
 	w.seg.Count++
-	if w.off-w.seg.Off >= w.segBytes {
+	if w.off+int64(len(w.buf))-w.seg.Off >= w.segBytes {
 		w.closeSegment()
+		w.flush()
 	}
 	return w.err
 }
 
-// Close writes the trailer, the segment index and the footer, then
-// flushes. It does not close the underlying io.Writer.
+// Close writes the trailer, the segment index and the footer with the last
+// segment, in one Write. It does not close the underlying io.Writer.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
@@ -222,28 +223,22 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.closeSegment()
-	w.emit([]byte{0})
-	w.putUvarint(w.count)
-	indexOff := w.off
-	body := make([]byte, 0, 16+len(w.segs)*5*binary.MaxVarintLen64/2)
-	body = binary.AppendUvarint(body, uint64(len(w.segs)))
+	w.buf = append(w.buf, 0)
+	w.buf = binary.AppendUvarint(w.buf, w.count)
+	indexOff := w.off + int64(len(w.buf))
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(w.segs)))
 	for _, s := range w.segs {
-		body = binary.AppendUvarint(body, uint64(s.Off))
-		body = binary.AppendUvarint(body, uint64(s.Len))
-		body = binary.AppendUvarint(body, s.Count)
-		body = binary.AppendUvarint(body, uint64(s.StartAddr))
-		body = binary.AppendUvarint(body, uint64(s.CRC))
+		w.buf = binary.AppendUvarint(w.buf, uint64(s.Off))
+		w.buf = binary.AppendUvarint(w.buf, uint64(s.Len))
+		w.buf = binary.AppendUvarint(w.buf, s.Count)
+		w.buf = binary.AppendUvarint(w.buf, uint64(s.StartAddr))
+		w.buf = binary.AppendUvarint(w.buf, uint64(s.CRC))
 	}
-	w.emit(body)
-	var foot [footerSize]byte
-	binary.LittleEndian.PutUint64(foot[0:8], uint64(indexOff))
-	binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(body))
-	copy(foot[12:16], footerMagic[:])
-	w.emit(foot[:])
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.bw.Flush()
+	crc := crc32.ChecksumIEEE(w.buf[indexOff-w.off:])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(indexOff))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc)
+	w.buf = append(w.buf, footerMagic[:]...)
+	w.flush()
 	return w.err
 }
 

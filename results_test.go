@@ -106,7 +106,7 @@ func TestExactCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]float64{
-		"accesses":        5000000,
+		"accesses":        5120000,
 		"transitions":     23889,
 		"migrations":      84899,
 		"cells_done":      311,

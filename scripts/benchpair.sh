@@ -2,8 +2,9 @@
 # Paired benchmark: the working tree against a parent revision, on one
 # workload command. Run from the repository root:
 #
-#   scripts/benchpair.sh [-n PAIRS] PARENT COMMAND [ARGS...]
+#   scripts/benchpair.sh [-n PAIRS] [-f FILE] PARENT COMMAND [ARGS...]
 #   scripts/benchpair.sh -n 10 HEAD~1 paper -trace mp3d.mtr -shards 2 -parallelism 1 -progress off -manifest-dir /tmp/m
+#   scripts/benchpair.sh -f /tmp/t.mtr HEAD~1 tracegen -app MP3D -length 2000000 -o /tmp/t.mtr -progress off -manifest-dir /tmp/m
 #
 # COMMAND names one of the binaries under cmd/. Both sides are built into a
 # fresh `mktemp -d` directory: the parent from `git archive PARENT`, so
@@ -28,14 +29,21 @@
 # A metric whose parent IQR exceeds 10 % of its median gets a note below
 # the table: on that host no change smaller than the spread can be shown
 # on that metric, so a claim should name another one. It also says whether
-# the two sides printed the same stdout.
+# the two sides printed the same stdout. With -f FILE it hashes FILE after
+# every run and also says whether both sides wrote the same bytes to it:
+# for a command whose output is a file (tracegen -o), identical stdout
+# proves nothing.
 set -euo pipefail
 
 pairs=10
-if [[ ${1:-} == -n ]]; then
-	pairs=$2
+file=
+while [[ ${1:-} == -n || ${1:-} == -f ]]; do
+	case $1 in
+	-n) pairs=$2 ;;
+	-f) file=$2 ;;
+	esac
 	shift 2
-fi
+done
 if [[ $# -lt 2 ]]; then
 	sed -n '2,/^set -e/p' "$0" | sed -e '$d' -e 's/^# \{0,1\}//' >&2
 	exit 2
@@ -56,14 +64,15 @@ git archive "$parent" | tar -x -C "$work/src"
 go build -o "$work/change/" "./cmd/$cmd"
 echo "benchpair: $parent ($(git rev-parse --short "$parent")) against the working tree, $pairs pairs" >&2
 
-python3 - "$work" "$pairs" "$@" <<'EOF'
-import os, subprocess, sys, time
+python3 - "$work" "$pairs" "$file" "$@" <<'EOF'
+import hashlib, os, subprocess, sys, time
 
-work, pairs, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+work, pairs, file, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 
 
 def run(side):
-    """Runs the command once on side; returns (wall s, cpu s, peak RSS MB, stdout)."""
+    """Runs the command once on side; returns (wall s, cpu s, peak RSS MB,
+    stdout, SHA-256 of FILE or None)."""
     out = os.path.join(work, side + ".out")
     with open(out, "wb") as f:
         start = time.perf_counter()
@@ -75,7 +84,11 @@ def run(side):
         sys.exit(f"benchpair: {side} run failed: {os.waitstatus_to_exitcode(status)}")
     with open(out, "rb") as f:
         stdout = f.read()
-    return wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024, stdout
+    digest = None
+    if file:
+        with open(file, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+    return wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024, stdout, digest
 
 
 def quantile(xs, q):
@@ -89,11 +102,12 @@ def quantile(xs, q):
 run("parent")
 run("change")
 runs = {"parent": [], "change": []}
-same = True
+same = same_file = True
 for i in range(pairs):
     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
     got = {side: run(side) for side in order}
     same = same and got["parent"][3] == got["change"][3]
+    same_file = same_file and got["parent"][4] == got["change"][4]
     for side in order:
         runs[side].append(got[side][:3])
     print(f"pair {i + 1}/{pairs}: " + "  ".join(
@@ -103,6 +117,8 @@ for i in range(pairs):
 need = -(-9 * pairs // 10)  # 9 of 10, rounded up
 print(f"command: {' '.join(argv)}")
 print(f"stdout: {'identical' if same else 'DIFFERS'}")
+if file:
+    print(f"file {file}: {'identical' if same_file else 'DIFFERS'}")
 print(f"{'metric':<12} {'parent median [q1, q3]':>30} {'IQR %':>6} {'change median':>14} {'change/parent':>14} {'lower in':>9}  verdict")
 notes = []
 for m, name in enumerate(("wall_s", "cpu_s", "peak_rss_mb")):
