@@ -1,10 +1,13 @@
 // Command tracegen generates, inspects, and converts the synthetic
 // SPLASH-like shared-memory traces used by the simulators. Generation
 // streams straight from the workload generator into the compact .mtr
-// format: the writer holds one segment of encoded records (-segment-bytes,
-// 64 KiB by default) and writes each segment to the file in one call, so
-// arbitrarily long traces are written in memory bounded by the segment
-// size, and statistics are computed in streaming passes over the source.
+// format on two goroutines (trace.Copy): one fills batches of 4096
+// accesses from the generator while the other encodes the previous batch.
+// The writer holds one segment of encoded records (-segment-bytes, 64 KiB
+// by default) and writes each segment to the file in one call, so
+// arbitrarily long traces are written in memory bounded by one segment
+// plus three batches (192 KiB), and statistics are computed in streaming
+// passes over the source. The manifest counts the accesses written.
 //
 // Usage:
 //
@@ -191,7 +194,9 @@ func sameFile(a, b string) bool {
 	return err == nil && os.SameFile(fa, fb)
 }
 
-// export streams r into an .mtr file and returns the access count.
+// export streams r into an .mtr file and returns the access count, which
+// it also adds to the run's accesses (the manifest's accesses and
+// accesses_per_sec).
 func export(r trace.Reader, path string, hdr trace.Header, opts trace.WriterOptions) (int, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -199,6 +204,7 @@ func export(r trace.Reader, path string, hdr trace.Header, opts trace.WriterOpti
 	}
 	w := trace.NewWriterOptions(f, hdr, opts)
 	n, err := trace.Copy(w, r)
+	run.Stats().Accesses.Add(uint64(n))
 	if err != nil {
 		f.Close()
 		return 0, err

@@ -381,6 +381,25 @@ func (c RunConfig) openSource() (trace.Source, error) {
 	}
 }
 
+// openRunSource opens the trace the run replays: openSource's, switched to
+// its kept face (trace.IndexedFileSource.WithKept) when the run names a
+// trace file and a segment cache, the header names the trace's node count
+// and keptExact holds for that count, as a sweep cell over the same file
+// would be (NewTraceFileApp, App.bind). Placement profiling reads
+// openSource's exact stream.
+func (c RunConfig) openRunSource() (trace.Source, error) {
+	src, err := c.openSource()
+	if err != nil {
+		return nil, err
+	}
+	if ifs, ok := src.(*trace.IndexedFileSource); ok && c.TraceFile != "" && c.Cache != nil && !noShortcuts {
+		if n := ifs.Header().Nodes; n > 0 && c.keptExact(n) {
+			ifs.WithKept()
+		}
+	}
+	return src, nil
+}
+
 // placementFor resolves the directory engine's page placement, running the
 // profiling pass over its own source when the policy calls for one (the
 // paper's two-pass methodology). Placement is page-granular, so the pass
@@ -630,7 +649,7 @@ func (c RunConfig) runDirectory(ctx context.Context, geom memory.Geometry) (*Run
 	if err != nil {
 		return nil, err
 	}
-	src, err := c.openSource()
+	src, err := c.openRunSource()
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +676,7 @@ func (c RunConfig) runBus(ctx context.Context, geom memory.Geometry) (*RunResult
 	if err != nil {
 		return nil, err
 	}
-	src, err := c.openSource()
+	src, err := c.openRunSource()
 	if err != nil {
 		return nil, err
 	}

@@ -172,26 +172,34 @@ func (a *App) Open() (trace.Source, error) { return a.open() }
 // bind points cfg, a cell over the App, at the App's trace: it sets
 // OpenSource and, for the directory engine, PlacementPolicy. The cell
 // replays the kept accesses, whose batch kernels credit the folded
-// repeats, when folding is exact for it: an unprobed directory or bus cell
-// whose blocks lie between trace.FoldGranule and trace.FoldRegion bytes,
-// unless it runs UpdateOnce (an update write can leave its line shared, so
-// the folded writes after it are not silent and the bus kernel refuses
-// them). The cell's machine must also have every node the kept accesses
-// were folded over, so that an access naming a node beyond it fails as it
-// does in the exact trace, at the same step. Every other cell, a timing
-// cell included, replays Open, the exact trace.
+// repeats, when folding is exact for it (keptExact); every other cell, a
+// timing cell included, replays Open, the exact trace.
 func (a *App) bind(cfg RunConfig) RunConfig {
 	if cfg.Engine == EngineDirectory {
 		cfg.PlacementPolicy = a.Placement
 	}
 	cfg.OpenSource = a.Open
-	c := cfg.withDefaults()
-	if a.openKept != nil && c.Probes == nil && a.keptNodes <= c.Nodes &&
-		(c.Engine == EngineDirectory || c.Engine == EngineBus && c.Protocol != snoop.UpdateOnce.String()) &&
-		c.BlockSize >= trace.FoldGranule && c.BlockSize <= trace.FoldRegion {
+	if a.openKept != nil && cfg.withDefaults().keptExact(a.keptNodes) {
 		cfg.OpenSource = a.openKept
 	}
 	return cfg
+}
+
+// keptExact reports whether replaying kept accesses folded over keptNodes
+// nodes gives c, a defaulted config, exactly the exact trace's result: c
+// is an unprobed directory or bus run whose blocks lie between
+// trace.FoldGranule and trace.FoldRegion bytes, unless it runs UpdateOnce
+// (an update write can leave its line shared, so the folded writes after
+// it are not silent and the bus kernel refuses them). Its machine must
+// also have every node the kept accesses were folded over, so that an
+// access naming a node beyond it fails as it does in the exact trace, at
+// the same step. It is the one place that decides a run's trace form:
+// sweep cells ask it through bind, a single run over a cached trace file
+// through openRunSource.
+func (c RunConfig) keptExact(keptNodes int) bool {
+	return c.Probes == nil && keptNodes <= c.Nodes &&
+		(c.Engine == EngineDirectory || c.Engine == EngineBus && c.Protocol != snoop.UpdateOnce.String()) &&
+		c.BlockSize >= trace.FoldGranule && c.BlockSize <= trace.FoldRegion
 }
 
 // PrepareApp generates the trace for one application and computes the

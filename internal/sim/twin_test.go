@@ -2,11 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"testing"
 
 	"migratory/internal/core"
+	"migratory/internal/snoop"
 	"migratory/internal/telemetry"
 	"migratory/internal/trace"
 )
@@ -245,5 +248,58 @@ func TestTraceFileKeptTwin(t *testing.T) {
 	defer func() { noShortcuts = false }()
 	if exact := render(nil); !bytes.Equal(fast, exact) {
 		t.Fatalf("report over the kept face differs from the exact one:\n%s\n---\n%s", fast, exact)
+	}
+}
+
+// TestRunTraceFileKeptTwin is the single-run twin of TestTraceFileKeptTwin:
+// Run over a v3 trace file with a segment cache must marshal the same
+// RunResult as Run without one, for every directory policy and bus
+// protocol at 8- to 512-byte blocks, an infinite and a 16 KiB cache,
+// unsharded and over 2 shards, and on machines with fewer, as many and
+// more nodes than the header names. The cached run must read the kept face
+// (RunStats.AccessesFolded > 0) exactly where keptExact holds.
+func TestRunTraceFileKeptTwin(t *testing.T) {
+	path := writeV3Trace(t, "MP3D", 16, 20_000)
+	cache := trace.NewSegmentCache(64 << 20)
+	var cfgs []RunConfig
+	for _, pol := range core.Policies() {
+		cfgs = append(cfgs, RunConfig{Engine: EngineDirectory, Policy: pol.Name})
+	}
+	for _, prot := range snoop.Protocols() {
+		cfgs = append(cfgs, RunConfig{Engine: EngineBus, Protocol: prot.String()})
+	}
+	run := func(cfg RunConfig, c *trace.SegmentCache) (string, uint64) {
+		t.Helper()
+		cfg.TraceFile, cfg.Cache, cfg.Stats = path, c, &telemetry.RunStats{}
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			return "error: " + err.Error(), cfg.Stats.AccessesFolded.Load()
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob), cfg.Stats.AccessesFolded.Load()
+	}
+	for _, base := range cfgs {
+		for _, block := range []int{8, 16, 64, 256, 512} {
+			for _, cacheBytes := range []int{0, 16 << 10} {
+				for _, shards := range []int{1, 2} {
+					for _, nodes := range []int{8, 16, 32} {
+						cfg := base
+						cfg.BlockSize, cfg.CacheBytes, cfg.Shards, cfg.Nodes = block, cacheBytes, shards, nodes
+						name := fmt.Sprintf("%s%s/block %d/cache %d/shards %d/nodes %d", cfg.Policy, cfg.Protocol, block, cacheBytes, shards, nodes)
+						kept, folded := run(cfg, cache)
+						exact, _ := run(cfg, nil)
+						if kept != exact {
+							t.Errorf("%s: over the segment cache\n%s\nwithout it\n%s", name, kept, exact)
+						}
+						if want := cfg.withDefaults().keptExact(16); (folded > 0) != want {
+							t.Errorf("%s: %d accesses folded, want the kept face %v", name, folded, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -245,21 +245,68 @@ func (w *Writer) Close() error {
 // Copy streams every access from r into w and returns the number copied.
 // It does not Close the Writer; the caller decides when the trailer goes
 // out.
+//
+// Reading and encoding overlap: a second goroutine fills DefaultBatchSize
+// batches from r (FillBatch) while the calling goroutine encodes the
+// previous ones with w.Write, three pooled batches cycling between the two.
+// The result is the sequential loop's: the count of accesses written and
+// the first error in stream order, so a read error is returned only after
+// every access before it has been written. A write error stops the reader
+// before its next batch. The reader goroutine has exited when Copy
+// returns, so the caller may use r again at once (Reset it, say).
 func Copy(w *Writer, r Reader) (int, error) {
-	n := 0
-	for {
-		a, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := w.Write(a); err != nil {
-			return n, err
-		}
-		n++
+	type batch struct {
+		accs []Access
+		n    int
+		err  error
 	}
+	// One batch being filled, one being encoded and one waiting between
+	// them. Both channels hold every batch, so no send blocks; free is never
+	// closed, the reader returning on its own.
+	const depth = 3
+	free := make(chan *batch, depth)
+	full := make(chan *batch, depth)
+	stop := make(chan struct{})
+	for range depth {
+		free <- &batch{accs: GetBatch()}
+	}
+	go func() {
+		defer close(full)
+		for b := range free {
+			select {
+			case <-stop:
+				free <- b // back to the pool
+				return
+			default:
+			}
+			b.n, b.err = FillBatch(r, b.accs)
+			full <- b
+			if b.err != nil {
+				return
+			}
+		}
+	}()
+	n := 0
+	var err error
+	for b := range full {
+		if err == nil {
+			for _, a := range b.accs[:b.n] {
+				if err = w.Write(a); err != nil {
+					close(stop)
+					break
+				}
+				n++
+			}
+			if err == nil && b.err != nil && !errors.Is(b.err, io.EOF) {
+				err = b.err
+			}
+		}
+		free <- b
+	}
+	for range depth {
+		PutBatch((<-free).accs)
+	}
+	return n, err
 }
 
 // Decoder reads a binary trace (MTR3, MTR2, or the legacy MTR1 format)

@@ -197,6 +197,9 @@ type Generator struct {
 	prof  Profile
 	nodes int
 	rng   *rand.Rand
+	// nodeMax is the rejection bound of the node draw (drawNode) when
+	// nodes is not a power of two.
+	nodeMax int32
 
 	segs []*segState
 	cum  []float64 // cumulative weights
@@ -206,8 +209,9 @@ type Generator struct {
 }
 
 type segState struct {
-	seg  Segment
-	base memory.Addr
+	seg    Segment
+	base   memory.Addr
+	stride int // seg.stride()
 	// lastOwner of each object (migratory handoff avoidance).
 	lastOwner []memory.NodeID
 	// locked marks objects with an in-flight exclusive episode.
@@ -286,6 +290,7 @@ func NewGenerator(p Profile, nodes int, seed int64) (*Generator, error) {
 		prof:     p,
 		nodes:    nodes,
 		rng:      rand.New(rand.NewSource(seed)),
+		nodeMax:  int32(1<<31 - 1 - (1<<31)%uint32(nodes)),
 		episodes: make([]episode, nodes),
 	}
 	var base memory.Addr
@@ -294,6 +299,7 @@ func NewGenerator(p Profile, nodes int, seed int64) (*Generator, error) {
 		st := &segState{
 			seg:       seg,
 			base:      base,
+			stride:    seg.stride(),
 			lastOwner: make([]memory.NodeID, seg.Objects),
 			locked:    make([]bool, seg.Objects),
 			produced:  make([]bool, seg.Objects),
@@ -326,15 +332,11 @@ func (g *Generator) Generate(n int) []trace.Access {
 // a materialized one.
 func (g *Generator) next() trace.Access {
 	for {
-		node := memory.NodeID(g.rng.Intn(g.nodes))
+		node := g.drawNode()
 		ep := &g.episodes[node]
 		if ep.done() {
 			ep.release()
-			buf := ep.accs[:0]
-			*ep = g.newEpisode(node, buf)
-			if ep.accs == nil {
-				ep.accs = buf // keep the buffer across empty episodes
-			}
+			g.newEpisode(ep, node)
 			if ep.done() {
 				continue // node found nothing runnable this tick
 			}
@@ -348,6 +350,22 @@ func (g *Generator) next() trace.Access {
 	}
 }
 
+// drawNode returns g.rng.Intn(g.nodes), drawing from the random stream
+// exactly as Intn does (through Int31n): the top 31 bits of one Int63, masked
+// when nodes is a power of two, and otherwise redrawn while above nodeMax,
+// then reduced modulo nodes. It saves Intn's two calls per access.
+func (g *Generator) drawNode() memory.NodeID {
+	n := int32(g.nodes)
+	v := int32(g.rng.Int63() >> 32)
+	if n&(n-1) == 0 {
+		return memory.NodeID(v & (n - 1))
+	}
+	for v > g.nodeMax {
+		v = int32(g.rng.Int63() >> 32)
+	}
+	return memory.NodeID(v % n)
+}
+
 func (g *Generator) pickSegment() *segState {
 	x := g.rng.Float64() * g.cum[len(g.cum)-1]
 	for i, c := range g.cum {
@@ -358,19 +376,29 @@ func (g *Generator) pickSegment() *segState {
 	return g.segs[len(g.segs)-1]
 }
 
-func (g *Generator) newEpisode(n memory.NodeID, buf []trace.Access) episode {
+// newEpisode refills ep, node n's drained and released episode, in place.
+// The access buffer is kept; ep stays empty when the node finds nothing
+// runnable this tick.
+func (g *Generator) newEpisode(ep *episode, n memory.NodeID) {
+	ep.accs, ep.pos = ep.accs[:0], 0
 	st := g.pickSegment()
 	switch st.seg.Kind {
 	case Migratory:
-		return g.migratoryEpisode(st, n, buf)
+		g.migratoryEpisode(ep, st, n)
 	case ReadShared:
-		return g.readSharedEpisode(st, n, buf)
+		g.readSharedEpisode(ep, st, n)
 	case ProducerConsumer:
-		return g.producerConsumerEpisode(st, n, buf)
+		g.producerConsumerEpisode(ep, st, n)
 	case MostlyPrivate:
-		return g.mostlyPrivateEpisode(st, n, buf)
+		g.mostlyPrivateEpisode(ep, st, n)
 	}
-	return episode{}
+}
+
+// lock fills ep with accs under the lock of object obj of st, which it
+// takes.
+func (ep *episode) lock(accs []trace.Access, st *segState, obj int) {
+	st.locked[obj] = true
+	ep.accs, ep.lockSeg, ep.lockObj = accs, st, obj
 }
 
 // nodeInSharers maps node n into the segment's sharer set.
@@ -382,7 +410,7 @@ func (st *segState) nodeInSharers(n memory.NodeID, nodes int) memory.NodeID {
 }
 
 func (st *segState) addr(obj, word int) memory.Addr {
-	return st.base + memory.Addr(obj*st.seg.stride()+word*wordSize)
+	return st.base + memory.Addr(obj*st.stride+word*wordSize)
 }
 
 // rwSweep appends a read-all-then-write-all access list over the first
@@ -405,7 +433,7 @@ func (st *segState) readSweep(buf []trace.Access, n memory.NodeID, obj, words in
 	return buf
 }
 
-func (g *Generator) migratoryEpisode(st *segState, n memory.NodeID, buf []trace.Access) episode {
+func (g *Generator) migratoryEpisode(ep *episode, st *segState, n memory.NodeID) {
 	n = st.nodeInSharers(n, g.nodes)
 	// Find an unlocked object this node did not own last (a node re-taking
 	// its own lock immediately is possible but rare in the modeled apps).
@@ -417,29 +445,23 @@ func (g *Generator) migratoryEpisode(st *segState, n memory.NodeID, buf []trace.
 		if st.lastOwner[obj] == n && st.seg.Objects > 1 && try < 7 {
 			continue
 		}
-		st.locked[obj] = true
 		st.lastOwner[obj] = n
-		return episode{
-			accs:    st.rwSweep(buf, n, obj, st.seg.sweepWords()),
-			lockSeg: st, lockObj: obj,
-		}
+		ep.lock(st.rwSweep(ep.accs, n, obj, st.seg.sweepWords()), st, obj)
+		return
 	}
-	return episode{}
 }
 
-func (g *Generator) readSharedEpisode(st *segState, n memory.NodeID, buf []trace.Access) episode {
+func (g *Generator) readSharedEpisode(ep *episode, st *segState, n memory.NodeID) {
 	obj := st.pickObject(g.rng)
 	words := st.seg.sweepWords()
 	if st.seg.WriteEveryN > 0 && g.rng.Intn(st.seg.WriteEveryN) == 0 && !st.locked[obj] {
-		st.locked[obj] = true
-		return episode{
-			accs:    st.rwSweep(buf, n, obj, words),
-			lockSeg: st, lockObj: obj,
-		}
+		ep.lock(st.rwSweep(ep.accs, n, obj, words), st, obj)
+		return
 	}
 	k := st.seg.EpisodeObjects
 	if k <= 1 {
-		return episode{accs: st.readSweep(buf, n, obj, words)}
+		ep.accs = st.readSweep(ep.accs, n, obj, words)
+		return
 	}
 	// Chunked sweep: node n reads k consecutive objects at its own cursor
 	// within the current window, cycling so that the node re-reads the
@@ -450,13 +472,12 @@ func (g *Generator) readSharedEpisode(st *segState, n memory.NodeID, buf []trace
 	}
 	for i := 0; i < k; i++ {
 		o := (start + (st.cursor[n]+i)%size) % st.seg.Objects
-		buf = st.readSweep(buf, n, o, words)
+		ep.accs = st.readSweep(ep.accs, n, o, words)
 	}
 	st.cursor[n] = (st.cursor[n] + k) % size
-	return episode{accs: buf}
 }
 
-func (g *Generator) producerConsumerEpisode(st *segState, n memory.NodeID, buf []trace.Access) episode {
+func (g *Generator) producerConsumerEpisode(ep *episode, st *segState, n memory.NodeID) {
 	// Each object has a fixed producer derived from its index.
 	for try := 0; try < 8; try++ {
 		obj := st.pickObject(g.rng)
@@ -469,24 +490,17 @@ func (g *Generator) producerConsumerEpisode(st *segState, n memory.NodeID, buf [
 			if n != producer {
 				continue
 			}
-			st.locked[obj] = true
 			st.produced[obj] = true
-			return episode{
-				accs:    writeSweep(st, buf, n, obj, words),
-				lockSeg: st, lockObj: obj,
-			}
+			ep.lock(writeSweep(st, ep.accs, n, obj, words), st, obj)
+			return
 		}
 		if n == producer {
 			continue
 		}
-		st.locked[obj] = true
 		st.produced[obj] = false
-		return episode{
-			accs:    st.readSweep(buf, n, obj, words),
-			lockSeg: st, lockObj: obj,
-		}
+		ep.lock(st.readSweep(ep.accs, n, obj, words), st, obj)
+		return
 	}
-	return episode{}
 }
 
 func writeSweep(st *segState, buf []trace.Access, n memory.NodeID, obj, words int) []trace.Access {
@@ -496,27 +510,21 @@ func writeSweep(st *segState, buf []trace.Access, n memory.NodeID, obj, words in
 	return buf
 }
 
-func (g *Generator) mostlyPrivateEpisode(st *segState, n memory.NodeID, buf []trace.Access) episode {
+func (g *Generator) mostlyPrivateEpisode(ep *episode, st *segState, n memory.NodeID) {
 	words := st.seg.sweepWords()
 	// 90% of episodes work on the node's own objects (read/write); 10%
 	// read a random other node's object.
 	if g.rng.Intn(10) > 0 {
 		own := g.ownObject(st, n)
-		if own < 0 {
-			return episode{}
+		if own < 0 || st.locked[own] {
+			return
 		}
-		if st.locked[own] {
-			return episode{}
-		}
-		st.locked[own] = true
 		st.lastOwner[own] = n
-		return episode{
-			accs:    st.rwSweep(buf, n, own, words),
-			lockSeg: st, lockObj: own,
-		}
+		ep.lock(st.rwSweep(ep.accs, n, own, words), st, own)
+		return
 	}
 	obj := g.rng.Intn(st.seg.Objects)
-	return episode{accs: st.readSweep(buf, n, obj, words)}
+	ep.accs = st.readSweep(ep.accs, n, obj, words)
 }
 
 // ownObject picks a random object owned by node n. Objects are partitioned

@@ -2,6 +2,7 @@ package migratory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -145,5 +146,64 @@ func TestExactCounters(t *testing.T) {
 			t.Errorf("%s messages summed over every cell: %d short + %d data, want %d + %d",
 				tc.name, short, data, tc.short, tc.data)
 		}
+	}
+}
+
+// TestTracegenManifestCountsAccesses requires tracegen's manifest to count
+// the accesses it writes: 20 000 for a generated MP3D trace, and 20 000
+// again for converting an MTR2 copy of it (the v3 file without its index
+// and footer) back to v3, which must give the original bytes.
+func TestTracegenManifestCountsAccesses(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCommands(t, dir, "tracegen")
+	v3 := filepath.Join(dir, "t.mtr")
+	v2 := filepath.Join(dir, "t2.mtr")
+	back := filepath.Join(dir, "t3.mtr")
+	manifest := func(name string, args ...string) map[string]any {
+		t.Helper()
+		mdir := filepath.Join(dir, name)
+		args = append(args, "-progress", "off", "-manifest-dir", mdir)
+		cmd := exec.Command(filepath.Join(bin, "tracegen"), args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("tracegen %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+		}
+		files, err := filepath.Glob(filepath.Join(mdir, "*.json"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s: want one manifest, found %v (%v)", name, files, err)
+		}
+		raw, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	check := func(name string, m map[string]any) {
+		t.Helper()
+		if m["accesses"] != float64(20000) {
+			t.Errorf("%s: manifest accesses = %v, want 20000", name, m["accesses"])
+		}
+		if rate, _ := m["accesses_per_sec"].(float64); rate <= 0 {
+			t.Errorf("%s: manifest accesses_per_sec = %v, want > 0", name, m["accesses_per_sec"])
+		}
+	}
+	check("generate", manifest("generate", "-app", "MP3D", "-length", "20000", "-o", v3))
+
+	raw, err := os.ReadFile(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexOff := binary.LittleEndian.Uint64(raw[len(raw)-16:])
+	if err := os.WriteFile(v2, append([]byte("MTR2"), raw[4:indexOff]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("convert", manifest("convert", "-in", v2, "-o", back))
+	if got, err := os.ReadFile(back); err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("converting the MTR2 copy back to v3 changed the bytes (%v)", err)
 	}
 }
